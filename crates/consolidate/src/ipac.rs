@@ -15,7 +15,7 @@
 use crate::constraint::Constraint;
 use crate::item::{PackItem, PackServer};
 use crate::minslack::MinSlackConfig;
-use crate::pac::pac_pack;
+use crate::pac::{pac_pack, PacResult};
 use crate::plan::{ConsolidationPlan, Move};
 use crate::policy::MigrationPolicy;
 use std::collections::BTreeMap;
@@ -69,6 +69,18 @@ pub struct IpacStats {
     /// workers. The rest of the invocation (eviction scans, commit loops,
     /// the final diff) is sequential.
     pub search_ns: u64,
+    /// Minimum Slack steps across the invocation's packs.
+    pub steps: u64,
+    /// Minimum Slack ε relaxations across the invocation's packs.
+    pub relaxations: u64,
+}
+
+impl IpacStats {
+    fn add(&mut self, pack: &PacResult) {
+        self.search_ns += pack.search_ns;
+        self.steps += pack.total_steps;
+        self.relaxations += pack.total_relaxations;
+    }
 }
 
 /// [`ipac_plan`] plus the invocation's [`IpacStats`].
@@ -112,7 +124,7 @@ pub fn ipac_plan_stats(
     // Place the overload/new list (no policy: feasibility restoration).
     let mut stats = IpacStats::default();
     let first = pac_pack(&mut state, &migration_list, constraint, &cfg.minslack);
-    stats.search_ns += first.search_ns;
+    stats.add(&first);
 
     // Anything unplaceable returns home (accepting temporary CPU overload)
     // so the data center stays consistent. Care: PAC may have just packed
@@ -206,13 +218,10 @@ pub fn ipac_plan_stats(
         let donor_idle_watts = state[donor_pos].idle_watts;
 
         // Pack onto every *other* server.
-        let mut others: Vec<PackServer> = state
-            .iter()
-            .filter(|s| s.index != donor_index)
-            .cloned()
-            .collect();
+        let mut others = state.clone();
+        others.remove(donor_pos);
         let res = pac_pack(&mut others, &drained, constraint, &cfg.minslack);
-        stats.search_ns += res.search_ns;
+        stats.add(&res);
 
         let mut revert = !res.is_complete();
         let mut round_moves: Vec<Move> = Vec::new();
@@ -247,14 +256,10 @@ pub fn ipac_plan_stats(
             break;
         }
 
-        // Commit: write the packed `others` back into `state`.
-        for o in others {
-            let slot = state
-                .iter_mut()
-                .find(|s| s.index == o.index)
-                .expect("other server exists in state");
-            *slot = o;
-        }
+        // Commit: the packed `others`, with the emptied donor back at its
+        // position, become the new state.
+        others.insert(donor_pos, state[donor_pos].clone());
+        state = others;
     }
 
     // --- Step 3: diff into a plan -------------------------------------------
