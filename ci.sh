@@ -37,7 +37,8 @@ run_metadata_check
 run cargo fmt --check
 run cargo clippy --all-targets --offline -- -D warnings
 run cargo build --release --offline
-run cargo test -q --offline
+# Every member crate's unit and property suites, not just the facade's.
+run cargo test -q --offline --workspace
 
 # Documentation must build clean (broken intra-doc links and malformed
 # examples fail here, not on docs.rs).
@@ -85,9 +86,11 @@ mkdir -p "$scratch"
 # controller energy/violation/safe-mode family.
 (cd "$scratch" && ../release/controllers --apps 8 --samples 48 -q >/dev/null)
 # Megafleet smoke tier: streaming trace + hierarchical pods. --max-rss-mib
-# asserts the constant-memory claim inside the bin (exit 1 on breach); the
-# gate then diffs the deterministic counters and the bench record shape.
-(cd "$scratch" && ../release/megafleet --servers 2000 --vms 20000 --samples 48 \
+# asserts the constant-memory claim inside the bin, and the bin also exits
+# 1 if any VM is left unplaced; the gate then diffs the deterministic
+# counters and the bench record shape. 8000 servers is ~40 % above the
+# smallest fleet that places all 20000 VMs at the default seed (5750).
+(cd "$scratch" && ../release/megafleet --servers 8000 --vms 20000 --samples 48 \
     --max-rss-mib 64 -q >/dev/null)
 run ./target/release/results_gate --baseline results --fresh "$scratch/results"
 

@@ -14,6 +14,59 @@ use crate::item::{PackItem, PackServer};
 pub trait Constraint {
     /// `true` iff the placement is admissible.
     fn admits(&self, server: &PackServer, candidates: &[PackItem]) -> bool;
+
+    /// The rule's [`Ceilings`] on `server`, if it is *additive*.
+    ///
+    /// Contract: when this returns `Some(c)`, then for every candidate
+    /// slice (of demands that are not NaN) `admits(server, candidates)`
+    /// equals
+    ///
+    /// ```text
+    /// server.resident_cpu() + Σ cpu_ghz <= c.cpu_ghz
+    ///     && server.resident_mem() + Σ mem_mib <= c.mem_mib
+    /// ```
+    ///
+    /// with each Σ taken over `candidates` left to right, as
+    /// [`Iterator::sum`] takes it. [`minimum_slack`] then keeps running
+    /// sums along its search instead of calling `admits` on every step,
+    /// and its result is bit-identical either way.
+    ///
+    /// The default, `None`, keeps the search on `admits`. That is the
+    /// right answer for any rule that is not a pair of sum bounds, such as
+    /// an [`FnConstraint`].
+    ///
+    /// [`minimum_slack`]: crate::minslack::minimum_slack
+    fn ceilings(&self, _server: &PackServer) -> Option<Ceilings> {
+        None
+    }
+}
+
+/// Upper bounds on a server's total CPU and memory, residents included,
+/// that an additive rule admits (see [`Constraint::ceilings`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ceilings {
+    /// Bound on total CPU (GHz); `+∞` when the rule leaves CPU free.
+    pub cpu_ghz: f64,
+    /// Bound on total memory (MiB); `+∞` when the rule leaves memory free.
+    pub mem_mib: f64,
+}
+
+impl Ceilings {
+    /// No bound on either resource.
+    const NONE: Ceilings = Ceilings {
+        cpu_ghz: f64::INFINITY,
+        mem_mib: f64::INFINITY,
+    };
+
+    /// The tighter bound per resource. A NaN bound admits nothing, so it
+    /// wins, just as one NaN part makes a conjunction reject.
+    fn tighter(self, other: Ceilings) -> Ceilings {
+        let min = |a: f64, b: f64| if a.is_nan() || a < b { a } else { b };
+        Ceilings {
+            cpu_ghz: min(self.cpu_ghz, other.cpu_ghz),
+            mem_mib: min(self.mem_mib, other.mem_mib),
+        }
+    }
 }
 
 /// CPU capacity constraint with an optional utilization cap.
@@ -34,11 +87,23 @@ impl Default for CpuConstraint {
     }
 }
 
+impl CpuConstraint {
+    fn ceiling(&self, server: &PackServer) -> f64 {
+        server.cpu_capacity_ghz * self.utilization_cap.clamp(0.0, 1.0) + 1e-9
+    }
+}
+
 impl Constraint for CpuConstraint {
     fn admits(&self, server: &PackServer, candidates: &[PackItem]) -> bool {
         let extra: f64 = candidates.iter().map(|i| i.cpu_ghz).sum();
-        server.resident_cpu() + extra
-            <= server.cpu_capacity_ghz * self.utilization_cap.clamp(0.0, 1.0) + 1e-9
+        server.resident_cpu() + extra <= self.ceiling(server)
+    }
+
+    fn ceilings(&self, server: &PackServer) -> Option<Ceilings> {
+        Some(Ceilings {
+            cpu_ghz: self.ceiling(server),
+            ..Ceilings::NONE
+        })
     }
 }
 
@@ -48,10 +113,23 @@ impl Constraint for CpuConstraint {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemoryConstraint;
 
+impl MemoryConstraint {
+    fn ceiling(server: &PackServer) -> f64 {
+        server.mem_capacity_mib + 1e-9
+    }
+}
+
 impl Constraint for MemoryConstraint {
     fn admits(&self, server: &PackServer, candidates: &[PackItem]) -> bool {
         let extra: f64 = candidates.iter().map(|i| i.mem_mib).sum();
-        server.resident_mem() + extra <= server.mem_capacity_mib + 1e-9
+        server.resident_mem() + extra <= Self::ceiling(server)
+    }
+
+    fn ceilings(&self, server: &PackServer) -> Option<Ceilings> {
+        Some(Ceilings {
+            mem_mib: Self::ceiling(server),
+            ..Ceilings::NONE
+        })
     }
 }
 
@@ -78,6 +156,14 @@ impl AndConstraint {
 impl Constraint for AndConstraint {
     fn admits(&self, server: &PackServer, candidates: &[PackItem]) -> bool {
         self.parts.iter().all(|c| c.admits(server, candidates))
+    }
+
+    /// The tightest ceiling per resource over the parts, or `None` as soon
+    /// as one part is not additive.
+    fn ceilings(&self, server: &PackServer) -> Option<Ceilings> {
+        self.parts.iter().try_fold(Ceilings::NONE, |acc, c| {
+            Some(acc.tighter(c.ceilings(server)?))
+        })
     }
 }
 
@@ -154,6 +240,41 @@ mod tests {
         let c = FnConstraint(|_: &PackServer, cands: &[PackItem]| cands.len() <= 2);
         assert!(c.admits(&server(), &[item(0.1, 0.1), item(0.1, 0.1)]));
         assert!(!c.admits(&server(), &[item(0.1, 0.1), item(0.1, 0.1), item(0.1, 0.1)]));
+    }
+
+    #[test]
+    fn additive_rules_report_the_ceilings_admits_uses() {
+        let s = server();
+        let half = CpuConstraint {
+            utilization_cap: 0.5,
+        };
+        let cpu = half.ceilings(&s).unwrap();
+        assert_eq!(cpu.cpu_ghz, 4.0 * 0.5 + 1e-9);
+        assert_eq!(cpu.mem_mib, f64::INFINITY);
+        let mem = MemoryConstraint.ceilings(&s).unwrap();
+        assert_eq!(mem.cpu_ghz, f64::INFINITY);
+        assert_eq!(mem.mem_mib, 4096.0 + 1e-9);
+        // The conjunction keeps the tightest bound per resource.
+        let both = AndConstraint::new(vec![
+            Box::new(CpuConstraint::default()),
+            Box::new(half),
+            Box::new(MemoryConstraint),
+        ]);
+        assert_eq!(
+            both.ceilings(&s),
+            Some(Ceilings {
+                cpu_ghz: cpu.cpu_ghz,
+                mem_mib: mem.mem_mib,
+            })
+        );
+    }
+
+    #[test]
+    fn a_closure_part_makes_a_conjunction_non_additive() {
+        let closure = FnConstraint(|_: &PackServer, cands: &[PackItem]| cands.len() <= 2);
+        assert_eq!(closure.ceilings(&server()), None);
+        let c = AndConstraint::new(vec![Box::new(CpuConstraint::default()), Box::new(closure)]);
+        assert_eq!(c.ceilings(&server()), None);
     }
 
     #[test]

@@ -347,3 +347,142 @@ mod convergence {
         });
     }
 }
+
+/// Additive admission is invisible: a rule with ceilings makes Minimum
+/// Slack keep running sums instead of calling `admits`, and the result must
+/// be bit-identical to the reference path. The reference is the same rule
+/// behind an `FnConstraint`, which reports no ceilings.
+mod additive_admission {
+    use super::*;
+    use vdc_consolidate::constraint::{CpuConstraint, FnConstraint, MemoryConstraint};
+
+    /// The additive rule a case packs under (CPU rules with their cap).
+    #[derive(Debug, Clone, Copy)]
+    enum Rule {
+        Cpu(f64),
+        Memory,
+        Both(f64),
+    }
+
+    impl Rule {
+        fn build(self) -> Box<dyn Constraint + Send + Sync> {
+            let cpu = |cap| CpuConstraint {
+                utilization_cap: cap,
+            };
+            match self {
+                Rule::Cpu(cap) => Box::new(cpu(cap)),
+                Rule::Memory => Box::new(MemoryConstraint),
+                Rule::Both(cap) => Box::new(AndConstraint::new(vec![
+                    Box::new(cpu(cap)),
+                    Box::new(MemoryConstraint),
+                ])),
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    struct Case {
+        /// Servers with residents; some may already be over their cap.
+        servers: Vec<PackServer>,
+        pool: Vec<PackItem>,
+        rule: Rule,
+        cfg: MinSlackConfig,
+    }
+
+    fn case() -> impl Gen<Value = Case> {
+        from_fn(|rng: &mut TestRng| {
+            // One item in six needs no CPU, only memory.
+            let item = |rng: &mut TestRng, id: u64| {
+                let cpu = if rng.below(6) == 0 {
+                    0.0
+                } else {
+                    rng.f64_in(0.05, 3.0)
+                };
+                PackItem::new(VmId(id), cpu, rng.f64_in(64.0, 4096.0))
+            };
+            let mut servers = gen_servers(rng);
+            servers.truncate(3);
+            let mut id = 1000;
+            for s in &mut servers {
+                for _ in 0..rng.usize_in(0, 4) {
+                    s.resident.push(item(rng, id));
+                    id += 1;
+                }
+            }
+            // Up to 90 candidates, so some sweeps clear the 64-root fan-out
+            // threshold and the shard counts below really split the roots.
+            let pool = (0..rng.usize_in(1, 90))
+                .map(|i| item(rng, i as u64))
+                .collect();
+            let cap = rng.f64_in(0.5, 1.0);
+            let rule = match rng.below(3) {
+                0 => Rule::Cpu(cap),
+                1 => Rule::Memory,
+                _ => Rule::Both(cap),
+            };
+            // Small budgets and ε steps walk the relaxation countdown.
+            let cfg = MinSlackConfig {
+                epsilon_ghz: if rng.bool() { 0.0 } else { 0.05 },
+                epsilon_step_ghz: if rng.bool() { 0.01 } else { 0.1 },
+                step_budget: if rng.bool() { 64 } else { 2_000 },
+                max_relaxations: if rng.bool() { 2 } else { 8 },
+                shards: 1,
+            };
+            Case {
+                servers,
+                pool,
+                rule,
+                cfg,
+            }
+        })
+    }
+
+    #[test]
+    fn minimum_slack_matches_the_reference_path() {
+        // Searches that relaxed ε, and root sweeps wide enough to fan out.
+        let (relaxed, fanned) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        check(CASES, &case(), |c| {
+            let rule = c.rule.build();
+            let reference = FnConstraint(|s: &PackServer, q: &[PackItem]| rule.admits(s, q));
+            for server in &c.servers {
+                prop_assert!(rule.ceilings(server).is_some());
+                prop_assert!(reference.ceilings(server).is_none());
+                for shards in [1, 2, 3] {
+                    let cfg = MinSlackConfig { shards, ..c.cfg };
+                    let fast = minimum_slack(server, &c.pool, rule.as_ref(), &cfg);
+                    let slow = minimum_slack(server, &c.pool, &reference, &cfg);
+                    relaxed.set(relaxed.get() + usize::from(fast.relaxations > 0));
+                    // More steps than the greedy fill can take: the sweep ran.
+                    let swept = fast.steps > c.pool.len() as u64;
+                    fanned.set(fanned.get() + usize::from(swept && c.pool.len() >= 64));
+                    prop_assert_eq!(fast.chosen, slow.chosen, "shards={}", shards);
+                    prop_assert_eq!(fast.slack_ghz.to_bits(), slow.slack_ghz.to_bits());
+                    prop_assert_eq!(fast.steps, slow.steps);
+                    prop_assert_eq!(fast.relaxations, slow.relaxations);
+                }
+            }
+            Ok(())
+        });
+        assert!(relaxed.get() > 0, "no search relaxed ε");
+        assert!(fanned.get() > 0, "no root sweep was wide enough to fan out");
+    }
+
+    #[test]
+    fn pac_pack_matches_the_reference_path() {
+        check(CASES, &case(), |c| {
+            let rule = c.rule.build();
+            let reference = FnConstraint(|s: &PackServer, q: &[PackItem]| rule.admits(s, q));
+            for shards in [1, 2, 3] {
+                let cfg = MinSlackConfig { shards, ..c.cfg };
+                let (mut fast_servers, mut slow_servers) = (c.servers.clone(), c.servers.clone());
+                let fast = pac_pack(&mut fast_servers, &c.pool, rule.as_ref(), &cfg);
+                let slow = pac_pack(&mut slow_servers, &c.pool, &reference, &cfg);
+                prop_assert_eq!(fast.assignments, slow.assignments, "shards={}", shards);
+                prop_assert_eq!(fast.unplaced, slow.unplaced);
+                prop_assert_eq!(fast.total_steps, slow.total_steps);
+                prop_assert_eq!(fast.total_relaxations, slow.total_relaxations);
+            }
+            Ok(())
+        });
+    }
+}
