@@ -685,10 +685,21 @@ impl MpcController {
         ub[..m].copy_from_slice(hi_first);
         let qp = BoxQp::new(h, Vector::from_vec(f), lb, ub)
             .map_err(|e| ControlError::Qp(e.to_string()))?;
+        // `mpc.qp_iterations` is the fallback's machine-independent cost:
+        // active-set iterations, counted on both the converged and the
+        // capped exit.
         match qp.solve() {
-            Ok(sol) => Ok(sol.x),
+            Ok(sol) => {
+                self.telemetry
+                    .incr("mpc.qp_iterations", sol.iterations as u64);
+                Ok(sol.x)
+            }
             // Iteration cap: accept the best feasible iterate.
-            Err(QpError::IterationLimit(best)) => Ok(best.x),
+            Err(QpError::IterationLimit(best)) => {
+                self.telemetry
+                    .incr("mpc.qp_iterations", best.iterations as u64);
+                Ok(best.x)
+            }
             Err(e) => Err(ControlError::Qp(e.to_string())),
         }
     }
@@ -901,6 +912,29 @@ mod tests {
             prev = step.allocation.clone();
             t -= 50.0;
         }
+    }
+
+    #[test]
+    fn qp_fallbacks_count_their_active_set_iterations() {
+        let model = plant_model();
+        let mut cfg = default_cfg(100.0); // unreachable: the box binds
+        cfg.c_max = vec![1.5, 1.5];
+        let mut ctrl = MpcController::new(model.clone(), cfg, &[1.0, 1.0]).unwrap();
+        let telemetry = Telemetry::enabled();
+        ctrl.set_telemetry(telemetry.clone());
+        let _ = run_closed_loop(&mut ctrl, &model, 40, 2000.0);
+        let count = |name: &str| {
+            telemetry
+                .counter_values()
+                .into_iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v)
+                .unwrap_or(0)
+        };
+        let fallbacks = count("mpc.qp_fallbacks");
+        assert!(fallbacks > 0, "the saturated loop must fall back");
+        // Every fallback runs at least one active-set iteration.
+        assert!(count("mpc.qp_iterations") >= fallbacks);
     }
 
     #[test]
