@@ -36,7 +36,9 @@ run_metadata_check
 
 run cargo fmt --check
 run cargo clippy --all-targets --offline -- -D warnings
-run cargo build --release --offline
+# The results gate below runs the member crates' bins (cosim, churn, ...),
+# so build every workspace package, not only the facade.
+run cargo build --release --offline --workspace
 # Every member crate's unit and property suites, not just the facade's.
 run cargo test -q --offline --workspace
 
