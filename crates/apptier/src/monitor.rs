@@ -21,17 +21,46 @@ impl SlaMetric {
     /// The paper's default: the 90th percentile.
     pub const P90: SlaMetric = SlaMetric::Percentile(90.0);
 
-    /// Evaluate this metric over a sample set; `None` on an empty set.
-    pub fn evaluate(&self, stats: &ResponseStats) -> Option<f64> {
-        if stats.count() == 0 {
-            return None;
+    /// Measure this metric over one period's response-time samples;
+    /// `None` when no finite sample remains (non-finite samples are
+    /// dropped, as [`ResponseStats::from_samples`] drops them).
+    ///
+    /// This is the one way a controller reads its SLA metric. A percentile
+    /// selects its nearest-rank element in `O(n)` instead of sorting the
+    /// batch; it is bit for bit [`ResponseStats::percentile`] on the same
+    /// samples, because both take the index from the same rank rule and
+    /// order by `f64::total_cmp`. `Mean` and `Max` go through
+    /// [`ResponseStats`], so the mean sums the same sorted sequence.
+    pub fn measure(&self, mut samples: Vec<f64>) -> Option<f64> {
+        let stats = |samples: Vec<f64>| {
+            Some(ResponseStats::from_samples(samples)).filter(|s| !s.is_empty())
+        };
+        match *self {
+            SlaMetric::Percentile(p) => {
+                samples.retain(|v| v.is_finite());
+                if samples.is_empty() {
+                    return None;
+                }
+                let k = nearest_rank_index(p, samples.len());
+                Some(*samples.select_nth_unstable_by(k, f64::total_cmp).1)
+            }
+            SlaMetric::Mean => stats(samples).map(|s| s.mean()),
+            SlaMetric::Max => stats(samples).map(|s| s.max()),
         }
-        Some(match self {
-            SlaMetric::Percentile(p) => stats.percentile(*p),
-            SlaMetric::Mean => stats.mean(),
-            SlaMetric::Max => stats.max(),
-        })
     }
+}
+
+/// Zero-based index of the nearest-rank `p`-th percentile in `n ≥ 1`
+/// ascending samples: the smallest sample such that at least `p`% of the
+/// samples are ≤ it. `p` is clamped to `[0, 100]`, and `p = 0` is the
+/// minimum.
+fn nearest_rank_index(p: f64, n: usize) -> usize {
+    let p = p.clamp(0.0, 100.0);
+    if p == 0.0 {
+        return 0;
+    }
+    let rank = ((p / 100.0) * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
 }
 
 /// Summary statistics over a batch of response-time samples.
@@ -45,10 +74,12 @@ pub struct ResponseStats {
 
 impl ResponseStats {
     /// Build from a batch of samples (ordering irrelevant; non-finite
-    /// samples are dropped defensively).
+    /// samples are dropped defensively). The sort is by `f64::total_cmp`,
+    /// the order [`SlaMetric::measure`] selects in; samples it calls equal
+    /// are bit-identical, so an unstable sort yields the same sequence.
     pub fn from_samples(mut samples: Vec<f64>) -> ResponseStats {
         samples.retain(|v| v.is_finite());
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite after retain"));
+        samples.sort_unstable_by(f64::total_cmp);
         let sum = samples.iter().sum();
         ResponseStats {
             sorted: samples,
@@ -100,16 +131,10 @@ impl ResponseStats {
     /// Nearest rank is what `ab`-style tools report: the smallest sample
     /// such that at least `p`% of samples are ≤ it.
     pub fn percentile(&self, p: f64) -> f64 {
-        let n = self.sorted.len();
-        if n == 0 {
+        if self.sorted.is_empty() {
             return 0.0;
         }
-        let p = p.clamp(0.0, 100.0);
-        if p == 0.0 {
-            return self.sorted[0];
-        }
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        self.sorted[rank.clamp(1, n) - 1]
+        self.sorted[nearest_rank_index(p, self.sorted.len())]
     }
 
     /// The paper's SLA metric: the 90th percentile.
@@ -130,7 +155,9 @@ mod tests {
         assert_eq!(s.p90(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(SlaMetric::P90.evaluate(&s), None);
+        assert_eq!(SlaMetric::P90.measure(vec![]), None);
+        assert_eq!(SlaMetric::Mean.measure(vec![f64::NAN]), None);
+        assert_eq!(SlaMetric::Max.measure(vec![f64::INFINITY]), None);
     }
 
     #[test]
@@ -174,11 +201,14 @@ mod tests {
 
     #[test]
     fn sla_metric_selection() {
-        let s = ResponseStats::from_samples((1..=10).map(|i| i as f64).collect());
-        assert_eq!(SlaMetric::P90.evaluate(&s), Some(9.0));
-        assert_eq!(SlaMetric::Mean.evaluate(&s), Some(5.5));
-        assert_eq!(SlaMetric::Max.evaluate(&s), Some(10.0));
-        assert_eq!(SlaMetric::Percentile(50.0).evaluate(&s), Some(5.0));
+        // Reversed input: the metric must not depend on sample order.
+        let v: Vec<f64> = (1..=10).rev().map(|i| i as f64).collect();
+        assert_eq!(SlaMetric::P90.measure(v.clone()), Some(9.0));
+        assert_eq!(SlaMetric::Mean.measure(v.clone()), Some(5.5));
+        assert_eq!(SlaMetric::Max.measure(v.clone()), Some(10.0));
+        assert_eq!(SlaMetric::Percentile(50.0).measure(v.clone()), Some(5.0));
+        assert_eq!(SlaMetric::Percentile(0.0).measure(v.clone()), Some(1.0));
+        assert_eq!(SlaMetric::Percentile(150.0).measure(v), Some(10.0));
     }
 
     #[test]

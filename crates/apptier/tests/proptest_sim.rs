@@ -1,7 +1,7 @@
 //! Property-based tests for the plant: conservation laws and statistics
 //! invariants that must hold for any workload configuration.
 
-use vdc_apptier::monitor::ResponseStats;
+use vdc_apptier::monitor::{ResponseStats, SlaMetric};
 use vdc_apptier::{AppSim, TierDemand, WorkloadProfile};
 use vdc_check::{check, f64_range, from_fn, prop_assert, prop_assert_eq, vec_of, Gen, TestRng};
 
@@ -135,6 +135,64 @@ fn std_dev_zero_iff_constant() {
             mixed[0] = value + 1.0;
             let stats2 = ResponseStats::from_samples(mixed);
             prop_assert!(stats2.std_dev() > 0.0);
+            Ok(())
+        },
+    );
+}
+
+/// A response-time batch of 0–2500 values with the inputs a selection must
+/// order exactly like the sort: repeated values, ±0, NaN and ±∞. One batch
+/// in four is short (under 8 values), one in eight is drawn from a
+/// four-value pool, so ties and all-dropped batches are common.
+fn gen_batch(rng: &mut TestRng) -> Vec<f64> {
+    let n = if rng.below(4) == 0 {
+        rng.usize_in(0, 8)
+    } else {
+        rng.usize_in(0, 2501)
+    };
+    let pooled = rng.below(8) == 0;
+    let mut batch: Vec<f64> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let v = if pooled {
+            [0.0, -0.0, 0.75, f64::NAN][rng.usize_in(0, 4)]
+        } else {
+            match rng.below(16) {
+                0 if !batch.is_empty() => batch[rng.usize_in(0, batch.len())],
+                1 => 0.0,
+                2 => -0.0,
+                3 => f64::NAN,
+                4 => f64::INFINITY,
+                5 => f64::NEG_INFINITY,
+                6 => -rng.f64_in(0.0, 3.0),
+                _ => rng.f64_in(0.0, 3.0),
+            }
+        };
+        batch.push(v);
+    }
+    batch
+}
+
+#[test]
+fn measure_matches_the_sorted_stats_bit_for_bit() {
+    check(
+        64,
+        &from_fn(|rng: &mut TestRng| (gen_batch(rng), rng.f64_in(-10.0, 110.0))),
+        |(batch, random_p)| {
+            let stats = ResponseStats::from_samples(batch.clone());
+            let sorted = |read: &dyn Fn(&ResponseStats) -> f64| {
+                (!stats.is_empty()).then(|| read(&stats).to_bits())
+            };
+            let measured = |metric: SlaMetric| metric.measure(batch.clone()).map(f64::to_bits);
+            for p in [0.0, 0.1, 50.0, 90.0, 99.9, 100.0, *random_p] {
+                prop_assert_eq!(
+                    measured(SlaMetric::Percentile(p)),
+                    sorted(&|s| s.percentile(p)),
+                    "p{p} over {} values",
+                    batch.len()
+                );
+            }
+            prop_assert_eq!(measured(SlaMetric::Mean), sorted(&|s| s.mean()));
+            prop_assert_eq!(measured(SlaMetric::Max), sorted(&|s| s.max()));
             Ok(())
         },
     );

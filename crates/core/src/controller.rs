@@ -7,7 +7,7 @@
 //! per-tier CPU allocations every control period.
 
 use crate::{CoreError, Result};
-use vdc_apptier::monitor::{ResponseStats, SlaMetric};
+use vdc_apptier::monitor::SlaMetric;
 use vdc_apptier::Plant;
 use vdc_control::sysid::{fit_arx, ExperimentData, Prbs};
 use vdc_control::{ArxModel, MpcConfig, MpcController, ReferenceTrajectory};
@@ -90,8 +90,7 @@ pub fn identify_plant<P: Plant + ?Sized>(
         let alloc: Vec<f64> = prbs.iter_mut().map(|p| p.next_level()).collect();
         plant.set_allocations(&alloc)?;
         plant.run_for(cfg.period_s);
-        let stats = ResponseStats::from_samples(plant.take_completed());
-        let Some(value) = cfg.metric.evaluate(&stats) else {
+        let Some(value) = cfg.metric.measure(plant.take_completed()) else {
             // Starved period: skip the sample (no measurement, like a
             // monitor timeout on the real testbed).
             continue;
@@ -272,8 +271,7 @@ impl ResponseTimeController {
     pub fn control_period<P: Plant + ?Sized>(&mut self, plant: &mut P) -> Result<Option<f64>> {
         plant.set_allocations(self.allocation())?;
         plant.run_for(self.period_s);
-        let stats = ResponseStats::from_samples(plant.take_completed());
-        if stats.is_empty() {
+        let Some(measured_s) = self.metric.measure(plant.take_completed()) else {
             // No completions (severely starved): push allocations up by the
             // rate limit to recover, as a watchdog would.
             let bumped: Vec<f64> = self
@@ -293,12 +291,8 @@ impl ResponseTimeController {
             self.force_allocation(&merged);
             self.last_measurement_ms = None;
             return Ok(None);
-        }
-        let t_ms = self
-            .metric
-            .evaluate(&stats)
-            .expect("non-empty stats evaluate for every metric")
-            * 1000.0;
+        };
+        let t_ms = measured_s * 1000.0;
         self.last_measurement_ms = Some(t_ms);
         let filtered = match self.filtered_ms {
             Some(prev) => MEASUREMENT_EWMA_ALPHA * t_ms + (1.0 - MEASUREMENT_EWMA_ALPHA) * prev,

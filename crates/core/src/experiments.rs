@@ -9,6 +9,7 @@ use crate::largescale::{run_large_scale, LargeScaleConfig, LargeScaleResult, Opt
 use crate::run::RunOptions;
 use crate::testbed::{Testbed, TestbedConfig};
 use crate::Result;
+use vdc_apptier::monitor::SlaMetric;
 use vdc_apptier::{AnalyticPlant, AppSim, Plant, WorkloadProfile};
 use vdc_control::ArxModel;
 use vdc_dcsim::FleetSpec;
@@ -168,14 +169,11 @@ pub fn fig3_static_baseline(
         }
         plant.run_for(period);
         time += period;
-        let stats = vdc_apptier::monitor::ResponseStats::from_samples(plant.take_completed());
         series.push(Fig3Point {
             time_s: time,
-            response_ms: if stats.is_empty() {
-                None
-            } else {
-                Some(stats.p90() * 1000.0)
-            },
+            response_ms: SlaMetric::P90
+                .measure(plant.take_completed())
+                .map(|s| s * 1000.0),
             power_w: 0.0, // single-app baseline: cluster power not modeled
         });
     }

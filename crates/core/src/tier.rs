@@ -45,7 +45,7 @@
 
 use crate::controller::ResponseTimeController;
 use crate::{CoreError, Result};
-use vdc_apptier::monitor::{ResponseStats, SlaMetric};
+use vdc_apptier::monitor::SlaMetric;
 use vdc_apptier::Plant;
 use vdc_control::{ArxModel, RobustConfig, RobustController};
 use vdc_telemetry::Telemetry;
@@ -191,8 +191,7 @@ impl TierController for RobustTierController {
     fn control_period(&mut self, plant: &mut dyn Plant) -> Result<Option<f64>> {
         plant.set_allocations(self.law.allocation())?;
         plant.run_for(self.period_s);
-        let stats = ResponseStats::from_samples(plant.take_completed());
-        if stats.is_empty() {
+        let Some(measured_s) = self.metric.measure(plant.take_completed()) else {
             // Starved: watchdog-bump the allocation by the rate limit.
             let bumped: Vec<f64> = self
                 .law
@@ -205,12 +204,8 @@ impl TierController for RobustTierController {
                 .map_err(CoreError::Control)?;
             self.last_measurement_ms = None;
             return Ok(None);
-        }
-        let t_ms = self
-            .metric
-            .evaluate(&stats)
-            .expect("non-empty stats evaluate for every metric")
-            * 1000.0;
+        };
+        let t_ms = measured_s * 1000.0;
         self.last_measurement_ms = Some(t_ms);
         let _ = self.law.step(t_ms);
         if self.safe_mode {

@@ -19,7 +19,7 @@
 //! cargo run --example adaptive_control --release
 //! ```
 
-use vdcpower::apptier::monitor::ResponseStats;
+use vdcpower::apptier::monitor::SlaMetric;
 use vdcpower::apptier::{AppSim, WorkloadProfile};
 use vdcpower::control::sysid::RecursiveLeastSquares;
 use vdcpower::control::{MpcConfig, MpcController, ReferenceTrajectory};
@@ -67,11 +67,10 @@ fn main() {
     for k in 0..150 {
         plant.set_allocations(mpc.current_allocation()).unwrap();
         plant.run_for(period_s);
-        let stats = ResponseStats::from_samples(plant.take_completed());
-        if stats.is_empty() {
+        let Some(p90_s) = SlaMetric::P90.measure(plant.take_completed()) else {
             continue;
-        }
-        let t_ms = stats.p90() * 1000.0;
+        };
+        let t_ms = p90_s * 1000.0;
         rls.observe(mpc.current_allocation(), t_ms).unwrap();
         let step = mpc.step(t_ms).unwrap();
 
