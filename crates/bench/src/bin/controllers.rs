@@ -6,8 +6,10 @@
 //! a sensor-dropout fault plan (so the safe-mode column is exercised, not
 //! zero) and a stepped site-PUE series fed forward each sample (so the
 //! cooling-coupled variant has a signal to react to; the others ignore it
-//! by contract). The table is the ablation: energy, SLO violation
-//! fraction, migrations, and safe-mode samples per controller.
+//! by contract). The same series prices the run's power, so energy is
+//! reported twice: IT Wh and facility Wh (IT × PUE per sample). The table
+//! is the ablation: both energies, SLO violation fraction, migrations,
+//! and safe-mode samples per controller.
 //!
 //! ```text
 //! cargo run -p vdc-bench --bin controllers --release [--apps 16]
@@ -15,9 +17,9 @@
 //! ```
 //!
 //! Output: `results/METRICS_controllers.json` / `.tsv` with one
-//! `controllers.<name>.*` family per controller (energy Wh, violation
-//! fraction, migrations, safe-mode samples) — deterministic values, gated
-//! by `tools/results_gate` in ci.sh.
+//! `controllers.<name>.*` family per controller (`energy_wh` in IT Wh,
+//! `facility_energy_wh`, violation fraction, migrations, safe-mode
+//! samples) — deterministic values, gated by `tools/results_gate` in ci.sh.
 
 use vdc_bench::{arg_num, figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig, CosimResult};
@@ -114,6 +116,10 @@ fn main() {
         let name = spec.name();
         summary.record(
             &format!("controllers.{name}.energy_wh"),
+            result.it_energy_wh,
+        );
+        summary.record(
+            &format!("controllers.{name}.facility_energy_wh"),
             result.total_energy_wh,
         );
         summary.record(
@@ -122,20 +128,24 @@ fn main() {
         );
         summary.incr(&format!("controllers.{name}.migrations"), result.migrations);
         summary.incr(&format!("controllers.{name}.safe_mode_samples"), safe_mode);
-        reporter.info(&format!("{name}: done ({:.1} Wh)", result.total_energy_wh));
+        reporter.info(&format!(
+            "{name}: done ({:.1} facility Wh)",
+            result.total_energy_wh
+        ));
         rows.push((spec, result, safe_mode));
     }
 
     rule(78);
     println!(
-        "{:<14} {:>12} {:>10} {:>12} {:>12}",
-        "controller", "energy Wh", "viol %", "migrations", "safe-mode"
+        "{:<12} {:>11} {:>13} {:>9} {:>12} {:>12}",
+        "controller", "IT Wh", "facility Wh", "viol %", "migrations", "safe-mode"
     );
     rule(78);
     for (spec, r, safe_mode) in &rows {
         println!(
-            "{:<14} {:>12.1} {:>9.2}% {:>12} {:>12}",
+            "{:<12} {:>11.1} {:>13.1} {:>8.2}% {:>12} {:>12}",
             spec.name(),
+            r.it_energy_wh,
             r.total_energy_wh,
             100.0 * r.violation_fraction,
             r.migrations,
@@ -146,10 +156,12 @@ fn main() {
     let (_, mpc, _) = &rows[0];
     let (_, cooling, _) = &rows[2];
     println!(
-        "cooling-coupled vs paper MPC: {:+.2}% energy, {:+.2} points of violation\n\
+        "cooling-coupled vs paper MPC: {:+.2}% facility energy ({:+.2}% IT), \
+         {:+.2} points of violation\n\
          (the cooling term trades allocation slack for facility power when the\n\
          site runs hot; the robust controller needs no model at all).",
         100.0 * (cooling.total_energy_wh / mpc.total_energy_wh - 1.0),
+        100.0 * (cooling.it_energy_wh / mpc.it_energy_wh - 1.0),
         100.0 * (cooling.violation_fraction - mpc.violation_fraction),
     );
 

@@ -74,11 +74,13 @@ pub struct RunOptions<'a> {
     /// non-default controller *does* change results; any given spec is
     /// still deterministic and bit-identical across shard counts.
     pub controller: Option<ControllerSpec>,
-    /// Site PUE series fed forward to the controllers: each sample, every
+    /// Site PUE series of the co-simulation. Each sample, every
     /// application's controller sees the current PUE via
-    /// [`crate::tier::TierController::observe_pue`]. `None` feeds nothing
-    /// (byte-identical to the pre-seam loop). Only cooling-coupled
-    /// controllers react; for the rest the feed is a no-op by contract.
+    /// [`crate::tier::TierController::observe_pue`] (only cooling-coupled
+    /// controllers react; for the rest the feed is a no-op by contract),
+    /// and the sample's active-server power is charged at the facility,
+    /// IT × PUE. `None` feeds nothing and charges IT power, byte-identical
+    /// to the pre-seam loop.
     pub pue: Option<&'a PueSeries>,
 }
 
@@ -119,7 +121,8 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// Feed the site PUE series forward to the controllers each sample.
+    /// Attach the site PUE series: fed forward to the controllers and
+    /// charged on the co-simulation's power each sample.
     pub fn with_pue(mut self, pue: &'a PueSeries) -> Self {
         self.pue = Some(pue);
         self

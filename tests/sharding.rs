@@ -96,6 +96,11 @@ fn assert_cosim_identical(a: &CosimResult, b: &CosimResult, ctx: &str) {
         "{ctx}: total energy"
     );
     assert_eq!(
+        a.it_energy_wh.to_bits(),
+        b.it_energy_wh.to_bits(),
+        "{ctx}: IT energy"
+    );
+    assert_eq!(
         a.mean_tracking_error_ms.to_bits(),
         b.mean_tracking_error_ms.to_bits(),
         "{ctx}: tracking error"
