@@ -57,5 +57,5 @@ pub use minslack::{minimum_slack, MinSlackConfig};
 pub use pac::{pac_pack, PacError, PacResult};
 pub use plan::{ConsolidationPlan, Move};
 pub use pmapper::pmapper_plan;
-pub use policy::{AlwaysAllow, BandwidthBudget, MigrationPolicy, NetPowerBenefit, RackAware};
+pub use policy::{AlwaysAllow, BandwidthBudget, MigrationPolicy};
 pub use relief::{relieve_overloads, ReliefConfig, ReliefOutcome};

@@ -54,65 +54,6 @@ impl MigrationPolicy for BandwidthBudget {
     }
 }
 
-/// Require a minimum power benefit per GiB of migration traffic.
-#[derive(Debug, Clone, Copy)]
-pub struct NetPowerBenefit {
-    /// Minimum watts saved per GiB copied for the batch to be worthwhile.
-    pub min_watts_per_gib: f64,
-}
-
-impl MigrationPolicy for NetPowerBenefit {
-    fn allow(&self, moves: &[Move], watts_saved: f64) -> bool {
-        let gib: f64 = moves
-            .iter()
-            .filter(|m| m.from.is_some())
-            .map(|m| m.mem_mib)
-            .sum::<f64>()
-            / 1024.0;
-        if gib <= 0.0 {
-            return true;
-        }
-        watts_saved / gib >= self.min_watts_per_gib
-    }
-}
-
-/// Topology-aware policy: migrations that cross rack boundaries consume
-/// aggregation-layer bandwidth, so they are budgeted separately (and more
-/// tightly) than rack-local moves. This is the kind of administrator-
-/// specific cost function §V anticipates ("depends highly on the condition
-/// of the data center such as the network architecture").
-#[derive(Debug, Clone)]
-pub struct RackAware {
-    /// `rack_of[server_index]` — the rack each server lives in.
-    pub rack_of: Vec<usize>,
-    /// Budget for memory copied across racks per batch (MiB).
-    pub max_cross_rack_mib: f64,
-    /// Budget for rack-local copies per batch (MiB).
-    pub max_local_mib: f64,
-}
-
-impl RackAware {
-    fn rack(&self, server: usize) -> usize {
-        self.rack_of.get(server).copied().unwrap_or(usize::MAX)
-    }
-}
-
-impl MigrationPolicy for RackAware {
-    fn allow(&self, moves: &[Move], _watts_saved: f64) -> bool {
-        let mut cross = 0.0;
-        let mut local = 0.0;
-        for m in moves {
-            let Some(from) = m.from else { continue };
-            if self.rack(from) == self.rack(m.to) {
-                local += m.mem_mib;
-            } else {
-                cross += m.mem_mib;
-            }
-        }
-        cross <= self.max_cross_rack_mib && local <= self.max_local_mib
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,86 +84,5 @@ mod tests {
         assert!(!p.allow(&[mv(2048.0, true), mv(2049.0, true)], 100.0));
         // Initial placements don't consume migration bandwidth.
         assert!(p.allow(&[mv(9999.0, false)], 100.0));
-    }
-
-    #[test]
-    fn net_power_benefit() {
-        let p = NetPowerBenefit {
-            min_watts_per_gib: 10.0,
-        };
-        // 2 GiB copied, 100 W saved => 50 W/GiB: allowed.
-        assert!(p.allow(&[mv(2048.0, true)], 100.0));
-        // 2 GiB copied, 10 W saved => 5 W/GiB: rejected.
-        assert!(!p.allow(&[mv(2048.0, true)], 10.0));
-        // No traffic => trivially allowed.
-        assert!(p.allow(&[mv(100.0, false)], 0.0));
-    }
-}
-
-#[cfg(test)]
-mod rack_tests {
-    use super::*;
-    use vdc_dcsim::VmId;
-
-    fn mv_between(from: usize, to: usize, mem: f64) -> Move {
-        Move {
-            vm: VmId(1),
-            from: Some(from),
-            to,
-            cpu_ghz: 1.0,
-            mem_mib: mem,
-        }
-    }
-
-    fn policy() -> RackAware {
-        RackAware {
-            rack_of: vec![0, 0, 1, 1],
-            max_cross_rack_mib: 1024.0,
-            max_local_mib: 8192.0,
-        }
-    }
-
-    #[test]
-    fn local_moves_use_local_budget() {
-        let p = policy();
-        assert!(p.allow(&[mv_between(0, 1, 4096.0)], 0.0));
-        assert!(!p.allow(&[mv_between(0, 1, 9000.0)], 0.0));
-    }
-
-    #[test]
-    fn cross_rack_budget_is_tighter() {
-        let p = policy();
-        assert!(p.allow(&[mv_between(0, 2, 1000.0)], 0.0));
-        assert!(!p.allow(&[mv_between(0, 2, 2000.0)], 0.0));
-        // The same volume locally is fine.
-        assert!(p.allow(&[mv_between(2, 3, 2000.0)], 0.0));
-    }
-
-    #[test]
-    fn budgets_are_independent_per_batch() {
-        let p = policy();
-        let batch = [mv_between(0, 1, 8000.0), mv_between(0, 2, 1000.0)];
-        assert!(p.allow(&batch, 0.0));
-        let over = [mv_between(0, 1, 8000.0), mv_between(0, 2, 1100.0)];
-        assert!(!p.allow(&over, 0.0));
-    }
-
-    #[test]
-    fn unknown_servers_count_as_cross_rack() {
-        let p = policy();
-        assert!(!p.allow(&[mv_between(9, 2, 2000.0)], 0.0));
-    }
-
-    #[test]
-    fn initial_placements_are_free() {
-        let p = policy();
-        let place = Move {
-            vm: VmId(5),
-            from: None,
-            to: 2,
-            cpu_ghz: 1.0,
-            mem_mib: 1e9,
-        };
-        assert!(p.allow(&[place], 0.0));
     }
 }
