@@ -35,7 +35,7 @@ run_metadata_check() {
 run_metadata_check
 
 run cargo fmt --check
-run cargo clippy --all-targets --offline -- -D warnings
+run cargo clippy --workspace --all-targets --offline -- -D warnings
 # The results gate below runs the member crates' bins (cosim, churn, ...),
 # so build every workspace package, not only the facade.
 run cargo build --release --offline --workspace

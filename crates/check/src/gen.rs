@@ -385,7 +385,7 @@ mod tests {
         let mut out = Vec::new();
         g.shrink(&40, &mut out);
         assert!(out.contains(&2));
-        assert!(out.iter().all(|&c| c < 40 && c >= 2));
+        assert!(out.iter().all(|c| (2..40).contains(c)));
         out.clear();
         g.shrink(&2, &mut out);
         assert!(out.is_empty());
@@ -441,7 +441,7 @@ mod tests {
         for _ in 0..200 {
             let s = g.generate(&mut rng);
             assert!(s.len() < 40);
-            assert!(s.chars().all(|c| c.is_ascii()));
+            assert!(s.is_ascii());
         }
         let mut out = Vec::new();
         g.shrink(&"hello world".to_string(), &mut out);

@@ -361,8 +361,10 @@ mod tests {
     #[test]
     fn respects_box_and_rate_limit() {
         let plant = plant_model();
-        let mut cfg = RobustConfig::default();
-        cfg.c_max = 1.5;
+        let cfg = RobustConfig {
+            c_max: 1.5,
+            ..RobustConfig::default()
+        };
         let mut ctrl = RobustController::new(100.0, cfg, &[1.0, 1.0]).unwrap(); // unreachable
         let _ = run_closed_loop(&mut ctrl, &plant, 5, 2000.0);
         let mut prev = ctrl.allocation().to_vec();

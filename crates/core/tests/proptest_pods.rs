@@ -36,7 +36,7 @@ fn layout() -> impl Gen<Value = Layout> {
 fn sites_of(layout: &Layout) -> Vec<usize> {
     let mut sites = Vec::new();
     for (s, &len) in layout.site_lens.iter().enumerate() {
-        sites.extend(std::iter::repeat(s).take(len));
+        sites.extend(std::iter::repeat_n(s, len));
     }
     sites
 }
@@ -44,7 +44,7 @@ fn sites_of(layout: &Layout) -> Vec<usize> {
 #[test]
 fn pods_partition_the_fleet_exactly() {
     check(CASES, &layout(), |l| {
-        let sites = sites_of(&l);
+        let sites = sites_of(l);
         let pods = pod_partition(&sites, l.pod_size);
         // Every server in exactly one pod: the ranges chain seamlessly
         // from 0 to n with no gap, overlap, or empty pod.
@@ -67,7 +67,7 @@ fn pods_partition_the_fleet_exactly() {
 #[test]
 fn pods_never_straddle_sites() {
     check(CASES, &layout(), |l| {
-        let sites = sites_of(&l);
+        let sites = sites_of(l);
         for pod in pod_partition(&sites, l.pod_size) {
             let site = sites[pod.start];
             prop_assert!(
@@ -83,7 +83,7 @@ fn pods_never_straddle_sites() {
 #[test]
 fn pod_count_is_ceil_per_site() {
     check(CASES, &layout(), |l| {
-        let sites = sites_of(&l);
+        let sites = sites_of(l);
         let pods = pod_partition(&sites, l.pod_size);
         let expected: usize = l
             .site_lens
