@@ -12,7 +12,10 @@ use vdc_churn::{AdmissionPolicy, ChurnConfig, ChurnWorkload};
 use vdc_core::churn::{run_churn, ChurnResult};
 use vdc_core::cosim::{run_cosim, CosimConfig, CosimResult};
 use vdc_core::largescale::{run_large_scale, LargeScaleConfig, LargeScaleResult, OptimizerKind};
-use vdc_core::{run_large_scale_streaming, ControllerSpec, FaultConfig, FaultPlan, RunOptions};
+use vdc_core::{
+    run_large_scale_streaming, ControllerSpec, FaultConfig, FaultPlan, IdentificationConfig,
+    RunOptions, Testbed, TestbedConfig,
+};
 use vdc_dcsim::PueSeries;
 use vdc_telemetry::Telemetry;
 use vdc_trace::{generate_trace, StreamingTrace, TraceConfig};
@@ -574,9 +577,41 @@ fn golden_churn_with_crash_storm() {
     assert_eq!(digest, GOLDEN_CHURN, "churn digest {digest:#018x}");
 }
 
+/// Golden pin: the DES testbed (two apps, shared identified model, paper
+/// MPC, DVFS arbitration) over 40 periods — every sample's p90, power and
+/// frequencies, then each controller's final allocation.
+#[test]
+fn golden_testbed_des_with_mpc() {
+    let cfg = TestbedConfig {
+        n_apps: 2,
+        concurrency: 25,
+        ident: IdentificationConfig {
+            periods: 120,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut tb = Testbed::build(&cfg).expect("testbed builds");
+    let samples = tb.run(40).expect("testbed runs");
+    let mut h = Fnv::new();
+    h.u64(samples.len() as u64);
+    for s in &samples {
+        for r in &s.response_ms {
+            h.u64(r.map_or(u64::MAX, f64::to_bits));
+        }
+        h.f64(s.power_w);
+        h.f64s(&s.freq_ghz);
+    }
+    for app in 0..tb.n_apps() {
+        h.f64s(tb.controller(app).allocation());
+    }
+    assert_eq!(h.0, GOLDEN_TESTBED, "testbed digest {:#018x}", h.0);
+}
+
 // Bit digests of the pinned runs. A change that moves one changes
 // simulation results and must say so.
 const GOLDEN_COSIM: u64 = 0x564e_b582_e317_2d77;
 const GOLDEN_LARGE_SCALE_IPAC: u64 = 0x6286_7530_b359_3a7b;
 const GOLDEN_LARGE_SCALE_PMAPPER: u64 = 0x911b_85de_591f_d5e6;
 const GOLDEN_CHURN: u64 = 0x0ded_9de1_9ba3_fe77;
+const GOLDEN_TESTBED: u64 = 0x1788_dbf5_8b47_fbb4;
