@@ -106,6 +106,11 @@ pub fn array(rendered: &[String]) -> String {
     format!("[{}]", rendered.join(","))
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts (serde_json's
+/// default). The parser recurses once per level, so a deeper document is
+/// an error rather than a stack overflow.
+const MAX_NESTING: usize = 128;
+
 /// A parsed JSON value — the reader half of this module's writer.
 ///
 /// Objects keep fields in document order (a `Vec` of pairs, not a map):
@@ -127,11 +132,13 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// Parse a complete JSON document. Trailing non-whitespace is an error.
+    /// Parse a complete JSON document. Trailing non-whitespace, and arrays
+    /// or objects nested more than 128 deep, are errors.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -178,6 +185,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -211,8 +220,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(JsonValue::Str),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -220,6 +229,23 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parse an object or array (`parse`) one nesting level down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -562,5 +588,21 @@ mod tests {
         assert_eq!(fields[0].0, "name");
         assert!(v.get("power").unwrap().get("max_watts").is_some());
         assert!(v.get("freq_levels_ghz").unwrap().as_array().is_some());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(JsonValue::parse(&deep(MAX_NESTING)).is_ok());
+        assert_eq!(
+            JsonValue::parse(&deep(MAX_NESTING + 1)).unwrap_err(),
+            "nesting deeper than 128 at byte 128"
+        );
+        // Objects count toward the same limit.
+        let objects = "{\"a\":".repeat(MAX_NESTING) + "[]" + &"}".repeat(MAX_NESTING);
+        assert!(JsonValue::parse(&objects).is_err());
+        // An unterminated 100,000-deep document.
+        assert!(JsonValue::parse(&"[".repeat(100_000)).is_err());
+        assert!(JsonValue::parse(&deep(100_000)).is_err());
     }
 }

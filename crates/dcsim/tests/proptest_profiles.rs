@@ -3,9 +3,11 @@
 //! step (more load or more clock never costs less power), and per-site PUE
 //! must behave like a pure multiplier on IT power — constant series stay
 //! constant, step changes clamp, and sub-unity PUE is rejected everywhere.
-//! Failures replay with `VDC_CHECK_SEED`.
+//! The `--fleet` JSON reader must answer junk and damaged documents with an
+//! error, never a panic. Failures replay with `VDC_CHECK_SEED`.
 
-use vdc_check::{check, from_fn, prop_assert, Gen, TestRng};
+use vdc_check::{ascii_string, check, from_fn, prop_assert, Gen, TestRng};
+use vdc_dcsim::json::JsonValue;
 use vdc_dcsim::{DataCenter, FleetSpec, HostCatalog, ProfileId, PueSeries, Server, SiteSpec};
 
 const CASES: u32 = 64;
@@ -236,6 +238,57 @@ fn facility_power_is_it_power_times_site_pue() {
             facility.to_bits() == (it * pue).to_bits(),
             "facility {facility} != IT {it} x PUE {pue}"
         );
+        Ok(())
+    });
+}
+
+/// Robustness: the `--fleet` reader and the JSON parser under it must
+/// reject or accept arbitrary junk without panicking.
+#[test]
+fn fleet_json_reader_never_panics_on_junk() {
+    check(128, &ascii_string(0, 400), |junk| {
+        let _ = JsonValue::parse(junk);
+        let _ = FleetSpec::from_json_str(junk);
+        Ok(())
+    });
+}
+
+/// Bytes a substitution writes: JSON structure, number and literal
+/// characters, and whitespace.
+const JSON_BYTES: &[u8] = b"{}[]:,\"\\-+.eE0123456789truefalsn \n";
+
+/// Robustness: every truncation of a valid fleet document, and 1–3-byte
+/// substitutions into it, must come back as `Ok` or `Err`, never a panic.
+#[test]
+fn fleet_json_reader_never_panics_on_damaged_documents() {
+    let gen = from_fn(|rng: &mut TestRng| {
+        let doc = any_fleet().generate(rng).to_json();
+        let edits: Vec<Vec<(usize, u8)>> = (0..64)
+            .map(|_| {
+                (0..rng.usize_in(1, 4))
+                    .map(|_| {
+                        let at = rng.usize_in(0, doc.len());
+                        (at, JSON_BYTES[rng.usize_in(0, JSON_BYTES.len())])
+                    })
+                    .collect()
+            })
+            .collect();
+        (doc, edits)
+    });
+    check(32, &gen, |(doc, edits)| {
+        prop_assert!(doc.is_ascii(), "fleet documents are ASCII");
+        for cut in 0..doc.len() {
+            let _ = FleetSpec::from_json_str(&doc[..cut]);
+        }
+        for edit in edits {
+            let mut damaged = doc.clone().into_bytes();
+            for &(at, b) in edit {
+                damaged[at] = b;
+            }
+            let damaged = String::from_utf8(damaged).expect("ASCII stays UTF-8");
+            let _ = JsonValue::parse(&damaged);
+            let _ = FleetSpec::from_json_str(&damaged);
+        }
         Ok(())
     });
 }
