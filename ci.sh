@@ -41,6 +41,10 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo build --release --offline --workspace
 # Every member crate's unit and property suites, not just the facade's.
 run cargo test -q --offline --workspace
+# vdcbench is a workspace of its own (vdcbench/Cargo.toml), so the steps
+# above never compile it. Build and test it here: a change that breaks an
+# API the benchmark imports fails in CI, not at benchmark time.
+run cargo test -q --release --offline --manifest-path vdcbench/Cargo.toml
 
 # Documentation must build clean (broken intra-doc links and malformed
 # examples fail here, not on docs.rs).
