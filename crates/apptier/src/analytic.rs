@@ -83,13 +83,6 @@ impl AnalyticPlant {
         mva_closed_network(&demands?, self.profile.think_time, self.concurrency)
     }
 
-    /// Mean response time (seconds) at the current operating point, from
-    /// exact MVA; `None` when a tier has zero allocation or there are no
-    /// clients.
-    pub fn mean_response_s(&self) -> Option<f64> {
-        self.mva().map(|r| r.response_time)
-    }
-
     /// Throughput (requests/second) at the current operating point.
     pub fn throughput(&self) -> f64 {
         self.mva().map_or(0.0, |r| r.throughput)
@@ -202,7 +195,7 @@ mod tests {
         let mf = ResponseStats::from_samples(fast.take_completed()).mean();
         assert!(ms > 2.0 * mf, "slow {ms} vs fast {mf}");
         // Mean close to the MVA prediction.
-        let predicted = plant(40, &[0.6, 0.6]).mean_response_s().unwrap();
+        let predicted = plant(40, &[0.6, 0.6]).mva().unwrap().response_time;
         assert!((ms - predicted).abs() / predicted < 0.1);
     }
 
@@ -230,7 +223,7 @@ mod tests {
         let mut p = plant(10, &[0.0, 1.0]);
         p.run_for(50.0);
         assert!(p.take_completed().is_empty());
-        assert_eq!(p.mean_response_s(), None);
+        assert!(p.mva().is_none());
         assert_eq!(p.throughput(), 0.0);
     }
 

@@ -76,25 +76,6 @@ pub fn mva_closed_network(
     })
 }
 
-/// Convenience: MVA response time for tier demands given in cycles and
-/// allocations in GHz (the controller's units).
-pub fn mva_response_time(
-    demand_cycles: &[f64],
-    alloc_ghz: &[f64],
-    think_time: f64,
-    population: usize,
-) -> Option<f64> {
-    if demand_cycles.len() != alloc_ghz.len() {
-        return None;
-    }
-    let demands: Option<Vec<f64>> = demand_cycles
-        .iter()
-        .zip(alloc_ghz)
-        .map(|(&d, &a)| if a <= 0.0 { None } else { Some(d / (a * 1e9)) })
-        .collect();
-    mva_closed_network(&demands?, think_time, population).map(|r| r.response_time)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,19 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn cycles_ghz_helper() {
-        // 10 M cycles at 1 GHz = 10 ms.
-        let r1 = mva_response_time(&[10.0e6], &[1.0], 0.0, 1).unwrap();
-        assert!((r1 - 0.010).abs() < 1e-12);
-        // Doubling allocation halves it.
-        let r2 = mva_response_time(&[10.0e6], &[2.0], 0.0, 1).unwrap();
-        assert!((r1 / r2 - 2.0).abs() < 1e-9);
-        // Zero allocation and ragged inputs rejected.
-        assert!(mva_response_time(&[1e6], &[0.0], 0.0, 1).is_none());
-        assert!(mva_response_time(&[1e6, 1e6], &[1.0], 0.0, 1).is_none());
-    }
-
-    #[test]
     fn matches_des_simulator_for_exponential_service() {
         // cv = 1 (exponential-like) PS network is product-form: DES mean
         // response should match MVA within a few percent.
@@ -191,7 +159,10 @@ mod tests {
         sim.run_for(120.0);
         let samples = sim.take_completed();
         let des_mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let mva = mva_response_time(&[d1, d2], &alloc, 0.0, c).unwrap();
+        // Demands in seconds: cycles at the 1 GHz allocations.
+        let mva = mva_closed_network(&[d1 / 1e9, d2 / 1e9], 0.0, c)
+            .unwrap()
+            .response_time;
         let rel = (des_mean - mva).abs() / mva;
         assert!(
             rel < 0.08,

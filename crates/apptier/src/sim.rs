@@ -198,11 +198,6 @@ impl AppSim {
         };
     }
 
-    /// Current open-loop arrival rate, if any.
-    pub fn arrival_rate(&self) -> Option<f64> {
-        self.open_rate
-    }
-
     /// Current simulation time (seconds).
     pub fn now(&self) -> f64 {
         self.now
@@ -255,11 +250,6 @@ impl AppSim {
             self.set_allocation(i, g)?;
         }
         Ok(())
-    }
-
-    /// Current allocations (GHz).
-    pub fn allocations(&self) -> Vec<f64> {
-        self.tiers.iter().map(|t| t.capacity / 1e9).collect()
     }
 
     /// Change the concurrency level (the `ab -c` knob; Fig. 3 ramps this
@@ -709,7 +699,7 @@ mod open_loop_tests {
         assert!(AppSim::open(two_tier(), -5.0, &[1.0, 1.0], 1).is_err());
         assert!(AppSim::open(two_tier(), f64::NAN, &[1.0, 1.0], 1).is_err());
         let sim = AppSim::open(two_tier(), 20.0, &[1.0, 1.0], 1).unwrap();
-        assert_eq!(sim.arrival_rate(), Some(20.0));
+        assert_eq!(sim.open_rate, Some(20.0));
         assert_eq!(sim.concurrency(), 0);
     }
 
@@ -773,7 +763,7 @@ mod open_loop_tests {
         assert_eq!(sim.concurrency(), 5);
         // Disabling the open source stops unbounded work.
         sim.set_arrival_rate(None);
-        assert_eq!(sim.arrival_rate(), None);
+        assert_eq!(sim.open_rate, None);
         sim.run_for(10.0);
         let in_flight: usize = sim.queue_lengths().iter().sum();
         assert!(in_flight <= 5 + 2, "only closed jobs remain: {in_flight}");

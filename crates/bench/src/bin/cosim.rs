@@ -53,17 +53,13 @@ fn main() {
     let base = CosimConfig {
         n_apps,
         seed,
-        shards,
         ..Default::default()
     };
+    let opts = RunOptions::default().with_shards(shards);
     let telemetry = Telemetry::enabled();
     reporter.debug("running the dynamic (MPC + IPAC + DVFS) configuration");
-    let dynamic = run_cosim(
-        &trace,
-        &base,
-        &RunOptions::default().with_telemetry(&telemetry),
-    )
-    .expect("dynamic run failed");
+    let dynamic =
+        run_cosim(&trace, &base, &opts.with_telemetry(&telemetry)).expect("dynamic run failed");
     reporter.debug("running the static peak-provisioned baseline");
     let static_peak = run_cosim(
         &trace,
@@ -71,7 +67,7 @@ fn main() {
             controllers_enabled: false,
             ..base
         },
-        &RunOptions::default(),
+        &opts,
     )
     .expect("static run failed");
 

@@ -9,7 +9,7 @@
 
 use vdc_bench::{arg_num, arg_present, figure_header, rule};
 use vdc_core::controller::IdentificationConfig;
-use vdc_core::experiments::{fig5_with_plant, PlantKind};
+use vdc_core::experiments::{fig5, PlantKind};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -28,7 +28,7 @@ fn main() {
     } else {
         PlantKind::Des
     };
-    let points = fig5_with_plant(
+    let points = fig5(
         &setpoints,
         concurrency,
         &IdentificationConfig::default(),

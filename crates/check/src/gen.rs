@@ -109,44 +109,6 @@ impl Gen for UsizeRange {
     }
 }
 
-/// `u64` in `[lo, hi)`.
-#[derive(Debug, Clone, Copy)]
-pub struct U64Range {
-    lo: u64,
-    hi: u64,
-}
-
-/// Uniform `u64` generator over `[lo, hi)`.
-pub fn u64_range(lo: u64, hi: u64) -> U64Range {
-    assert!(lo < hi, "empty u64 range {lo}..{hi}");
-    U64Range { lo, hi }
-}
-
-impl Gen for U64Range {
-    type Value = u64;
-
-    fn generate(&self, rng: &mut TestRng) -> u64 {
-        rng.u64_in(self.lo, self.hi)
-    }
-
-    fn shrink(&self, v: &u64, out: &mut Vec<u64>) {
-        if *v == self.lo {
-            return;
-        }
-        out.push(self.lo);
-        let mut delta = (v - self.lo) / 2;
-        while delta > 0 {
-            let cand = v - delta;
-            if cand != self.lo {
-                out.push(cand);
-            }
-            delta /= 2;
-        }
-        out.push(v - 1);
-        out.dedup();
-    }
-}
-
 /// `Vec<T>` with length in `[min_len, max_len)`.
 #[derive(Debug, Clone)]
 pub struct VecOf<G> {
@@ -371,11 +333,9 @@ mod tests {
         let mut rng = TestRng::seed_from_u64(1);
         let f = f64_range(-1.0, 1.0);
         let u = usize_range(3, 9);
-        let q = u64_range(100, 200);
         for _ in 0..500 {
             assert!((-1.0..1.0).contains(&f.generate(&mut rng)));
             assert!((3..9).contains(&u.generate(&mut rng)));
-            assert!((100..200).contains(&q.generate(&mut rng)));
         }
     }
 

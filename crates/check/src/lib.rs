@@ -26,8 +26,8 @@ pub mod rng;
 pub mod runner;
 
 pub use gen::{
-    ascii_string, choose, f64_range, from_fn, map, u64_range, usize_range, vec_of, AsciiString,
-    Choose, F64Range, FromFn, Gen, Map, U64Range, UsizeRange, VecOf,
+    ascii_string, choose, f64_range, from_fn, map, usize_range, vec_of, AsciiString, Choose,
+    F64Range, FromFn, Gen, Map, UsizeRange, VecOf,
 };
 pub use rng::TestRng;
 pub use runner::{check, check_with, CaseResult, Config, Failed};

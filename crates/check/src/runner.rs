@@ -28,9 +28,10 @@ pub struct Config {
     pub seed: u64,
     /// Upper bound on accepted shrink steps.
     pub max_shrinks: u32,
-    /// Upper bound on discarded inputs before the run aborts.
-    pub max_discards: u32,
 }
+
+/// Discarded inputs allowed per required passing case before a run aborts.
+const MAX_DISCARDS_PER_CASE: u32 = 32;
 
 impl Config {
     /// Default configuration with the given case count.
@@ -43,7 +44,6 @@ impl Config {
             cases,
             seed,
             max_shrinks: 512,
-            max_discards: cases * 32,
         }
     }
 }
@@ -74,7 +74,7 @@ where
             Err(Failed::Discard) => {
                 discards += 1;
                 assert!(
-                    discards <= cfg.max_discards,
+                    discards <= cfg.cases * MAX_DISCARDS_PER_CASE,
                     "vdc-check: gave up after {discards} discards \
                      ({passed}/{} cases passed); precondition too strict?",
                     cfg.cases

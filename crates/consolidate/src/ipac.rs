@@ -21,22 +21,14 @@ use crate::policy::MigrationPolicy;
 use std::collections::BTreeMap;
 use vdc_dcsim::VmId;
 
+/// Safety cap on drain rounds per invocation.
+const MAX_DRAIN_ROUNDS: usize = 64;
+
 /// IPAC tuning knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct IpacConfig {
     /// Minimum Slack configuration passed through to PAC.
     pub minslack: MinSlackConfig,
-    /// Safety cap on drain rounds per invocation.
-    pub max_drain_rounds: usize,
-}
-
-impl Default for IpacConfig {
-    fn default() -> Self {
-        IpacConfig {
-            minslack: MinSlackConfig::default(),
-            max_drain_rounds: 64,
-        }
-    }
 }
 
 /// One IPAC invocation.
@@ -65,7 +57,7 @@ pub fn ipac_plan(
 pub struct IpacStats {
     /// Wall time spent inside the Minimum Slack root sweeps (ns) — the
     /// portion of the invocation that fans out over
-    /// [`MinSlackConfig`](crate::minslack::MinSlackConfig)`::shards`
+    /// [`MinSlackConfig`]`::shards`
     /// workers. The rest of the invocation (eviction scans, commit loops,
     /// the final diff) is sequential.
     pub search_ns: u64,
@@ -198,7 +190,7 @@ pub fn ipac_plan_stats(
     // --- Step 2: drain loop ------------------------------------------------
     // Repeatedly empty the least power-efficient non-empty server while the
     // active-server count keeps dropping.
-    for _ in 0..cfg.max_drain_rounds {
+    for _ in 0..MAX_DRAIN_ROUNDS {
         let before_active = state.iter().filter(|s| !s.resident.is_empty()).count();
         // Least efficient server that hosts anything.
         let donor_pos = match state

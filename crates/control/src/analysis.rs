@@ -40,23 +40,14 @@ pub struct ClosedLoopAnalysis {
 }
 
 impl ClosedLoopAnalysis {
-    /// Whether the loop is locally asymptotically stable with the given
-    /// margin (`spectral_radius < 1 − margin`).
-    ///
-    /// Note for MIMO response-time control: with `m > 1` tier VMs and a
-    /// single output, the allocation *split* has an `m−1`-dimensional null
-    /// space that the control penalty `R` (which weights allocation
-    /// *changes*, not levels) never re-centers — the loop carries `m−1`
-    /// structurally marginal modes at `|λ| ≈ 1` even though the tracking
-    /// error decays. Use [`ClosedLoopAnalysis::decay_radius`] for the rate
-    /// of the modes that actually move the output.
-    pub fn is_stable(&self, margin: f64) -> bool {
-        self.spectral_radius < 1.0 - margin
-    }
-
-    /// Number of (near-)marginal modes, `|λ| ≥ 0.999` — for a well-posed
-    /// response-time loop this equals `m − 1` (the allocation-split null
-    /// space); anything larger flags a mistuned controller.
+    /// Number of (near-)marginal modes, `|λ| ≥ 0.999`. With `m > 1` tier
+    /// VMs and a single output, the allocation *split* has an
+    /// `m−1`-dimensional null space that the control penalty `R` (which
+    /// weights allocation *changes*, not levels) never re-centers, so a
+    /// well-posed response-time loop carries exactly `m − 1` such modes
+    /// even though its tracking error decays; anything larger flags a
+    /// mistuned controller. [`ClosedLoopAnalysis::decay_radius`] is the
+    /// rate of the modes that move the output.
     pub fn marginal_modes(&self) -> usize {
         self.eigenvalues.iter().filter(|z| z.abs() >= 0.999).count()
     }
@@ -310,7 +301,7 @@ mod tests {
         let analysis = analyze_closed_loop(&model, &c).unwrap();
         assert_eq!(analysis.marginal_modes(), 0, "{:?}", analysis.eigenvalues);
         assert!(
-            analysis.is_stable(0.0),
+            analysis.spectral_radius < 1.0,
             "radius {}",
             analysis.spectral_radius
         );
@@ -395,117 +386,6 @@ mod tests {
     }
 }
 
-/// Auto-tune the control penalty `R` so the closed loop's tracking modes
-/// decay at approximately `target_decay` per period (0 = deadbeat,
-/// → 1 = sluggish). Scans `R` logarithmically over `[r_min, r_max]` and
-/// returns the value whose [`ClosedLoopAnalysis::decay_radius`] comes
-/// closest to the target, together with the analysis at that value.
-///
-/// This closes the paper's tuning loop: §IV-B says the weights "can be
-/// tuned", and the closed-loop linearization provides the metric to tune
-/// against.
-pub fn tune_r_weight(
-    model: &ArxModel,
-    base_cfg: &MpcConfig,
-    target_decay: f64,
-    r_min: f64,
-    r_max: f64,
-    steps: usize,
-) -> Result<(f64, ClosedLoopAnalysis)> {
-    if !(0.0..1.0).contains(&target_decay) {
-        return Err(ControlError::BadConfig(format!(
-            "target decay {target_decay} outside [0, 1)"
-        )));
-    }
-    if r_min <= 0.0 || r_max < r_min || steps < 2 {
-        return Err(ControlError::BadConfig(
-            "need 0 < r_min <= r_max and steps >= 2".into(),
-        ));
-    }
-    let m = model.n_inputs();
-    let mut best: Option<(f64, f64, ClosedLoopAnalysis)> = None;
-    for k in 0..steps {
-        let frac = k as f64 / (steps - 1) as f64;
-        let r = r_min * (r_max / r_min).powf(frac);
-        let mut cfg = base_cfg.clone();
-        cfg.r_weight = vec![r; m];
-        let analysis = analyze_closed_loop(model, &cfg)?;
-        let err = (analysis.decay_radius() - target_decay).abs();
-        let better = best.as_ref().map(|(e, _, _)| err < *e).unwrap_or(true);
-        if better {
-            best = Some((err, r, analysis));
-        }
-    }
-    let (_, r, analysis) = best.expect("steps >= 2 yields at least one candidate");
-    Ok((r, analysis))
-}
-
-#[cfg(test)]
-mod tuner_tests {
-    use super::*;
-    use crate::reference::ReferenceTrajectory;
-
-    fn model() -> ArxModel {
-        ArxModel::new(
-            vec![0.45],
-            vec![vec![-180.0, -120.0], vec![-60.0, -40.0]],
-            1400.0,
-        )
-        .unwrap()
-    }
-
-    fn base_cfg() -> MpcConfig {
-        MpcConfig {
-            prediction_horizon: 10,
-            control_horizon: 3,
-            q_weight: 1.0,
-            r_weight: vec![1.0; 2],
-            reference: ReferenceTrajectory::new(4.0, 12.0).unwrap(),
-            setpoint: 1000.0,
-            c_min: vec![0.3; 2],
-            c_max: vec![3.0; 2],
-            delta_max: Some(0.3),
-            terminal_constraint: true,
-        }
-    }
-
-    #[test]
-    fn tuner_validates_inputs() {
-        let m = model();
-        let cfg = base_cfg();
-        assert!(tune_r_weight(&m, &cfg, 1.2, 1.0, 1e6, 8).is_err());
-        assert!(tune_r_weight(&m, &cfg, 0.5, 0.0, 1e6, 8).is_err());
-        assert!(tune_r_weight(&m, &cfg, 0.5, 10.0, 1.0, 8).is_err());
-        assert!(tune_r_weight(&m, &cfg, 0.5, 1.0, 1e6, 1).is_err());
-    }
-
-    #[test]
-    fn tuner_hits_requested_decay_within_grid_resolution() {
-        let m = model();
-        let cfg = base_cfg();
-        let (r, analysis) = tune_r_weight(&m, &cfg, 0.6, 1e0, 1e8, 17).unwrap();
-        assert!((1e0..=1e8).contains(&r));
-        assert!(
-            (analysis.decay_radius() - 0.6).abs() < 0.2,
-            "decay {} for target 0.6",
-            analysis.decay_radius()
-        );
-        // The tuned loop still tracks.
-        assert!(analysis.decay_radius() < 1.0);
-    }
-
-    #[test]
-    fn tuner_is_monotone_in_intent() {
-        // Asking for faster decay must not yield a slower loop than asking
-        // for slower decay (up to grid resolution).
-        let m = model();
-        let cfg = base_cfg();
-        let (_, fast) = tune_r_weight(&m, &cfg, 0.3, 1e0, 1e8, 17).unwrap();
-        let (_, slow) = tune_r_weight(&m, &cfg, 0.9, 1e0, 1e8, 17).unwrap();
-        assert!(fast.decay_radius() <= slow.decay_radius() + 0.05);
-    }
-}
-
 /// Achievable steady-state output range of `model` over the allocation box
 /// `[c_min, c_max]` — the §IV-A feasibility check: "we assume that the
 /// constrained optimization problem is feasible, i.e., there exists a set
@@ -546,17 +426,6 @@ pub fn achievable_range(model: &ArxModel, c_min: &[f64], c_max: &[f64]) -> Optio
     Some((t_lo, t_hi))
 }
 
-/// Whether a set point is reachable in steady state within the box
-/// (`None` for integrating models: feasibility cannot be decided).
-pub fn setpoint_feasible(
-    model: &ArxModel,
-    setpoint: f64,
-    c_min: &[f64],
-    c_max: &[f64],
-) -> Option<bool> {
-    achievable_range(model, c_min, c_max).map(|(lo, hi)| (lo..=hi).contains(&setpoint))
-}
-
 #[cfg(test)]
 mod feasibility_tests {
     use super::*;
@@ -581,16 +450,6 @@ mod feasibility_tests {
     }
 
     #[test]
-    fn feasibility_verdicts() {
-        let m = model();
-        let (c_min, c_max) = (vec![0.3, 0.3], vec![3.0, 3.0]);
-        // 1000 ms is comfortably inside; 10 ms and 10 s are not.
-        assert_eq!(setpoint_feasible(&m, 1000.0, &c_min, &c_max), Some(true));
-        assert_eq!(setpoint_feasible(&m, 10.0, &c_min, &c_max), Some(false));
-        assert_eq!(setpoint_feasible(&m, 10_000.0, &c_min, &c_max), Some(false));
-    }
-
-    #[test]
     fn mixed_gain_signs_pick_correct_corners() {
         // One positive, one negative gain.
         let m = ArxModel::new(vec![0.0], vec![vec![100.0, -50.0]], 500.0).unwrap();
@@ -607,9 +466,5 @@ mod feasibility_tests {
         assert!(achievable_range(&m, &[0.3], &[3.0, 3.0]).is_none());
         let integ = ArxModel::new(vec![1.0], vec![vec![-1.0, -1.0]], 0.0).unwrap();
         assert!(achievable_range(&integ, &[0.0, 0.0], &[1.0, 1.0]).is_none());
-        assert_eq!(
-            setpoint_feasible(&integ, 1.0, &[0.0, 0.0], &[1.0, 1.0]),
-            None
-        );
     }
 }

@@ -8,8 +8,7 @@
 //!   90-percentile response time to the CPU allocations of its tier VMs.
 //! * [`sysid`] — "standard approach … called system identification":
 //!   pseudo-random excitation design, batch least-squares ARX fitting with
-//!   fit metrics and AIC order selection, and recursive least squares for
-//!   online adaptation.
+//!   fit metrics, and recursive least squares for online adaptation.
 //! * `reference` — the exponential reference trajectory of eq. (3).
 //! * [`mpc`] — the model predictive controller of §IV-B: lifted
 //!   step-response predictor, quadratic cost of eq. (2), terminal
@@ -20,8 +19,7 @@
 //!   arXiv:1811.05533).
 //! * [`cooling`] — the cooling-coupled MPC variant (PUE-weighted energy
 //!   term in the objective, after Ogura et al., arXiv:1806.03375).
-//! * [`stability`] — pole analysis of identified models plus closed-loop
-//!   simulation probes.
+//! * [`stability`] — pole analysis of identified models.
 //! * [`analysis`] — numerical linearization of the full receding-horizon
 //!   law and closed-loop spectral radii (the paper invokes the
 //!   terminal-constraint stability argument from optimal control; we
@@ -33,17 +31,15 @@ pub mod analysis;
 pub mod arx;
 pub mod cooling;
 pub mod mpc;
-pub mod observer;
 pub mod reference;
 pub mod robust;
 pub mod stability;
 pub mod sysid;
 
-pub use analysis::{achievable_range, analyze_closed_loop, setpoint_feasible, ClosedLoopAnalysis};
+pub use analysis::{achievable_range, analyze_closed_loop, ClosedLoopAnalysis};
 pub use arx::ArxModel;
 pub use cooling::CoolingMpc;
 pub use mpc::{MpcConfig, MpcController};
-pub use observer::DisturbanceKalman;
 pub use reference::ReferenceTrajectory;
 pub use robust::{RobustConfig, RobustController};
 pub use sysid::{fit_arx, ArxFit, ExperimentData, Prbs, RecursiveLeastSquares};

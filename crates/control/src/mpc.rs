@@ -182,11 +182,6 @@ pub struct MpcController {
     c_current: Vec<f64>,
     /// Output disturbance estimate (constant-offset form).
     disturbance: f64,
-    /// Smoothing gain applied to the disturbance innovation: 1.0 is the
-    /// raw DMC bias update; < 1.0 is the steady-state Kalman filter of
-    /// `crate::observer` (use `DisturbanceKalman::new(..).gain()` to derive
-    /// it from noise variances).
-    disturbance_gain: f64,
     /// Number of dynamic-matrix rebuilds since construction (the cache
     /// generation of Ψ; see [`MpcController::predictor_generation`]).
     generation: u64,
@@ -228,7 +223,6 @@ impl MpcController {
             c_hist: vec![c_current.clone(); nb],
             c_current,
             disturbance: 0.0,
-            disturbance_gain: 1.0,
             generation: 0,
             energy_weight: 0.0,
             pue: 1.0,
@@ -286,12 +280,6 @@ impl MpcController {
     /// Change the set point at run time (the Fig. 5 sweep does this).
     pub fn set_setpoint(&mut self, ts: f64) {
         self.cfg.setpoint = ts;
-    }
-
-    /// Set the disturbance-observer smoothing gain, in `(0, 1]`. Values
-    /// outside the interval are clamped. See [`crate::observer`].
-    pub fn set_disturbance_gain(&mut self, gain: f64) {
-        self.disturbance_gain = gain.clamp(1e-6, 1.0);
     }
 
     /// Enable (or disable, with `0.0`) the cooling-coupled facility-power
@@ -443,8 +431,8 @@ impl MpcController {
     }
 
     /// Re-seed the controller state at allocation `c0` the way
-    /// [`new`](MpcController::new) does, leaving the model, config, Ψ,
-    /// disturbance gain, and telemetry sink untouched.
+    /// [`new`](MpcController::new) does, leaving the model, config, Ψ and
+    /// telemetry sink untouched.
     fn reset_state(&mut self, c0: &[f64]) {
         let mut c_current = c0.to_vec();
         for (c, (&lo, &hi)) in c_current
@@ -481,7 +469,7 @@ impl MpcController {
             }
             let t_model = self.model.predict(&self.t_hist, &pred_c)?;
             let innovation = t_measured - t_model;
-            self.disturbance += self.disturbance_gain * (innovation - self.disturbance);
+            self.disturbance += innovation - self.disturbance;
         }
 
         // Update output history with the new measurement.
@@ -556,8 +544,8 @@ impl MpcController {
         let terminal_rhs = self.cfg.setpoint - free[mm - 1];
         predict_span.finish();
 
-        // Solve phase: KKT least squares, then the Hildreth box-QP fallback
-        // if the first move leaves the allocation box.
+        // Solve phase: KKT least squares, then the active-set box-QP
+        // fallback if the first move leaves the allocation box.
         let solve_span = self.telemetry.timer("mpc.solve_ns");
         let mut saturated = false;
         let delta_all = if self.cfg.terminal_constraint {
@@ -846,6 +834,29 @@ mod tests {
         for &t in tail {
             assert!((t - 1000.0).abs() < 10.0, "tail value {t}");
         }
+    }
+
+    #[test]
+    fn faster_reference_settles_faster() {
+        // Steps until the output last leaves a ±25 ms band around 1000 ms.
+        let settling = |tref: f64| {
+            let model = plant_model();
+            let mut cfg = default_cfg(1000.0);
+            cfg.reference = ReferenceTrajectory::new(4.0, tref).unwrap();
+            let mut ctrl = MpcController::new(model.clone(), cfg, &[1.0, 1.0]).unwrap();
+            let traj = run_closed_loop(&mut ctrl, &model, 100, 2000.0);
+            let settle = traj
+                .iter()
+                .rposition(|&t| (t - 1000.0).abs() > 25.0)
+                .map_or(0, |i| i + 1);
+            assert!(settle < traj.len(), "Tref {tref} never settles");
+            settle
+        };
+        let (fast, slow) = (settling(6.0), settling(60.0));
+        assert!(
+            fast <= slow,
+            "fast {fast} should settle no slower than slow {slow}"
+        );
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl RobustController {
         })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &RobustConfig {
-        &self.cfg
-    }
-
     /// Currently applied allocation (GHz per tier).
     pub fn allocation(&self) -> &[f64] {
         &self.alloc
@@ -418,7 +413,7 @@ mod tests {
         ctrl.set_bounds(0.5, 2.0).unwrap();
         assert!(ctrl.allocation().iter().all(|&c| c <= 2.0));
         assert!(ctrl.set_bounds(3.0, 1.0).is_err());
-        assert_eq!(ctrl.config().c_max, 2.0, "failed edit leaves old box");
+        assert_eq!(ctrl.cfg.c_max, 2.0, "failed edit leaves old box");
         ctrl.force_allocation(&[1.2, 9.0]).unwrap();
         assert_eq!(ctrl.allocation(), &[1.2, 2.0]);
         assert!(ctrl.force_allocation(&[1.0]).is_err());

@@ -1,16 +1,10 @@
-//! Stability analysis of identified models and closed loops.
-//!
-//! The paper ensures MPC stability by the terminal constraint (eq. (4),
-//! citing optimal-control theory \[14, 15\]). This module provides the
-//! numerical counterparts used in our analysis and tests:
-//!
-//! * open-loop pole locations / spectral radius of an ARX model,
-//! * a closed-loop simulation probe that measures settling behaviour of a
-//!   controller against a given plant.
+//! Stability analysis of identified models: open-loop pole locations and
+//! the spectral radius of an ARX model. (The paper ensures MPC stability
+//! by the terminal constraint, eq. (4), citing optimal-control theory
+//! \[14, 15\]; [`crate::analysis`] checks the closed loop numerically.)
 
 use crate::arx::ArxModel;
-use crate::mpc::MpcController;
-use crate::{ControlError, Result};
+use crate::Result;
 use vdc_linalg::{eigenvalues, Complex};
 
 /// Poles of the ARX model (roots of `zⁿᵃ − a₁ zⁿᵃ⁻¹ − … − aₙₐ`).
@@ -36,89 +30,9 @@ pub fn is_stable(model: &ArxModel, margin: f64) -> Result<bool> {
     Ok(model_spectral_radius(model)? < 1.0 - margin)
 }
 
-/// Result of a closed-loop probe run.
-#[derive(Debug, Clone)]
-pub struct ClosedLoopProbe {
-    /// Output trajectory of the plant under control.
-    pub trajectory: Vec<f64>,
-    /// Steps until the output first enters (and stays in) the ±`band`
-    /// envelope around the set point; `None` if it never settles.
-    pub settling_steps: Option<usize>,
-    /// Maximum overshoot beyond the set point (same sign convention as the
-    /// approach direction), 0 if none.
-    pub overshoot: f64,
-    /// Mean absolute tracking error over the final quarter of the run.
-    pub steady_state_error: f64,
-}
-
-/// Simulate `controller` against `plant` for `steps` periods from initial
-/// output `t0`, and report settling metrics with the given `band`
-/// (absolute units) around the controller's set point.
-///
-/// The plant may differ from the controller's internal model; this is how
-/// we probe robustness (the Fig. 4/5 experiments of the paper change the
-/// workload away from the identification conditions).
-pub fn probe_closed_loop(
-    controller: &mut MpcController,
-    plant: &ArxModel,
-    steps: usize,
-    t0: f64,
-    band: f64,
-) -> Result<ClosedLoopProbe> {
-    if steps == 0 {
-        return Err(ControlError::BadConfig("probe needs steps > 0".into()));
-    }
-    if plant.n_inputs() != controller.model().n_inputs() {
-        return Err(ControlError::BadDimensions(
-            "plant and controller input counts differ".into(),
-        ));
-    }
-    let ts = controller.config().setpoint;
-    let mut t_hist = vec![t0; plant.na().max(1)];
-    let mut c_hist = vec![controller.current_allocation().to_vec(); plant.nb()];
-    let mut t = t0;
-    let mut trajectory = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let step = controller.step(t)?;
-        c_hist.insert(0, step.allocation);
-        c_hist.truncate(plant.nb());
-        t = plant.predict(&t_hist, &c_hist)?;
-        t_hist.insert(0, t);
-        t_hist.truncate(plant.na().max(1));
-        trajectory.push(t);
-    }
-
-    // Settling: last index outside the band, +1.
-    let outside = trajectory.iter().rposition(|&v| (v - ts).abs() > band);
-    let settling_steps = match outside {
-        None => Some(0),
-        Some(idx) if idx + 1 < steps => Some(idx + 1),
-        Some(_) => None,
-    };
-
-    // Overshoot relative to approach direction.
-    let from_above = t0 > ts;
-    let overshoot = trajectory
-        .iter()
-        .map(|&v| if from_above { ts - v } else { v - ts })
-        .fold(0.0_f64, f64::max);
-
-    let tail = &trajectory[steps - (steps / 4).max(1)..];
-    let steady_state_error = tail.iter().map(|&v| (v - ts).abs()).sum::<f64>() / tail.len() as f64;
-
-    Ok(ClosedLoopProbe {
-        trajectory,
-        settling_steps,
-        overshoot,
-        steady_state_error,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpc::MpcConfig;
-    use crate::reference::ReferenceTrajectory;
 
     fn plant() -> ArxModel {
         ArxModel::new(
@@ -127,23 +41,6 @@ mod tests {
             1400.0,
         )
         .unwrap()
-    }
-
-    fn controller(setpoint: f64, tref: f64) -> MpcController {
-        let reference = ReferenceTrajectory::new(4.0, tref).unwrap();
-        let cfg = MpcConfig {
-            prediction_horizon: 8,
-            control_horizon: 2,
-            q_weight: 1.0,
-            r_weight: vec![1e-4, 1e-4],
-            reference,
-            setpoint,
-            c_min: vec![0.2, 0.2],
-            c_max: vec![3.0, 3.0],
-            delta_max: Some(0.5),
-            terminal_constraint: true,
-        };
-        MpcController::new(plant(), cfg, &[1.0, 1.0]).unwrap()
     }
 
     #[test]
@@ -172,35 +69,5 @@ mod tests {
         assert!(model_poles(&m).unwrap().is_empty());
         assert_eq!(model_spectral_radius(&m).unwrap(), 0.0);
         assert!(is_stable(&m, 0.1).unwrap());
-    }
-
-    #[test]
-    fn closed_loop_probe_settles() {
-        let mut ctrl = controller(1000.0, 12.0);
-        let probe = probe_closed_loop(&mut ctrl, &plant(), 80, 2000.0, 20.0).unwrap();
-        let settle = probe.settling_steps.expect("should settle");
-        assert!(settle < 40, "settling steps {settle}");
-        assert!(probe.steady_state_error < 10.0);
-    }
-
-    #[test]
-    fn faster_reference_settles_faster() {
-        let mut fast = controller(1000.0, 6.0);
-        let mut slow = controller(1000.0, 60.0);
-        let p_fast = probe_closed_loop(&mut fast, &plant(), 100, 2000.0, 25.0).unwrap();
-        let p_slow = probe_closed_loop(&mut slow, &plant(), 100, 2000.0, 25.0).unwrap();
-        let (sf, ss) = (
-            p_fast.settling_steps.expect("fast settles"),
-            p_slow.settling_steps.expect("slow settles"),
-        );
-        assert!(sf <= ss, "fast {sf} should settle no slower than slow {ss}");
-    }
-
-    #[test]
-    fn probe_validates_inputs() {
-        let mut ctrl = controller(1000.0, 12.0);
-        assert!(probe_closed_loop(&mut ctrl, &plant(), 0, 2000.0, 10.0).is_err());
-        let wrong = ArxModel::new(vec![0.4], vec![vec![-100.0]], 1000.0).unwrap();
-        assert!(probe_closed_loop(&mut ctrl, &wrong, 10, 2000.0, 10.0).is_err());
     }
 }

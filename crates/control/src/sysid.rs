@@ -7,7 +7,6 @@
 //! 1. design an excitation signal ([`Prbs`], independent per tier),
 //! 2. log `(c(k), t(k))` pairs into [`ExperimentData`],
 //! 3. fit an [`crate::ArxModel`] with [`fit_arx`] (QR least squares),
-//!    optionally selecting orders by AIC with [`select_order`],
 //! 4. or adapt online with [`RecursiveLeastSquares`].
 
 use crate::arx::ArxModel;
@@ -120,8 +119,6 @@ pub struct ArxFit {
     pub rmse: f64,
     /// Coefficient of determination of one-step predictions.
     pub r_squared: f64,
-    /// Akaike Information Criterion (lower is better).
-    pub aic: f64,
     /// Number of regression rows used.
     pub rows: usize,
     /// Condition estimate of the regressor matrix (max/min |R_ii| of its
@@ -209,38 +206,12 @@ pub fn fit_arx(data: &ExperimentData, na: usize, nb: usize) -> Result<ArxFit> {
     let sst: f64 = yv.as_slice().iter().map(|v| (v - mean).powi(2)).sum();
     let rmse = (sse / rows as f64).sqrt();
     let r_squared = if sst > 0.0 { 1.0 - sse / sst } else { 1.0 };
-    // AIC for Gaussian residuals: n·ln(SSE/n) + 2k.
-    let aic = rows as f64 * (sse / rows as f64).max(1e-300).ln() + 2.0 * n_params as f64;
     Ok(ArxFit {
         model,
         rmse,
         r_squared,
-        aic,
         rows,
         condition,
-    })
-}
-
-/// Fit all order combinations `na ∈ [1, max_na]`, `nb ∈ [1, max_nb]` and
-/// return the fit with the lowest AIC.
-pub fn select_order(data: &ExperimentData, max_na: usize, max_nb: usize) -> Result<ArxFit> {
-    let mut best: Option<ArxFit> = None;
-    for na in 1..=max_na.max(1) {
-        for nb in 1..=max_nb.max(1) {
-            if let Ok(fit) = fit_arx(data, na, nb) {
-                let better = match &best {
-                    Some(b) => fit.aic < b.aic,
-                    None => true,
-                };
-                if better {
-                    best = Some(fit);
-                }
-            }
-        }
-    }
-    best.ok_or(ControlError::InsufficientData {
-        available: data.len(),
-        required: 4,
     })
 }
 
@@ -486,16 +457,6 @@ mod tests {
             ragged.push(vec![1.0, 2.0], 1.0);
         }
         assert!(fit_arx(&ragged, 1, 1).is_err());
-    }
-
-    #[test]
-    fn order_selection_prefers_true_order() {
-        let data = make_data(600, 5.0);
-        let best = select_order(&data, 3, 3).unwrap();
-        // With noise, AIC should not wildly overfit: orders stay small and
-        // the chosen model fits well.
-        assert!(best.model.na() <= 3);
-        assert!(best.r_squared > 0.95);
     }
 
     #[test]

@@ -21,6 +21,12 @@ const REFERENCE_TC_PERIODS: f64 = 3.0;
 /// aggressive allocation move.
 const SAFE_MODE_REFERENCE_SCALE: f64 = 3.0;
 
+/// Low PRBS allocation level per tier (GHz) of the identification
+/// experiment.
+const PRBS_LOW_GHZ: f64 = 0.45;
+/// High PRBS allocation level per tier (GHz).
+const PRBS_HIGH_GHZ: f64 = 1.3;
+
 /// Configuration of the identification experiment (§IV-B / §VI-A: the
 /// paper identifies at concurrency 40).
 #[derive(Debug, Clone)]
@@ -29,10 +35,6 @@ pub struct IdentificationConfig {
     pub periods: usize,
     /// Control period (seconds).
     pub period_s: f64,
-    /// Low PRBS allocation level per tier (GHz).
-    pub low_ghz: f64,
-    /// High PRBS allocation level per tier (GHz).
-    pub high_ghz: f64,
     /// Hold length of each PRBS level, in periods.
     pub hold: usize,
     /// ARX output lags (paper's example: 1).
@@ -52,8 +54,6 @@ impl Default for IdentificationConfig {
         IdentificationConfig {
             periods: 220,
             period_s: 4.0,
-            low_ghz: 0.45,
-            high_ghz: 1.3,
             hold: 3,
             na: 1,
             nb: 2,
@@ -78,8 +78,8 @@ pub fn identify_plant<P: Plant + ?Sized>(
     let mut prbs: Vec<Prbs> = (0..n_tiers)
         .map(|i| {
             Prbs::new(
-                cfg.low_ghz,
-                cfg.high_ghz,
+                PRBS_LOW_GHZ,
+                PRBS_HIGH_GHZ,
                 cfg.hold + i % 2, // decorrelate tiers with different holds
                 (seed as u16).wrapping_add(101 * i as u16 + 1),
             )

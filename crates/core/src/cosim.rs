@@ -45,18 +45,6 @@ pub struct CosimConfig {
     pub optimizer_period_samples: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Worker shards for the per-sample control loop and the shared
-    /// data-center stages (`0` = host parallelism). Applications are
-    /// partitioned into contiguous shards; results are bit-identical for
-    /// every shard count because each app owns its plant, controller, and
-    /// `seed_stream`-derived RNG stream, and all cross-app reductions stay
-    /// sequential in app order.
-    pub shards: usize,
-    /// Which tier controller each application runs (the [`crate::tier`]
-    /// seam). The default, [`ControllerSpec::Mpc`], is the paper's
-    /// controller and keeps the run bit-identical to the pre-seam loop;
-    /// `RunOptions::controller` overrides this per run.
-    pub controller: ControllerSpec,
 }
 
 impl Default for CosimConfig {
@@ -68,8 +56,6 @@ impl Default for CosimConfig {
             controllers_enabled: true,
             optimizer_period_samples: 16,
             seed: 0xC051,
-            shards: 1,
-            controller: ControllerSpec::Mpc,
         }
     }
 }
@@ -166,9 +152,13 @@ fn app_sample_periods(
 /// SLO accounting against `cfg.setpoint_ms`, MPC phase-split timings,
 /// optimizer invocation stats, per-server power samples, per-sample step
 /// cost, DVFS/wake/sleep transition counts — telemetry only observes,
-/// results are bit-identical; enforced by `tests/determinism.rs`) and a
-/// shard override (else `cfg.shards`). The power/response trajectories are
-/// part of [`CosimResult`] proper, so `capture_series` has no effect here.
+/// results are bit-identical; enforced by `tests/determinism.rs`), the
+/// shard count and the tier controller. Applications are partitioned into
+/// contiguous shards; results are bit-identical for every shard count
+/// because each app owns its plant, controller, and `seed_stream`-derived
+/// RNG stream, and all cross-app reductions stay sequential in app order.
+/// The power/response trajectories are part of [`CosimResult`] proper, so
+/// `capture_series` has no effect here.
 pub fn run_cosim(
     trace: &UtilizationTrace,
     cfg: &CosimConfig,
@@ -187,8 +177,8 @@ pub fn run_cosim(
         ));
     }
     let telemetry = &opts.telemetry();
-    let shards = crate::shard::resolve(opts.shards_or(cfg.shards));
-    let spec = opts.controller_or(cfg.controller);
+    let shards = opts.shards();
+    let spec = opts.controller.unwrap_or(ControllerSpec::Mpc);
     let mut rng = SimRng::seed_from_u64(cfg.seed);
     let profile = WorkloadProfile::rubbos();
     let period_s = 900.0 / cfg.control_periods_per_sample as f64;
@@ -231,7 +221,6 @@ pub fn run_cosim(
         optimizer_period: cfg.optimizer_period_samples,
         relief: true,
         dvfs: true,
-        count_wake_energy: true,
         interval_s: trace.interval_s(),
         shards,
     };
@@ -543,14 +532,8 @@ mod tests {
         };
         let one = run_cosim(&t, &base).unwrap();
         for shards in [2usize, 3, 8] {
-            let s = run_cosim(
-                &t,
-                &CosimConfig {
-                    shards,
-                    ..base.clone()
-                },
-            )
-            .unwrap();
+            let opts = RunOptions::default().with_shards(shards);
+            let s = super::run_cosim(&t, &base, &opts).unwrap();
             let as_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 as_bits(&one.power_series_w),

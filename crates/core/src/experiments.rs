@@ -257,30 +257,10 @@ fn run_single_app(
 }
 
 /// Fig. 4: response time under concurrency levels different from the one
-/// the controller was identified at.
-pub fn fig4(
-    concurrencies: &[usize],
-    setpoint_ms: f64,
-    ident: &IdentificationConfig,
-    warmup: usize,
-    measure: usize,
-    seed: u64,
-) -> Result<Vec<SweepPoint>> {
-    fig4_with_plant(
-        concurrencies,
-        setpoint_ms,
-        ident,
-        warmup,
-        measure,
-        seed,
-        PlantKind::Des,
-    )
-}
-
-/// [`fig4`] with an explicit plant backend (`PlantKind::Analytic` runs the
-/// whole sweep in milliseconds).
+/// the controller was identified at, on the `kind` plant backend
+/// (`PlantKind::Analytic` runs the whole sweep in milliseconds).
 #[allow(clippy::too_many_arguments)]
-pub fn fig4_with_plant(
+pub fn fig4(
     concurrencies: &[usize],
     setpoint_ms: f64,
     ident: &IdentificationConfig,
@@ -311,29 +291,10 @@ pub fn fig4_with_plant(
         .collect()
 }
 
-/// Fig. 5: response time across set points (600–1300 ms in the paper).
-pub fn fig5(
-    setpoints_ms: &[f64],
-    concurrency: usize,
-    ident: &IdentificationConfig,
-    warmup: usize,
-    measure: usize,
-    seed: u64,
-) -> Result<Vec<SweepPoint>> {
-    fig5_with_plant(
-        setpoints_ms,
-        concurrency,
-        ident,
-        warmup,
-        measure,
-        seed,
-        PlantKind::Des,
-    )
-}
-
-/// [`fig5`] with an explicit plant backend.
+/// Fig. 5: response time across set points (600–1300 ms in the paper), on
+/// the `kind` plant backend.
 #[allow(clippy::too_many_arguments)]
-pub fn fig5_with_plant(
+pub fn fig5(
     setpoints_ms: &[f64],
     concurrency: usize,
     ident: &IdentificationConfig,
@@ -389,14 +350,11 @@ impl Fig6Point {
 pub struct Fig6Config {
     /// Data-center sizes to sweep (number of VMs per point).
     pub sizes: Vec<usize>,
-    /// Shared server-fleet size. `None` applies the paper ratio (3,000
-    /// servers for 5,415 VMs) to the largest swept size. Ignored when
-    /// `fleet_spec` is set.
-    pub fleet: Option<usize>,
     /// Shard count for the across-sizes fan-out (`0` = host parallelism).
     pub shards: usize,
     /// Heterogeneous multi-site fleet shared by every swept size. `None`
-    /// keeps the legacy homogeneous-catalog fleet of `fleet` servers.
+    /// keeps the legacy homogeneous-catalog fleet, sized by the paper
+    /// ratio (3,000 servers for 5,415 VMs) for the largest swept size.
     pub fleet_spec: Option<FleetSpec>,
 }
 
@@ -405,7 +363,6 @@ impl Fig6Config {
     pub fn new(sizes: impl Into<Vec<usize>>) -> Fig6Config {
         Fig6Config {
             sizes: sizes.into(),
-            fleet: None,
             shards: 0,
             fleet_spec: None,
         }
@@ -423,11 +380,9 @@ impl Fig6Config {
 /// forced onto less efficient types — which is what makes energy-per-VM
 /// rise with the VM count in Fig. 6.
 pub fn fig6(trace: &UtilizationTrace, cfg: &Fig6Config) -> Result<Vec<Fig6Point>> {
-    let fleet = cfg.fleet.unwrap_or_else(|| {
-        // Paper ratio: 3,000 servers for 5,415 VMs.
-        let max_size = cfg.sizes.iter().copied().max().unwrap_or(1);
-        ((max_size as f64 * 3000.0 / 5415.0).ceil() as usize).max(8)
-    });
+    // Paper ratio: 3,000 servers for 5,415 VMs.
+    let max_size = cfg.sizes.iter().copied().max().unwrap_or(1);
+    let fleet = ((max_size as f64 * 3000.0 / 5415.0).ceil() as usize).max(8);
     crate::shard::map_indices(cfg.sizes.len(), cfg.shards, |i| {
         let n_vms = cfg.sizes[i];
         let mut ipac_cfg = LargeScaleConfig::new(n_vms, OptimizerKind::Ipac);

@@ -43,14 +43,8 @@ pub struct LargeScaleConfig {
     /// Run the on-demand overload-relief pass every sample between
     /// optimizer invocations (§III; see `vdc_consolidate::relief`).
     pub overload_relief: bool,
-    /// Charge energy for wake transitions (static power × wake latency).
-    pub count_wake_energy: bool,
     /// RNG seed for server-type assignment.
     pub seed: u64,
-    /// Worker threads for the per-server/per-sample map stages (see
-    /// [`crate::shard`]). `0` means "use the host parallelism"; the result
-    /// is bit-identical for every value.
-    pub shards: usize,
     /// Multi-site fleet spec. `None` (the default) stamps the legacy
     /// single-site 15/35/50 paper fleet of `n_servers` machines; `Some`
     /// takes the server count, host mix, and per-site PUE series from the
@@ -68,9 +62,7 @@ impl LargeScaleConfig {
             optimizer,
             optimizer_period_samples: 16,
             overload_relief: true,
-            count_wake_energy: true,
             seed: 0x5415,
-            shards: 1,
             fleet: None,
         }
     }
@@ -100,8 +92,7 @@ pub struct LargeScaleResult {
     /// host was overloaded beyond maximum capacity (performance-assurance
     /// proxy; 0.0 = every VM always got its demanded cycles).
     pub sla_violation_fraction: f64,
-    /// Energy spent on wake transitions (Wh, included in the total when
-    /// `count_wake_energy` is set).
+    /// Energy spent on wake transitions (Wh, included in the total).
     pub wake_energy_wh: f64,
     /// Final VM→server placement, sorted by VM id (shard-equivalence
     /// suites compare this against the single-threaded run).
@@ -155,7 +146,7 @@ pub struct WeekSample {
 /// (per-sample step cost `largescale.sample_ns`, optimizer invocation
 /// stats, per-server power samples, DVFS/wake/sleep transition counts —
 /// telemetry only observes, results are bit-identical to the
-/// uninstrumented run), shard override (else `cfg.shards`), and whether
+/// uninstrumented run), the shard count, and whether
 /// the per-sample [`WeekSample`] series is kept in the result.
 pub fn run_large_scale(
     trace: &UtilizationTrace,
@@ -213,7 +204,7 @@ pub(crate) fn run_large_scale_impl<S: DemandSource + Sync>(
     let telemetry = &opts.telemetry();
     let n_samples = source.n_samples();
     let interval_s = source.interval_s();
-    let shards = crate::shard::resolve(opts.shards_or(cfg.shards));
+    let shards = opts.shards();
     let paper_fleet;
     let fleet = match &cfg.fleet {
         Some(spec) => spec,
@@ -238,7 +229,6 @@ pub(crate) fn run_large_scale_impl<S: DemandSource + Sync>(
         optimizer_period: cfg.optimizer_period_samples,
         relief: cfg.overload_relief,
         dvfs: cfg.optimizer == OptimizerKind::Ipac,
-        count_wake_energy: cfg.count_wake_energy,
         interval_s,
         shards,
     };
@@ -488,13 +478,8 @@ mod tests {
         let t = small_trace();
         let base = LargeScaleConfig::new(40, OptimizerKind::Ipac);
         let opts = RunOptions::default().with_series();
-        let single = {
-            let mut cfg = base.clone();
-            cfg.shards = 1;
-            super::run_large_scale(&t, &cfg, &opts).unwrap()
-        };
+        let single = super::run_large_scale(&t, &base, &opts.with_shards(1)).unwrap();
         for shards in [2usize, 3, 8] {
-            // Exercise the RunOptions shard override path as well.
             let sharded = super::run_large_scale(&t, &base, &opts.with_shards(shards)).unwrap();
             assert_results_bit_identical(&single, &sharded, &format!("shards={shards}"));
             let (series, single_series) = (&sharded.series, &single.series);
@@ -516,13 +501,12 @@ mod tests {
     fn single_vm_runs_and_is_shard_invariant() {
         // Edge case: 1 VM, and far more shards than VMs or servers.
         let t = small_trace();
-        let mut cfg = LargeScaleConfig::new(1, OptimizerKind::Ipac);
-        cfg.shards = 1;
+        let cfg = LargeScaleConfig::new(1, OptimizerKind::Ipac);
         let single = run_large_scale(&t, &cfg).unwrap();
         assert_eq!(single.final_placements.len(), 1);
         assert!(single.total_energy_wh > 0.0);
-        cfg.shards = 64;
-        let sharded = run_large_scale(&t, &cfg).unwrap();
+        let opts = RunOptions::default().with_shards(64);
+        let sharded = super::run_large_scale(&t, &cfg, &opts).unwrap();
         assert_results_bit_identical(&single, &sharded, "1 VM, 64 shards");
     }
 
@@ -589,11 +573,10 @@ mod tests {
     #[test]
     fn shards_zero_means_auto_and_stays_identical() {
         let t = small_trace();
-        let mut cfg = LargeScaleConfig::new(20, OptimizerKind::Pmapper);
-        cfg.shards = 1;
+        let cfg = LargeScaleConfig::new(20, OptimizerKind::Pmapper);
         let single = run_large_scale(&t, &cfg).unwrap();
-        cfg.shards = 0; // auto: host parallelism
-        let auto = run_large_scale(&t, &cfg).unwrap();
+        // 0 = auto: host parallelism.
+        let auto = super::run_large_scale(&t, &cfg, &RunOptions::default().with_shards(0)).unwrap();
         assert_results_bit_identical(&single, &auto, "shards=0 (auto)");
     }
 }
@@ -938,21 +921,14 @@ mod relief_tests {
     }
 
     #[test]
-    fn wake_energy_is_accounted_when_enabled() {
+    fn wake_energy_is_charged_on_top_of_site_energy() {
         let t = trace(30, 406);
-        let with = run_large_scale(&t, &LargeScaleConfig::new(30, OptimizerKind::Ipac)).unwrap();
-        let without = run_large_scale(
-            &t,
-            &LargeScaleConfig {
-                count_wake_energy: false,
-                ..LargeScaleConfig::new(30, OptimizerKind::Ipac)
-            },
-        )
-        .unwrap();
-        assert!(with.wake_energy_wh > 0.0, "at least the initial wakes");
+        let r = run_large_scale(&t, &LargeScaleConfig::new(30, OptimizerKind::Ipac)).unwrap();
+        assert!(r.wake_energy_wh > 0.0, "at least the initial wakes");
+        assert_eq!(r.site_energy_wh.len(), 1, "the legacy fleet is one site");
         assert!(
-            (with.total_energy_wh - without.total_energy_wh - with.wake_energy_wh).abs() < 1e-6,
-            "wake energy must explain the difference exactly"
+            (r.total_energy_wh - r.wake_energy_wh - r.site_energy_wh[0]).abs() < 1e-6,
+            "wake energy must explain the gap to the site energy exactly"
         );
     }
 }

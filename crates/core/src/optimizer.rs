@@ -435,7 +435,6 @@ impl PowerOptimizer {
                 shards: 1,
                 ..self.cfg.ipac.minslack
             },
-            ..self.cfg.ipac
         };
         let pod_items = &pod_items;
         let pod_plans = crate::shard::map_indices(pods.len(), self.shards, |p| {

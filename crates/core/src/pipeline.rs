@@ -50,8 +50,6 @@ pub(crate) struct Stages {
     pub relief: bool,
     /// Run the DVFS arbitrator; `false` pins active servers at max frequency.
     pub dvfs: bool,
-    /// Add wake-transition energy, unscaled, to the energy totals.
-    pub count_wake_energy: bool,
     /// Length of one sample (seconds).
     pub interval_s: f64,
     /// Resolved worker count of the fan-out stages.
@@ -72,7 +70,7 @@ pub(crate) struct Charge {
 
 /// Run-level totals, rolled up by [`SimState::finish`].
 pub(crate) struct Totals {
-    /// Facility energy (Wh), plus wake energy when the runner charges it.
+    /// Facility energy (Wh), plus wake energy.
     pub energy_wh: f64,
     /// The same before PUE (Wh).
     pub it_energy_wh: f64,
@@ -382,12 +380,10 @@ impl<'a> SimState<'a> {
     /// aggregates, the arbitrator's transition counts, the energy gauge,
     /// the migration total and the final placement.
     pub fn finish(self) -> Totals {
+        // Wake-transition energy is added unscaled (IT level) to both totals.
         let wake_energy_wh = self.dc.wake_energy_wh();
-        let (mut energy_wh, mut it_energy_wh) = (self.energy_wh, self.it_energy_wh);
-        if self.stages.count_wake_energy {
-            energy_wh += wake_energy_wh;
-            it_energy_wh += wake_energy_wh;
-        }
+        let energy_wh = self.energy_wh + wake_energy_wh;
+        let it_energy_wh = self.it_energy_wh + wake_energy_wh;
         let telemetry = &self.telemetry;
         if let Some(f) = &self.faults {
             telemetry.incr("fault.migration_retries", f.migration_retries);

@@ -1,12 +1,10 @@
 //! Cross-cutting options shared by every runner entry point.
 //!
-//! Historically each runner grew its own variants (`run_cosim` /
-//! `run_cosim_with_telemetry`, `run_large_scale` / `_with_series` /
-//! `_with_telemetry`, four `fig6` spellings). [`RunOptions`] collapses the
-//! axes those variants multiplied over — observability sink, shard
-//! override, series capture — into one value with sane defaults, so every
-//! runner is `run_xxx(input, &config, &RunOptions)` and new axes don't
-//! multiply the API again.
+//! Every runner is `run_xxx(input, &config, &RunOptions)`. The config says
+//! *what* is simulated; [`RunOptions`] holds the axes around it: the
+//! telemetry sink, the shard-worker count (`shards: None` means one
+//! worker), series capture, the fault plan, the pod size, the tier
+//! controller and the site PUE series.
 
 use crate::tier::ControllerSpec;
 use vdc_dcsim::PueSeries;
@@ -20,7 +18,7 @@ use vdc_telemetry::Telemetry;
 /// enforce this).
 ///
 /// `RunOptions::default()` is the quiet single-purpose run: no telemetry,
-/// shard count taken from the runner's config, no series capture.
+/// one worker, no series capture.
 ///
 /// # Examples
 ///
@@ -41,9 +39,8 @@ pub struct RunOptions<'a> {
     /// Metrics/span/SLO sink. `None` runs unobserved (zero overhead);
     /// telemetry only observes, never perturbs results.
     pub telemetry: Option<&'a Telemetry>,
-    /// Shard-worker override for the fan-out stages: `Some(0)` = host
-    /// parallelism, `Some(n)` = exactly `n`, `None` = defer to the
-    /// runner's config (its own `shards` field).
+    /// Shard workers for the fan-out stages: `Some(0)` = host
+    /// parallelism, `Some(n)` = exactly `n`, `None` = one worker.
     pub shards: Option<usize>,
     /// Capture the per-sample time series in the result (the large-scale
     /// replay's `WeekSample` ledger). Off by default: a week at 15-minute
@@ -65,14 +62,13 @@ pub struct RunOptions<'a> {
     /// (`tests/regret.rs`) bounds the power cost — but a given pod size is
     /// still bit-identical across shard counts.
     pub pods: Option<usize>,
-    /// Which tier controller the run builds per application (the
-    /// [`crate::tier`] seam). `None` defers to the runner's config (the
-    /// co-simulation's `CosimConfig::controller`, itself defaulting to the
-    /// paper MPC). Runners without application-level controllers — the
-    /// large-scale trace replay and churn, whose VM demands come straight
-    /// from the trace — ignore this axis entirely. Like `pods`, a
-    /// non-default controller *does* change results; any given spec is
-    /// still deterministic and bit-identical across shard counts.
+    /// Which tier controller the co-simulation builds per application (the
+    /// [`crate::tier`] seam). `None` builds the paper MPC. Runners without
+    /// application-level controllers — the large-scale trace replay and
+    /// churn, whose VM demands come straight from the trace — ignore this
+    /// axis entirely. Like `pods`, a non-default controller *does* change
+    /// results; any given spec is still deterministic and bit-identical
+    /// across shard counts.
     pub controller: Option<ControllerSpec>,
     /// Site PUE series of the co-simulation. Each sample, every
     /// application's controller sees the current PUE via
@@ -91,7 +87,7 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// Override the shard count (`0` = host parallelism).
+    /// Set the shard count (`0` = host parallelism).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -115,7 +111,7 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// Select the tier controller (overrides the runner config's spec).
+    /// Select the tier controller.
     pub fn with_controller(mut self, spec: ControllerSpec) -> Self {
         self.controller = Some(spec);
         self
@@ -140,18 +136,10 @@ impl<'a> RunOptions<'a> {
         self.telemetry.cloned().unwrap_or_else(Telemetry::disabled)
     }
 
-    /// The effective shard request given a runner config's own `shards`
-    /// field: the override wins, otherwise the config value passes through
-    /// (still subject to `shard::resolve`'s `0` = auto rule).
-    pub(crate) fn shards_or(&self, cfg_shards: usize) -> usize {
-        self.shards.unwrap_or(cfg_shards)
-    }
-
-    /// The effective controller spec given a runner config's own
-    /// `controller` field: the override wins, otherwise the config value
-    /// passes through.
-    pub(crate) fn controller_or(&self, cfg_controller: ControllerSpec) -> ControllerSpec {
-        self.controller.unwrap_or(cfg_controller)
+    /// The resolved worker count of the fan-out stages (`None` = one
+    /// worker, `Some(0)` = host parallelism).
+    pub(crate) fn shards(&self) -> usize {
+        crate::shard::resolve(self.shards.unwrap_or(1))
     }
 }
 
@@ -160,12 +148,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_quiet_and_defers_to_config() {
+    fn default_is_quiet_and_single_worker() {
         let opts = RunOptions::default();
         assert!(opts.telemetry.is_none());
         assert!(!opts.capture_series);
         assert!(opts.faults.is_none());
-        assert_eq!(opts.shards_or(3), 3);
+        assert_eq!(opts.shards(), 1);
         assert!(!opts.telemetry().is_enabled());
     }
 
@@ -185,7 +173,7 @@ mod tests {
             .with_shards(0)
             .with_series()
             .with_pods(256);
-        assert_eq!(opts.shards_or(5), 0, "explicit 0 (auto) beats config");
+        assert_eq!(opts.shards, Some(0), "explicit 0 (auto)");
         assert!(opts.capture_series);
         assert!(opts.telemetry().is_enabled());
         assert_eq!(opts.pods, Some(256));
@@ -197,19 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn controller_axis_defers_to_config_then_overrides() {
+    fn controller_and_pue_axes() {
         let opts = RunOptions::default();
         assert!(opts.controller.is_none());
         assert!(opts.pue.is_none());
-        assert_eq!(
-            opts.controller_or(ControllerSpec::Robust),
-            ControllerSpec::Robust
-        );
         let opts = opts.with_controller(ControllerSpec::cooling());
-        assert_eq!(
-            opts.controller_or(ControllerSpec::Mpc),
-            ControllerSpec::cooling()
-        );
+        assert_eq!(opts.controller, Some(ControllerSpec::cooling()));
         let pue = PueSeries::constant(1.4).unwrap();
         let opts = opts.with_pue(&pue);
         assert!(opts.pue.is_some());

@@ -26,15 +26,8 @@ pub struct TestbedConfig {
     pub period_s: f64,
     /// Identification settings.
     pub ident: IdentificationConfig,
-    /// Identify one model and share it across identical applications
-    /// (the paper identifies one application and reuses the controller
-    /// design; Figs. 4–5 probe exactly this robustness).
-    pub share_model: bool,
     /// Base RNG seed.
     pub seed: u64,
-    /// Which tier controller each application runs (the [`crate::tier`]
-    /// seam; default: the paper MPC).
-    pub controller: ControllerSpec,
 }
 
 impl Default for TestbedConfig {
@@ -45,9 +38,7 @@ impl Default for TestbedConfig {
             setpoint_ms: 1000.0,
             period_s: 4.0,
             ident: IdentificationConfig::default(),
-            share_model: true,
             seed: 2010,
-            controller: ControllerSpec::Mpc,
         }
     }
 }
@@ -77,7 +68,7 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Build the testbed: create servers and VMs, identify models, and
+    /// Build the testbed: create servers and VMs, identify one model, and
     /// construct the controllers. This performs the §IV-B identification
     /// experiment, so it simulates several hundred control periods.
     pub fn build(cfg: &TestbedConfig) -> Result<Testbed> {
@@ -100,18 +91,16 @@ impl Testbed {
             dc.add_server(Server::active(spec));
         }
 
-        // One model shared across identical applications, or one each.
-        let ident_model = if cfg.share_model {
-            let mut twin = AppSim::new(
-                profile.clone(),
-                cfg.concurrency,
-                &vec![1.0; n_tiers],
-                cfg.seed ^ 0x51D,
-            )?;
-            Some(identify_plant(&mut twin, &cfg.ident, cfg.seed)?)
-        } else {
-            None
-        };
+        // One model shared across the identical applications: the paper
+        // identifies one application and reuses the controller design
+        // (Figs. 4–5 probe exactly this robustness).
+        let mut twin = AppSim::new(
+            profile.clone(),
+            cfg.concurrency,
+            &vec![1.0; n_tiers],
+            cfg.seed ^ 0x51D,
+        )?;
+        let model = identify_plant(&mut twin, &cfg.ident, cfg.seed)?;
 
         let mut apps = Vec::with_capacity(cfg.n_apps);
         let mut controllers = Vec::with_capacity(cfg.n_apps);
@@ -124,21 +113,8 @@ impl Testbed {
                 &c0,
                 cfg.seed.wrapping_add(7919 * (a as u64 + 1)),
             )?;
-            let model = match &ident_model {
-                Some(m) => m.clone(),
-                None => {
-                    let mut twin = AppSim::new(
-                        profile.clone(),
-                        cfg.concurrency,
-                        &c0,
-                        cfg.seed ^ (0xA11 + a as u64),
-                    )?;
-                    identify_plant(&mut twin, &cfg.ident, cfg.seed + a as u64)?
-                }
-            };
-            let controller = cfg
-                .controller
-                .build(&model, cfg.setpoint_ms, cfg.period_s, &c0)?;
+            let controller =
+                ControllerSpec::Mpc.build(&model, cfg.setpoint_ms, cfg.period_s, &c0)?;
 
             // Register the application's tier VMs, spreading web and DB
             // tiers across different servers.

@@ -355,7 +355,7 @@ impl TierController for CoolingTierController {
 pub const DEFAULT_COOLING_WEIGHT: f64 = 1.5e4;
 
 /// Which tier controller a run builds for each application. Travels on
-/// `CosimConfig`, `RunOptions`, and `TestbedConfig`; the run loops call
+/// `RunOptions`; the run loops call
 /// [`ControllerSpec::build`] with the identified model instead of
 /// constructing a concrete controller type.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -44,6 +44,9 @@ use crate::{DcError, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Migration network bandwidth (MiB/s; 1 Gb/s) used for cost estimates.
+const MIGRATION_BANDWIDTH_MIB_S: f64 = 119.0;
+
 /// Record of one executed live migration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationRecord {
@@ -191,11 +194,6 @@ impl Snapshot {
         Ok(&self.state.servers[s])
     }
 
-    /// Number of registered (live) VMs.
-    pub fn n_vms(&self) -> usize {
-        self.state.index.len()
-    }
-
     /// Borrow a VM spec (demand at registration time; see
     /// [`Snapshot::vm_demand`] for the live demand).
     pub fn vm(&self, h: VmHandle) -> Result<&VmSpec> {
@@ -246,17 +244,6 @@ impl Snapshot {
         self.state.index.get(&id).copied()
     }
 
-    /// Registered VMs in external-label (`VmId`) order — the iteration
-    /// order the old `BTreeMap`-keyed state exposed.
-    pub fn vm_handles(&self) -> impl Iterator<Item = (VmId, VmHandle)> + '_ {
-        self.state.index.iter().map(|(&id, &h)| (id, h))
-    }
-
-    /// Number of sites seen so far (0 for an empty data center).
-    pub fn n_sites(&self) -> usize {
-        self.state.site_pue.len()
-    }
-
     /// The site a server belongs to (site 0 when it was added without one).
     pub fn server_site(&self, server: ServerHandle) -> usize {
         self.state.server_site(server)
@@ -292,8 +279,6 @@ impl Snapshot {
 pub struct DataCenter {
     state: Arc<DcState>,
     arbitrator: CpuArbitrator,
-    /// Migration network bandwidth (MiB/s) used for cost estimates.
-    migration_bandwidth_mib_s: f64,
     energy_wh: f64,
     elapsed_s: f64,
     migrations: Vec<MigrationRecord>,
@@ -308,13 +293,11 @@ pub struct DataCenter {
 }
 
 impl DataCenter {
-    /// Empty data center with the default arbitrator and 1 Gb/s ≈ 119 MiB/s
-    /// migration bandwidth.
+    /// Empty data center with the default arbitrator.
     pub fn new() -> DataCenter {
         DataCenter {
             state: Arc::new(DcState::default()),
             arbitrator: CpuArbitrator::default(),
-            migration_bandwidth_mib_s: 119.0,
             energy_wh: 0.0,
             elapsed_s: 0.0,
             migrations: Vec::new(),
@@ -334,12 +317,6 @@ impl DataCenter {
     /// Replace the CPU arbitrator policy.
     pub fn set_arbitrator(&mut self, arb: CpuArbitrator) {
         self.arbitrator = arb;
-    }
-
-    /// Set the migration network bandwidth (MiB/s, floored at a small
-    /// positive value).
-    pub fn set_migration_bandwidth(&mut self, mib_s: f64) {
-        self.migration_bandwidth_mib_s = mib_s.max(1e-3);
     }
 
     /// A cheap read-only view of the current state (`Arc` clone; the next
@@ -584,13 +561,6 @@ impl DataCenter {
         self.state.server_memory_mib(server)
     }
 
-    /// Whether the aggregate demand exceeds the server's *maximum* capacity
-    /// (the overload condition the IPAC invocation resolves, §V).
-    pub fn is_overloaded(&self, server: ServerHandle) -> Result<bool> {
-        let demand = self.server_demand_ghz(server)?;
-        Ok(demand > self.state.servers[server.index()].spec.max_capacity_ghz() + 1e-12)
-    }
-
     // ---- placement & migration ------------------------------------------
 
     /// Place an unplaced VM on a server. Wakes the server if sleeping.
@@ -664,7 +634,7 @@ impl DataCenter {
             from: Some(from.index()),
             to: to.index(),
             memory_mib,
-            duration_s: memory_mib / self.migration_bandwidth_mib_s,
+            duration_s: memory_mib / MIGRATION_BANDWIDTH_MIB_S,
         };
         self.migrations.push(record.clone());
         Ok(record)
@@ -686,7 +656,7 @@ impl DataCenter {
             from: Some(from.index()),
             to: to.index(),
             memory_mib,
-            duration_s: memory_mib / self.migration_bandwidth_mib_s,
+            duration_s: memory_mib / MIGRATION_BANDWIDTH_MIB_S,
         };
         self.migrations.push(record.clone());
         Ok(record)
@@ -882,16 +852,6 @@ impl DataCenter {
         Ok(self.server_power_watts(server)? * self.state.server_pue(server))
     }
 
-    /// Instantaneous total facility power (watts), index-order fold.
-    pub fn total_facility_power_watts(&self) -> f64 {
-        (0..self.state.servers.len())
-            .map(|s| {
-                self.server_facility_power_watts(ServerHandle::from_index(s))
-                    .expect("index in range by construction")
-            })
-            .sum()
-    }
-
     /// Advance accounting time by `dt_s` seconds at the current power draw.
     pub fn accumulate_energy(&mut self, dt_s: f64) {
         let dt = dt_s.max(0.0);
@@ -956,10 +916,9 @@ mod tests {
         dc.place_vm(b, srv(0)).unwrap();
         assert_eq!(dc.server_demand_ghz(srv(0)).unwrap(), 3.5);
         assert_eq!(dc.server_memory_mib(srv(0)).unwrap(), 3072.0);
-        assert!(!dc.is_overloaded(srv(0)).unwrap());
         dc.set_vm_demand(a, 11.0).unwrap();
         assert_eq!(dc.vm_demand(a).unwrap(), 11.0);
-        assert!(dc.is_overloaded(srv(0)).unwrap());
+        assert_eq!(dc.server_demand_ghz(srv(0)).unwrap(), 13.0);
         // Double placement rejected.
         assert!(dc.place_vm(a, srv(0)).is_err());
     }
@@ -988,13 +947,12 @@ mod tests {
     #[test]
     fn migration_moves_vm_and_records_cost() {
         let mut dc = dc_with(2);
-        dc.set_migration_bandwidth(100.0);
         let h = dc.add_vm(VmSpec::new(1, 1.0, 2000.0)).unwrap();
         dc.place_vm(h, srv(0)).unwrap();
         let rec = dc.migrate_vm(h, srv(1)).unwrap();
         assert_eq!(rec.from, Some(0));
         assert_eq!(rec.to, 1);
-        assert!((rec.duration_s - 20.0).abs() < 1e-12);
+        assert!((rec.duration_s - 2000.0 / 119.0).abs() < 1e-12);
         assert_eq!(dc.placement_of(h), Some(srv(1)));
         assert!(dc.hosted_vms(srv(0)).unwrap().is_empty());
         assert_eq!(dc.migrations().len(), 1);
@@ -1243,9 +1201,6 @@ mod arena_tests {
         }
         let labels: Vec<u64> = dc.vm_handles().map(|(id, _)| id.0).collect();
         assert_eq!(labels, vec![2, 9, 17, 40]);
-        let snap = dc.snapshot();
-        let snap_labels: Vec<u64> = snap.vm_handles().map(|(id, _)| id.0).collect();
-        assert_eq!(snap_labels, labels);
     }
 }
 
@@ -1346,6 +1301,13 @@ mod site_tests {
         ServerHandle::from_index(i)
     }
 
+    /// Total facility power, the index-order fold of the per-server figure.
+    fn total_facility_w(dc: &DataCenter) -> f64 {
+        (0..dc.n_servers())
+            .map(|s| dc.server_facility_power_watts(srv(s)).unwrap())
+            .sum()
+    }
+
     #[test]
     fn default_site_is_zero_with_unit_pue() {
         let mut dc = DataCenter::new();
@@ -1361,7 +1323,7 @@ mod site_tests {
         assert_eq!(it.to_bits(), fac.to_bits());
         assert_eq!(
             dc.total_power_watts().to_bits(),
-            dc.total_facility_power_watts().to_bits()
+            total_facility_w(&dc).to_bits()
         );
     }
 
@@ -1379,7 +1341,7 @@ mod site_tests {
         assert_eq!(it0, it1, "identical hardware, identical IT power");
         assert_eq!(dc.server_facility_power_watts(srv(0)).unwrap(), it0);
         assert_eq!(dc.server_facility_power_watts(srv(1)).unwrap(), it1 * 1.5);
-        assert_eq!(dc.total_facility_power_watts(), it0 + it1 * 1.5);
+        assert_eq!(total_facility_w(&dc), it0 + it1 * 1.5);
         // IT-power accessors are untouched by PUE.
         assert_eq!(dc.total_power_watts(), it0 + it1);
     }
@@ -1408,7 +1370,6 @@ mod site_tests {
         assert!(!Arc::ptr_eq(&snap.state, &dc.snapshot().state));
         assert_eq!(snap.server_pue(srv(0)), 1.4, "snapshot keeps the old PUE");
         assert_eq!(snap.server_site(srv(0)), 0);
-        assert_eq!(snap.n_sites(), 1);
     }
 }
 
@@ -1444,7 +1405,6 @@ mod accounting_tests {
         let mut dc = DataCenter::new();
         dc.add_server(Server::active(ServerSpec::type_quad_3ghz()));
         dc.add_server(Server::active(ServerSpec::type_quad_3ghz()));
-        dc.set_migration_bandwidth(100.0);
         let h = dc.add_vm(VmSpec::new(1, 1.0, 1500.0)).unwrap();
         dc.place_vm(h, srv(0)).unwrap();
         // Simulate a bulk-plan execution: detach, attach, note.
@@ -1453,7 +1413,7 @@ mod accounting_tests {
         let rec = dc.note_migration(h, srv(0), srv(1)).unwrap();
         assert_eq!(rec.from, Some(0));
         assert_eq!(rec.to, 1);
-        assert!((rec.duration_s - 15.0).abs() < 1e-12);
+        assert!((rec.duration_s - 1500.0 / 119.0).abs() < 1e-12);
         assert_eq!(dc.migrations().len(), 1);
         // A stale handle is rejected.
         assert!(dc

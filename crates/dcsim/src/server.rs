@@ -160,7 +160,8 @@ pub enum ServerState {
     Sleeping,
     /// Crashed. A failed host draws no power, offers no capacity, and
     /// cannot be woken or receive placements until
-    /// [`crate::DataCenter::recover_server`] returns it to [`Sleeping`].
+    /// [`crate::DataCenter::recover_server`] returns it to
+    /// [`ServerState::Sleeping`].
     Failed,
 }
 
@@ -259,19 +260,6 @@ impl CpuArbitrator {
         }
         *spec.freq_levels_ghz.last().unwrap_or(&spec.max_freq_ghz)
     }
-
-    /// Scale VM allocations down proportionally when aggregate demand
-    /// exceeds the server's maximum capacity (the overload case the
-    /// data-center optimizer later resolves by migration).
-    pub fn allocate(&self, spec: &ServerSpec, demands_ghz: &[f64]) -> Vec<f64> {
-        let total: f64 = demands_ghz.iter().sum();
-        let cap = spec.max_capacity_ghz();
-        if total <= cap || total <= 0.0 {
-            return demands_ghz.to_vec();
-        }
-        let scale = cap / total;
-        demands_ghz.iter().map(|d| d * scale).collect()
-    }
 }
 
 #[cfg(test)]
@@ -358,19 +346,5 @@ mod tests {
         // Clamping of silly headroom values.
         assert_eq!(CpuArbitrator::new(5.0).headroom, 0.9);
         assert_eq!(CpuArbitrator::new(-1.0).headroom, 0.0);
-    }
-
-    #[test]
-    fn allocation_scaling_on_overload() {
-        let spec = ServerSpec::type_dual_1_5ghz(); // capacity 3.0
-        let arb = CpuArbitrator::default();
-        let fits = arb.allocate(&spec, &[1.0, 1.5]);
-        assert_eq!(fits, vec![1.0, 1.5]);
-        let over = arb.allocate(&spec, &[3.0, 3.0]);
-        let total: f64 = over.iter().sum();
-        assert!((total - 3.0).abs() < 1e-12);
-        assert!((over[0] - 1.5).abs() < 1e-12);
-        let empty = arb.allocate(&spec, &[0.0, 0.0]);
-        assert_eq!(empty, vec![0.0, 0.0]);
     }
 }

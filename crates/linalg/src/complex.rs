@@ -39,16 +39,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Complex {
-        Complex::new(self.re, -self.im)
-    }
-
-    /// Argument (phase angle).
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Construct from polar coordinates.
     pub fn from_polar(r: f64, theta: f64) -> Complex {
         Complex::new(r * theta.cos(), r * theta.sin())
@@ -144,19 +134,17 @@ mod tests {
     }
 
     #[test]
-    fn modulus_and_conjugate() {
+    fn modulus() {
         let z = Complex::new(3.0, 4.0);
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z.abs_sq(), 25.0);
-        assert_eq!(z.conj(), Complex::new(3.0, -4.0));
-        assert_eq!((z * z.conj()).re, 25.0);
     }
 
     #[test]
     fn polar_roundtrip() {
         let z = Complex::from_polar(2.0, std::f64::consts::FRAC_PI_3);
         assert!((z.abs() - 2.0).abs() < 1e-14);
-        assert!((z.arg() - std::f64::consts::FRAC_PI_3).abs() < 1e-14);
+        assert!((z.im.atan2(z.re) - std::f64::consts::FRAC_PI_3).abs() < 1e-14);
     }
 
     #[test]

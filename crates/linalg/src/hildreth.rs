@@ -9,7 +9,7 @@
 //! equivalence property test in `tests/proptest_linalg.rs`.
 
 use crate::matrix::Matrix;
-use crate::qp::{BoxQp, QpError};
+use crate::qp::QpError;
 use crate::vector::Vector;
 
 /// Result of a Hildreth solve.
@@ -109,23 +109,10 @@ pub fn hildreth_solve(
     })
 }
 
-/// Convenience adapter: run Hildreth on a [`BoxQp`]'s data by rebuilding
-/// the instance (the BoxQp fields are private; this keeps the public
-/// surface minimal while allowing cross-checks).
-pub fn hildreth_on(
-    h: Matrix,
-    f: Vector,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
-) -> Result<(HildrethSolution, BoxQp), QpError> {
-    let qp = BoxQp::new(h.clone(), f.clone(), lb.clone(), ub.clone())?;
-    let sol = hildreth_solve(&h, &f, &lb, &ub, 20_000, 1e-12)?;
-    Ok((sol, qp))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qp::BoxQp;
 
     #[test]
     fn validates_inputs() {
@@ -177,16 +164,5 @@ mod tests {
                 asol.x
             );
         }
-    }
-
-    #[test]
-    fn adapter_roundtrip() {
-        let h = Matrix::diag(&[1.0, 4.0]);
-        let f = Vector::from_slice(&[0.5, -8.0]);
-        let (sol, qp) = hildreth_on(h, f, vec![-1.0; 2], vec![1.0; 2]).unwrap();
-        // The adapter's BoxQp objective at the Hildreth point is no better
-        // than the active-set optimum and no worse than tolerance allows.
-        let asol = qp.solve().unwrap();
-        assert!(qp.objective(&sol.x) <= asol.objective + 1e-6);
     }
 }

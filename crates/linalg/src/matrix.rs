@@ -98,15 +98,6 @@ impl Matrix {
         m
     }
 
-    /// Build a column vector matrix (`n x 1`) from a slice.
-    pub fn column(entries: &[f64]) -> Self {
-        Matrix {
-            rows: entries.len(),
-            cols: 1,
-            data: entries.to_vec(),
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -135,12 +126,6 @@ impl Matrix {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable raw row-major data slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// A single row as a slice.
@@ -283,11 +268,6 @@ impl Matrix {
         m
     }
 
-    /// Frobenius norm.
-    pub fn fro_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Max absolute entry (∞-norm of the vectorized matrix).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -323,57 +303,6 @@ impl Matrix {
             let dst = &mut self.row_mut(r0 + r)[c0..c0 + src.cols];
             dst.copy_from_slice(src.row(r));
         }
-    }
-
-    /// Vertical concatenation `[self; other]`.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: "vstack",
-                got: (other.rows, other.cols),
-                expected: (other.rows, self.cols),
-            });
-        }
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Horizontal concatenation `[self, other]`.
-    pub fn hstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                context: "hstack",
-                got: (other.rows, other.cols),
-                expected: (self.rows, other.cols),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        Ok(out)
-    }
-
-    /// Whether the matrix is symmetric within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Add `s * I` to the matrix in place (Tikhonov / Levenberg damping).
@@ -599,30 +528,8 @@ mod tests {
     }
 
     #[test]
-    fn stack_operations() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0]]);
-        let v = a.vstack(&b).unwrap();
-        assert_eq!(v.shape(), (2, 2));
-        assert_eq!(v[(1, 0)], 3.0);
-        let h = a.hstack(&b).unwrap();
-        assert_eq!(h.shape(), (1, 4));
-        assert_eq!(h[(0, 3)], 4.0);
-    }
-
-    #[test]
-    fn symmetry_check() {
-        let s = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        assert!(s.is_symmetric(0.0));
-        let ns = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 2.0]]);
-        assert!(!ns.is_symmetric(1e-9));
-        assert!(!Matrix::zeros(2, 3).is_symmetric(1.0));
-    }
-
-    #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -4.0]]);
-        assert!(approx(m.fro_norm(), 5.0));
         assert!(approx(m.max_abs(), 4.0));
     }
 

@@ -171,18 +171,6 @@ impl Qr {
         }
     }
 
-    /// Extract the upper-triangular factor `R` (`n x n`).
-    pub fn r(&self) -> Matrix {
-        let n = self.cols();
-        let mut r = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                r[(i, j)] = self.qr[(i, j)];
-            }
-        }
-        r
-    }
-
     /// Residual 2-norm `||A x - b||₂` of a least-squares solve, computed from
     /// the transformed right-hand side (no explicit `A x` needed).
     pub fn residual_norm(&self, b: &Vector) -> Result<f64> {
@@ -269,19 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn r_is_upper_triangular_and_consistent() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let qr = Qr::new(&a).unwrap();
-        let r = qr.r();
-        assert_eq!(r[(1, 0)], 0.0);
-        // |det R| = sqrt(det AᵀA) for full-rank A.
-        let g = a.gram();
-        let det_g = g[(0, 0)] * g[(1, 1)] - g[(0, 1)] * g[(1, 0)];
-        let det_r = r[(0, 0)] * r[(1, 1)];
-        assert!((det_r.abs() - det_g.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
     fn zero_column_handled() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 2.0], &[0.0, 3.0]]);
         let qr = Qr::new(&a).unwrap();
@@ -309,6 +284,31 @@ mod condition_tests {
         let c_well = Qr::new(&well).unwrap().condition_estimate();
         let c_bad = Qr::new(&badly).unwrap().condition_estimate();
         assert!(c_bad > 1e5 * c_well, "{c_well} vs {c_bad}");
+    }
+
+    #[test]
+    fn estimate_lower_bounds_true_condition() {
+        // The true 2-norm condition number is sqrt(λmax / λmin) of AᵀA;
+        // the QR diagonal estimate never exceeds it.
+        let a = Matrix::from_rows(&[
+            &[1.0, 0.9, 0.5],
+            &[0.9, 1.0, 0.4],
+            &[0.5, 0.4, 1.0],
+            &[0.1, 0.2, 0.3],
+        ]);
+        let lambdas: Vec<f64> = crate::eigenvalues(&a.gram())
+            .unwrap()
+            .iter()
+            .map(|z| z.re)
+            .collect();
+        let max = lambdas.iter().copied().fold(f64::MIN, f64::max);
+        let min = lambdas.iter().copied().fold(f64::MAX, f64::min);
+        let true_cond = (max / min).sqrt();
+        let qr_cond = Qr::new(&a).unwrap().condition_estimate();
+        assert!(
+            qr_cond <= true_cond * (1.0 + 1e-9),
+            "{qr_cond} vs {true_cond}"
+        );
     }
 
     #[test]

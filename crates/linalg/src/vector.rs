@@ -51,17 +51,6 @@ impl Vector {
         &self.data
     }
 
-    /// Borrow as a mutable slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consume into the underlying `Vec`.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Dot product.
     ///
     /// # Panics

@@ -93,11 +93,6 @@ impl SloAccountant {
         entry.observe(measured_ms, dt_s);
     }
 
-    /// Number of applications with at least one observation.
-    pub fn n_apps(&self) -> usize {
-        self.apps.len()
-    }
-
     /// Iterate `(app, entry)` in app order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &SloEntry)> {
         self.apps.iter().map(|(&k, v)| (k, v))
@@ -139,7 +134,6 @@ mod tests {
         s.observe(3, 500.0, 600.0, 1.0);
         s.observe(1, 500.0, 400.0, 1.0);
         s.observe(3, 500.0, 450.0, 1.0);
-        assert_eq!(s.n_apps(), 2);
         let order: Vec<u32> = s.iter().map(|(a, _)| a).collect();
         assert_eq!(order, vec![1, 3]);
         assert_eq!(s.entry(1).unwrap().violations, 0);

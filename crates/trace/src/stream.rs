@@ -152,15 +152,6 @@ impl StreamingTrace {
         }
     }
 
-    /// Utilization of `vm` at the current cursor sample.
-    ///
-    /// # Panics
-    /// Panics if no sample has been generated yet.
-    pub fn utilization(&self, vm: usize) -> f64 {
-        assert!(self.cursor.is_some(), "advance_to must run before reads");
-        self.current[vm]
-    }
-
     /// The sample the stream is positioned at (`None` before the first
     /// [`StreamingTrace::advance_to`]).
     pub fn cursor(&self) -> Option<usize> {
@@ -263,10 +254,7 @@ mod tests {
                     DemandSource::demand_ghz(&full, vm, t).to_bits(),
                     "vm {vm} sample {t}"
                 );
-                assert_eq!(
-                    s.utilization(vm).to_bits(),
-                    full.utilization(vm, t).to_bits()
-                );
+                assert_eq!(s.current[vm].to_bits(), full.utilization(vm, t).to_bits());
             }
         }
     }

@@ -237,12 +237,13 @@ fn cmd_largescale(args: &[String], reporter: &Reporter) -> ExitCode {
     });
     let telemetry = Telemetry::enabled();
     let mut cfg = LargeScaleConfig::new(n_vms, optimizer);
-    cfg.shards = shards;
     cfg.fleet = fleet;
     match run_large_scale(
         &trace,
         &cfg,
-        &RunOptions::default().with_telemetry(&telemetry),
+        &RunOptions::default()
+            .with_shards(shards)
+            .with_telemetry(&telemetry),
     ) {
         Ok(r) => {
             println!("  energy per VM     {:.1} Wh", r.energy_per_vm_wh);

@@ -60,9 +60,8 @@ fn same_seed_runs_are_bit_identical() {
 }
 
 /// The controller seam's default-path pin: selecting the paper MPC
-/// *explicitly* — via `CosimConfig::controller` and again via the
-/// `RunOptions` override — must reproduce the implicit-default run bit
-/// for bit. The seam may add controllers, but `ControllerSpec::Mpc` is
+/// *explicitly* through `RunOptions` must reproduce the implicit-default
+/// run bit for bit. The seam may add controllers, but `ControllerSpec::Mpc` is
 /// the pre-seam code path, not a near-copy of it.
 #[test]
 fn explicit_mpc_spec_is_bit_identical_to_the_default() {
@@ -78,7 +77,6 @@ fn explicit_mpc_spec_is_bit_identical_to_the_default() {
         control_periods_per_sample: 2,
         optimizer_period_samples: 8,
         seed: 0xD5EED,
-        controller: ControllerSpec::Mpc,
         ..Default::default()
     };
     let explicit = run_cosim(
