@@ -46,9 +46,10 @@ run cargo test -q --offline --workspace
 # API the benchmark imports fails in CI, not at benchmark time.
 run cargo test -q --release --offline --manifest-path vdcbench/Cargo.toml
 
-# Documentation must build clean (broken intra-doc links and malformed
-# examples fail here, not on docs.rs).
-run cargo doc --no-deps --offline
+# Documentation must build clean for every member crate: any rustdoc
+# warning (a broken intra-doc link, a malformed example) fails here, not
+# on docs.rs.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Telemetry-overhead smoke check: an instrumented co-simulation must stay
 # within a generous factor of the no-op-sink run (release build, so the

@@ -10,7 +10,7 @@
 //! cargo run -p vdc-bench --bin ablation_dvfs --release [--vms 1030] [--quick]
 //! ```
 
-use vdc_bench::{arg_num, arg_present, figure_header, rule};
+use vdc_bench::{arg_count, arg_num, arg_present, exit_with, figure_header, rule};
 use vdc_core::experiments::ablation_dvfs;
 use vdc_trace::{generate_trace, TraceConfig};
 
@@ -18,7 +18,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seed = arg_num(&args, "--seed", 5415u64);
     let quick = arg_present(&args, "--quick");
-    let n_vms = arg_num(&args, "--vms", if quick { 200 } else { 1030 });
+    let n_vms = arg_count(&args, "--vms", if quick { 200 } else { 1030 });
 
     let trace_cfg = if quick {
         TraceConfig {
@@ -38,7 +38,8 @@ fn main() {
         "energy per VM: IPAC vs IPAC-without-DVFS vs pMapper",
     );
     let trace = generate_trace(&trace_cfg);
-    let a = ablation_dvfs(&trace, n_vms).expect("ablation failed");
+    let a = ablation_dvfs(&trace, n_vms)
+        .unwrap_or_else(|e| exit_with(&format!("ablation failed: {e}")));
 
     rule(64);
     println!(

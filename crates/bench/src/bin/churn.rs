@@ -17,7 +17,7 @@
 //! depth gauge, and the placement/wake-wait histograms on top of the
 //! large-scale metrics (see DESIGN.md §11).
 
-use vdc_bench::{arg_num, figure_header, rule};
+use vdc_bench::{arg_count, arg_num, exit_with, figure_header, rule};
 use vdc_churn::{AdmissionPolicy, ChurnConfig, ChurnWorkload};
 use vdc_core::churn::{run_churn, ChurnResult};
 use vdc_core::largescale::{LargeScaleConfig, OptimizerKind};
@@ -49,14 +49,15 @@ fn run_scenario(
     policy: AdmissionPolicy,
     opts: &RunOptions<'_>,
 ) -> ChurnResult {
-    run_churn(trace, cfg, workload, policy, opts).expect("churn run failed")
+    run_churn(trace, cfg, workload, policy, opts)
+        .unwrap_or_else(|e| exit_with(&format!("churn run failed: {e}")))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let reporter = Reporter::from_args(&args);
-    let n_vms = arg_num(&args, "--vms", 120usize);
-    let n_samples = arg_num(&args, "--samples", 96usize);
+    let n_vms = arg_count(&args, "--vms", 120);
+    let n_samples = arg_count(&args, "--samples", 96);
     let seed = arg_num(&args, "--seed", 5415u64);
     let shards = arg_num(&args, "--shards", 0usize); // 0 = host parallelism
 

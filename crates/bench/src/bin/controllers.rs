@@ -21,7 +21,7 @@
 //! `facility_energy_wh`, violation fraction, migrations, safe-mode
 //! samples) — deterministic values, gated by `tools/results_gate` in ci.sh.
 
-use vdc_bench::{arg_num, figure_header, rule};
+use vdc_bench::{arg_count, arg_num, exit_with, figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig, CosimResult};
 use vdc_core::{ControllerSpec, FaultConfig, FaultPlan, RunOptions};
 use vdc_dcsim::PueSeries;
@@ -58,8 +58,8 @@ fn diurnal_pue(n_samples: usize) -> PueSeries {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let reporter = Reporter::from_args(&args);
-    let n_apps = arg_num(&args, "--apps", 16usize);
-    let n_samples = arg_num(&args, "--samples", 672usize);
+    let n_apps = arg_count(&args, "--apps", 16);
+    let n_samples = arg_count(&args, "--samples", 672);
     let seed = arg_num(&args, "--seed", 51103u64);
     let shards = arg_num(&args, "--shards", 0usize); // 0 = host parallelism
 
@@ -111,7 +111,8 @@ fn main() {
             .with_controller(spec)
             .with_faults(&plan)
             .with_pue(&pue);
-        let result = run_cosim(&trace, &cfg, &opts).expect("ablation run completes");
+        let result = run_cosim(&trace, &cfg, &opts)
+            .unwrap_or_else(|e| exit_with(&format!("{} run failed: {e}", spec.name())));
         let safe_mode = counter(&telemetry, "control.safe_mode_samples");
         let name = spec.name();
         summary.record(

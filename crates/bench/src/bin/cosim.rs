@@ -19,7 +19,7 @@
 //! capture MPC phase timings, DVFS transition counts, and per-app SLO
 //! accounting (see DESIGN.md §Telemetry).
 
-use vdc_bench::{arg_num, arg_present, figure_header, rule};
+use vdc_bench::{arg_count, arg_num, arg_present, exit_with, figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig};
 use vdc_core::RunOptions;
 use vdc_telemetry::export::write_metrics;
@@ -30,8 +30,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let reporter = Reporter::from_args(&args);
     let quick = arg_present(&args, "--quick");
-    let n_apps = arg_num(&args, "--apps", if quick { 30 } else { 100 });
-    let days = arg_num(&args, "--days", if quick { 1 } else { 7 });
+    let n_apps = arg_count(&args, "--apps", if quick { 30 } else { 100 });
+    let days = arg_count(&args, "--days", if quick { 1 } else { 7 });
     let seed = arg_num(&args, "--seed", 0xC051u64);
     let shards = arg_num(&args, "--shards", 0usize); // 0 = host parallelism
 
@@ -58,8 +58,8 @@ fn main() {
     let opts = RunOptions::default().with_shards(shards);
     let telemetry = Telemetry::enabled();
     reporter.debug("running the dynamic (MPC + IPAC + DVFS) configuration");
-    let dynamic =
-        run_cosim(&trace, &base, &opts.with_telemetry(&telemetry)).expect("dynamic run failed");
+    let dynamic = run_cosim(&trace, &base, &opts.with_telemetry(&telemetry))
+        .unwrap_or_else(|e| exit_with(&format!("dynamic run failed: {e}")));
     reporter.debug("running the static peak-provisioned baseline");
     let static_peak = run_cosim(
         &trace,
@@ -69,7 +69,7 @@ fn main() {
         },
         &opts,
     )
-    .expect("static run failed");
+    .unwrap_or_else(|e| exit_with(&format!("static run failed: {e}")));
 
     rule(78);
     println!(

@@ -19,7 +19,7 @@
 //! `optimizer.plan_partial` on top of the cosim metrics (see DESIGN.md
 //! §12).
 
-use vdc_bench::{arg_num, figure_header, rule};
+use vdc_bench::{arg_count, arg_num, exit_with, figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig, CosimResult};
 use vdc_core::{FaultConfig, FaultPlan, RunOptions};
 use vdc_telemetry::export::write_metrics;
@@ -48,7 +48,8 @@ fn run_scenario(
     if let Some(plan) = plan {
         opts = opts.with_faults(plan);
     }
-    run_cosim(trace, cfg, &opts).expect("faulted co-simulation runs")
+    run_cosim(trace, cfg, &opts)
+        .unwrap_or_else(|e| exit_with(&format!("faulted co-simulation failed: {e}")))
 }
 
 fn scenario_row(name: &str, r: &CosimResult, t: &Telemetry) {
@@ -70,8 +71,8 @@ fn scenario_row(name: &str, r: &CosimResult, t: &Telemetry) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let reporter = Reporter::from_args(&args);
-    let n_apps = arg_num(&args, "--apps", 24usize);
-    let n_samples = arg_num(&args, "--samples", 96usize);
+    let n_apps = arg_count(&args, "--apps", 24);
+    let n_samples = arg_count(&args, "--samples", 96);
     let seed = arg_num(&args, "--seed", 64337u64);
     let shards = arg_num(&args, "--shards", 0usize); // 0 = host parallelism
 

@@ -6,14 +6,14 @@
 //!     [--setpoint 1000] [--warmup 50] [--measure 250] [--seed 2010]
 //! ```
 
-use vdc_bench::{arg_num, figure_header, rule};
+use vdc_bench::{arg_count, arg_num, exit_with, figure_header, rule};
 use vdc_core::experiments::fig2;
 use vdc_core::testbed::TestbedConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let cfg = TestbedConfig {
-        n_apps: arg_num(&args, "--apps", 8usize),
+        n_apps: arg_count(&args, "--apps", 8),
         concurrency: arg_num(&args, "--concurrency", 40usize),
         setpoint_ms: arg_num(&args, "--setpoint", 1000.0f64),
         seed: arg_num(&args, "--seed", 2010u64),
@@ -30,7 +30,8 @@ fn main() {
         "testbed: {} apps, concurrency {}, set point {} ms, {} warm-up + {} measured periods",
         cfg.n_apps, cfg.concurrency, cfg.setpoint_ms, warmup, measure
     );
-    let result = fig2(&cfg, warmup, measure).expect("fig2 experiment failed");
+    let result = fig2(&cfg, warmup, measure)
+        .unwrap_or_else(|e| exit_with(&format!("fig2 experiment failed: {e}")));
     rule(46);
     println!(
         "{:<8} {:>12} {:>10} {:>8}",

@@ -7,7 +7,7 @@
 //!     [--surge-start 600] [--surge-end 1200] [--surge-concurrency 80]
 //! ```
 
-use vdc_bench::{arg_num, figure_header, rule};
+use vdc_bench::{arg_count, arg_num, exit_with, figure_header, rule};
 use vdc_core::experiments::{fig3, fig3_static_baseline};
 use vdc_core::testbed::TestbedConfig;
 use vdc_telemetry::Reporter;
@@ -16,7 +16,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let reporter = Reporter::from_args(&args);
     let cfg = TestbedConfig {
-        n_apps: arg_num(&args, "--apps", 8usize),
+        n_apps: arg_count(&args, "--apps", 8),
         concurrency: arg_num(&args, "--concurrency", 40usize),
         setpoint_ms: arg_num(&args, "--setpoint", 1000.0f64),
         seed: arg_num(&args, "--seed", 2010u64),
@@ -36,7 +36,8 @@ fn main() {
         "surge: concurrency {} → {} during [{:.0}, {:.0}) s of a {:.0} s run",
         cfg.concurrency, surge_c, surge_start, surge_end, total_s
     ));
-    let result = fig3(&cfg, app, total_s, surge_start, surge_end, surge_c).expect("fig3 failed");
+    let result = fig3(&cfg, app, total_s, surge_start, surge_end, surge_c)
+        .unwrap_or_else(|e| exit_with(&format!("fig3 failed: {e}")));
 
     rule(54);
     println!(
@@ -110,7 +111,7 @@ fn main() {
         &frozen,
         4242,
     )
-    .expect("baseline failed");
+    .unwrap_or_else(|e| exit_with(&format!("baseline failed: {e}")));
     let base_mean = |lo: f64, hi: f64| {
         let vals: Vec<f64> = baseline
             .iter()

@@ -7,7 +7,7 @@
 //!     [--warmup 40] [--measure 150] [--seed 2010]
 //! ```
 
-use vdc_bench::{arg_num, arg_present, figure_header, rule};
+use vdc_bench::{arg_num, arg_present, exit_with, figure_header, rule};
 use vdc_core::controller::IdentificationConfig;
 use vdc_core::experiments::{fig4, PlantKind};
 
@@ -37,7 +37,7 @@ fn main() {
         seed,
         kind,
     )
-    .expect("fig4 failed");
+    .unwrap_or_else(|e| exit_with(&format!("fig4 failed: {e}")));
 
     rule(52);
     println!(

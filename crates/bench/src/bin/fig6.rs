@@ -17,7 +17,7 @@
 //! sweep exercises heterogeneous efficiency ordering and per-site PUE.
 
 use vdc_apptier::rng::SimRng;
-use vdc_bench::{arg_num, arg_present, figure_header, rule};
+use vdc_bench::{arg_num, arg_present, exit_with, figure_header, rule};
 use vdc_core::experiments::{fig6, Fig6Config};
 use vdc_dcsim::FleetSpec;
 use vdc_trace::{generate_trace, TraceConfig};
@@ -113,7 +113,8 @@ fn main() {
         fleet_spec,
         ..Fig6Config::new(sizes)
     };
-    let points = fig6(&trace, &fig6_cfg).expect("fig6 failed");
+    let points =
+        fig6(&trace, &fig6_cfg).unwrap_or_else(|e| exit_with(&format!("fig6 failed: {e}")));
 
     rule(104);
     println!(

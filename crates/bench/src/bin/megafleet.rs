@@ -31,7 +31,7 @@
 //! with the run's telemetry (`megafleet.*`, `optimizer.pod_*`).
 
 use std::time::Instant;
-use vdc_bench::{arg_num, arg_value, figure_header, rule};
+use vdc_bench::{arg_count, arg_num, arg_value, exit_with, figure_header, rule};
 use vdc_core::largescale::{LargeScaleConfig, OptimizerKind};
 use vdc_core::{run_large_scale_streaming, RunOptions};
 use vdc_dcsim::json::{array, JsonObject};
@@ -58,9 +58,9 @@ fn peak_rss_kib() -> u64 {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let reporter = Reporter::from_args(&args);
-    let servers = arg_num(&args, "--servers", 8000usize);
-    let n_vms = arg_num(&args, "--vms", 20_000usize);
-    let n_samples = arg_num(&args, "--samples", 48usize);
+    let servers = arg_count(&args, "--servers", 8000);
+    let n_vms = arg_count(&args, "--vms", 20_000);
+    let n_samples = arg_count(&args, "--samples", 48);
     let pod_size = arg_num(&args, "--pod-size", 256usize);
     let seed = arg_num(&args, "--seed", 5415u64);
     let shards = arg_num(&args, "--shards", 0usize); // 0 = host parallelism
@@ -70,14 +70,10 @@ fn main() {
     // fleet defines its own host mix and server counts, so it takes
     // precedence over `--servers`.
     let fleet = arg_value(&args, "--fleet").map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("could not read fleet spec {path}: {e}");
-            std::process::exit(1);
-        });
-        FleetSpec::from_json_str(&text).unwrap_or_else(|e| {
-            eprintln!("could not parse fleet spec {path}: {e}");
-            std::process::exit(1);
-        })
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| exit_with(&format!("could not read fleet spec {path}: {e}")));
+        FleetSpec::from_json_str(&text)
+            .unwrap_or_else(|e| exit_with(&format!("could not parse fleet spec {path}: {e}")))
     });
 
     figure_header(
@@ -109,7 +105,8 @@ fn main() {
     }
 
     let start = Instant::now();
-    let result = run_large_scale_streaming(&mut stream, &cfg, &opts).expect("run failed");
+    let result = run_large_scale_streaming(&mut stream, &cfg, &opts)
+        .unwrap_or_else(|e| exit_with(&format!("run failed: {e}")));
     let wall_ns = start.elapsed().as_nanos() as f64;
     let rss_kib = peak_rss_kib();
     let budget_kib = max_rss_mib * 1024;
@@ -165,15 +162,14 @@ fn main() {
     }
 
     if budget_kib > 0 && rss_kib > budget_kib {
-        eprintln!(
-            "megafleet: peak RSS {:.1} MiB exceeds budget {} MiB",
-            rss_kib as f64 / 1024.0,
-            max_rss_mib
-        );
-        std::process::exit(1);
+        exit_with(&format!(
+            "megafleet: peak RSS {:.1} MiB exceeds budget {max_rss_mib} MiB",
+            rss_kib as f64 / 1024.0
+        ));
     }
     if unplaced > 0 {
-        eprintln!("megafleet: {unplaced} of {n_vms} VMs unplaced; the fleet is too small");
-        std::process::exit(1);
+        exit_with(&format!(
+            "megafleet: {unplaced} of {n_vms} VMs unplaced; the fleet is too small"
+        ));
     }
 }

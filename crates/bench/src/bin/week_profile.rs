@@ -15,7 +15,7 @@
 //! capture per-sample step cost, optimizer invocation stats, and DVFS
 //! transition counts (see DESIGN.md §Telemetry).
 
-use vdc_bench::{arg_num, arg_present, figure_header, rule};
+use vdc_bench::{arg_count, arg_num, arg_present, exit_with, figure_header, rule};
 use vdc_core::largescale::{run_large_scale, LargeScaleConfig, OptimizerKind};
 use vdc_core::RunOptions;
 use vdc_telemetry::export::write_metrics;
@@ -26,7 +26,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let reporter = Reporter::from_args(&args);
     let quick = arg_present(&args, "--quick");
-    let n_vms = arg_num(&args, "--vms", if quick { 200 } else { 1030 });
+    let n_vms = arg_count(&args, "--vms", if quick { 200 } else { 1030 });
     let seed = arg_num(&args, "--seed", 5415u64);
     let shards = arg_num(&args, "--shards", 0usize); // 0 = host parallelism
 
@@ -59,7 +59,8 @@ fn main() {
         .with_telemetry(&telemetry)
         .with_shards(shards)
         .with_series();
-    let result = run_large_scale(&trace, &cfg, &opts).expect("run failed");
+    let result = run_large_scale(&trace, &cfg, &opts)
+        .unwrap_or_else(|e| exit_with(&format!("run failed: {e}")));
     let series = &result.series;
 
     rule(76);

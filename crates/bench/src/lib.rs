@@ -32,11 +32,33 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// Parse a numeric flag with a default.
+/// Parse a numeric flag, or `default` when the flag is absent. A value
+/// that does not parse ends the run through [`exit_with`]; it never falls
+/// back to the default.
 pub fn arg_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    arg_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match arg_value(args, flag) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| exit_with(&format!("invalid value {v:?} for {flag}"))),
+    }
+}
+
+/// Parse a count flag that sizes a run (VMs, servers, apps, samples,
+/// days) like [`arg_num`], and end the run if it is 0.
+pub fn arg_count(args: &[String], flag: &str, default: usize) -> usize {
+    let n = arg_num(args, flag, default);
+    if n == 0 {
+        exit_with(&format!("{flag} must be at least 1"));
+    }
+    n
+}
+
+/// Print `msg` to stderr and exit with status 1: how a bin ends on a bad
+/// flag or a failed run, instead of panicking.
+pub fn exit_with(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
 }
 
 /// `true` when `--flag` is present.
@@ -63,8 +85,5 @@ mod tests {
         // Flag at the end without a value.
         let b = args(&["--seed"]);
         assert_eq!(arg_value(&b, "--seed"), None);
-        // Unparseable value falls back to the default.
-        let c = args(&["--seed", "zebra"]);
-        assert_eq!(arg_num(&c, "--seed", 7u64), 7);
     }
 }

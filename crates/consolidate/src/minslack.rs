@@ -14,6 +14,11 @@
 //!   `ε` is increased by one step, making the early exit progressively
 //!   easier until the search terminates.
 //!
+//! Under an additive rule ([`Constraint::ceilings`]) a descent counts a
+//! *memory-infeasible tail*, the candidates left once even the smallest
+//! remaining memory overflows the ceiling, as that many rejected steps at
+//! once, relaxing ε exactly where the item-by-item loop would.
+//!
 //! # Root-partitioned search
 //!
 //! The search space is partitioned by **root**: root `r` covers exactly the
@@ -166,6 +171,8 @@ struct RootSearch<'a> {
     sorted: &'a [usize],
     /// Suffix sums of CPU over `pool` for bound pruning.
     suffix_cpu: &'a [f64],
+    /// Suffix minima of memory over `pool`; [`Admission::Sums`] only.
+    suffix_min_mem: &'a [f64],
     target: f64,
     /// The items of the current subset, kept for [`Admission::Rule`] only.
     stack: Vec<PackItem>,
@@ -188,6 +195,26 @@ struct RootSearch<'a> {
 }
 
 impl RootSearch<'_> {
+    /// Count `n` more steps. Each time the countdown runs out the search
+    /// is taking too long and ε is relaxed (lines 15–17), one `+=` a rung;
+    /// past the relaxation cap the descent is done, and it takes no step
+    /// after the one that crossed the cap.
+    fn count_steps(&mut self, mut n: u64) {
+        while n >= self.until_relax {
+            n -= self.until_relax;
+            self.steps += self.until_relax;
+            self.until_relax = self.budget;
+            self.relaxations += 1;
+            if self.relaxations > self.cfg.max_relaxations {
+                self.done = true;
+                return;
+            }
+            self.epsilon += self.cfg.epsilon_step_ghz;
+        }
+        self.steps += n;
+        self.until_relax -= n;
+    }
+
     fn dfs(&mut self, pos: usize, chosen_cpu: f64, chosen_mem: f64) {
         if self.done {
             return;
@@ -213,24 +240,30 @@ impl RootSearch<'_> {
             if chosen_cpu + item.cpu_ghz > self.target + 1e-9 {
                 continue;
             }
+            // Memory-infeasible tail: if even the smallest memory left in
+            // the pool overflows the ceiling, every larger one does too
+            // (addition is monotone), and every later item, no larger in
+            // CPU, passes the pre-filter above. So each is one rejected
+            // step: count them at once. `>`, not `!(<=)`: a NaN sum proves
+            // nothing about the larger memories, so it takes the loop.
+            if let Admission::Sums {
+                resident_mem,
+                ceilings,
+                ..
+            } = self.admission
+            {
+                if resident_mem + (chosen_mem + self.suffix_min_mem[i]) > ceilings.mem_mib {
+                    self.count_steps((self.pool.len() - i) as u64);
+                    return;
+                }
+            }
             // Only a rule evaluated on the stack needs the items on it.
             let keep_items = matches!(self.admission, Admission::Rule(..));
             if keep_items {
                 self.stack.push(item);
             }
             self.stack_idx.push(self.sorted[i]);
-            self.steps += 1;
-            self.until_relax -= 1;
-            if self.until_relax == 0 {
-                // Line 15–17: the search is taking too long — relax ε.
-                self.until_relax = self.budget;
-                self.relaxations += 1;
-                if self.relaxations > self.cfg.max_relaxations {
-                    self.done = true;
-                } else {
-                    self.epsilon += self.cfg.epsilon_step_ghz;
-                }
-            }
+            self.count_steps(1);
             let (cpu, mem) = (chosen_cpu + item.cpu_ghz, chosen_mem + item.mem_mib);
             if self.admission.admits(&self.stack, cpu, mem) {
                 self.dfs(i + 1, cpu, mem);
@@ -253,6 +286,7 @@ struct SweepCtx<'a> {
     pool: &'a [PackItem],
     sorted: &'a [usize],
     suffix_cpu: &'a [f64],
+    suffix_min_mem: &'a [f64],
     target: f64,
     cfg: MinSlackConfig,
     /// Per-root share of the step budget (identical for every root).
@@ -284,6 +318,7 @@ impl SweepCtx<'_> {
             pool: self.pool,
             sorted: self.sorted,
             suffix_cpu: self.suffix_cpu,
+            suffix_min_mem: self.suffix_min_mem,
             target: self.target,
             stack: vec![item],
             stack_idx: vec![self.sorted[root]],
@@ -439,6 +474,19 @@ pub fn minimum_slack(
         };
     }
 
+    // Memory suffix minima for the tail count in `RootSearch::dfs`, built
+    // only once a sweep is certain, and only for the additive path.
+    let suffix_min_mem = match admission {
+        Admission::Sums { .. } => {
+            let mut min = vec![f64::INFINITY; pool.len() + 1];
+            for i in (0..pool.len()).rev() {
+                min[i] = pool[i].mem_mib.min(min[i + 1]);
+            }
+            min
+        }
+        Admission::Rule(..) => Vec::new(),
+    };
+
     let roots = sorted.len();
     let fan = if roots >= FAN_OUT_MIN_ROOTS {
         cfg.shards.max(1).min(roots)
@@ -450,6 +498,7 @@ pub fn minimum_slack(
         pool: &pool,
         sorted: &sorted,
         suffix_cpu: &suffix_cpu,
+        suffix_min_mem: &suffix_min_mem,
         target,
         cfg: *cfg,
         root_budget: (cfg.step_budget / roots as u64).max(ROOT_BUDGET_FLOOR),
@@ -712,6 +761,49 @@ mod tests {
         assert_eq!(r.chosen, vec![11, 24, 37, 50, 22, 33]);
         assert_eq!(r.slack_ghz.to_bits(), 0x3fe6_147a_e147_ae10);
         assert_eq!((r.steps, r.relaxations), (1795, 7));
+    }
+
+    #[test]
+    fn memory_infeasible_tails_count_like_the_loop() {
+        // 70 equal items, any two of which overflow the 1000 MiB server:
+        // every candidate after a root is a memory-infeasible tail, so all
+        // the search's steps past the roots are counted in one step per
+        // tail. With 70 roots the per-root budget is the 32-step floor and
+        // the cap is 1: a tail of 31 or more steps after its root crosses
+        // the relaxation at step 32, and one of 63 or more fires the cap at
+        // step 64, all inside the batch.
+        let s = server(10.0, 1000.0);
+        let q: Vec<PackItem> = (0..70u64)
+            .map(|i| PackItem::new(VmId(i), 0.2, 600.0))
+            .collect();
+        assert!(2.0 * 600.0 > s.mem_capacity_mib && 600.0 <= s.mem_capacity_mib);
+        let cfg = MinSlackConfig {
+            step_budget: 64,
+            max_relaxations: 1,
+            ..Default::default()
+        };
+        let rule = AndConstraint::cpu_and_memory();
+        let reference = FnConstraint(|s: &PackServer, c: &[PackItem]| rule.admits(s, c));
+        let fast = minimum_slack(&s, &q, &rule, &cfg);
+        let slow = minimum_slack(&s, &q, &reference, &cfg);
+        assert_eq!(fast.chosen, slow.chosen);
+        assert_eq!(fast.slack_ghz.to_bits(), slow.slack_ghz.to_bits());
+        assert_eq!(
+            (fast.steps, fast.relaxations),
+            (slow.steps, slow.relaxations)
+        );
+        // Root r takes min(70 − r, 64) steps and relaxes once per 32 of
+        // them; the greedy fill adds 70. No root qualifies, so the result
+        // is the greedy fill: the largest item alone.
+        let per_root = |r: u64| (70 - r).min(64);
+        let steps: u64 = 70 + (0..70).map(per_root).sum::<u64>();
+        let relaxations: u64 = (0..70).map(|r| per_root(r) / 32).sum();
+        assert_eq!(
+            (fast.steps, u64::from(fast.relaxations)),
+            (steps, relaxations)
+        );
+        assert_eq!((steps, relaxations), (2534, 46));
+        assert_eq!(fast.chosen, vec![0]);
     }
 
     #[test]

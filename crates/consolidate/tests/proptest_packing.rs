@@ -439,8 +439,11 @@ mod additive_admission {
 
     #[test]
     fn minimum_slack_matches_the_reference_path() {
-        // Searches that relaxed ε, and root sweeps wide enough to fan out.
+        // Searches that relaxed ε, those of them under a memory ceiling
+        // (where memory-infeasible tails are counted in one step), and
+        // root sweeps wide enough to fan out.
         let (relaxed, fanned) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        let relaxed_on_memory = std::cell::Cell::new(0);
         check(CASES, &case(), |c| {
             let rule = c.rule.build();
             let reference = FnConstraint(|s: &PackServer, q: &[PackItem]| rule.admits(s, q));
@@ -452,6 +455,10 @@ mod additive_admission {
                     let fast = minimum_slack(server, &c.pool, rule.as_ref(), &cfg);
                     let slow = minimum_slack(server, &c.pool, &reference, &cfg);
                     relaxed.set(relaxed.get() + usize::from(fast.relaxations > 0));
+                    let on_memory = matches!(c.rule, Rule::Memory | Rule::Both(_));
+                    relaxed_on_memory.set(
+                        relaxed_on_memory.get() + usize::from(on_memory && fast.relaxations > 0),
+                    );
                     // More steps than the greedy fill can take: the sweep ran.
                     let swept = fast.steps > c.pool.len() as u64;
                     fanned.set(fanned.get() + usize::from(swept && c.pool.len() >= 64));
@@ -464,6 +471,10 @@ mod additive_admission {
             Ok(())
         });
         assert!(relaxed.get() > 0, "no search relaxed ε");
+        assert!(
+            relaxed_on_memory.get() > 0,
+            "no search under a memory ceiling relaxed ε"
+        );
         assert!(fanned.get() > 0, "no root sweep was wide enough to fan out");
     }
 

@@ -44,10 +44,29 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// A numeric flag, or `default` when it is absent; a value that does not
+/// parse ends the run with a message naming the flag.
 fn arg_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    arg_value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match arg_value(args, flag) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| exit_with(&format!("invalid value {v:?} for {flag}"))),
+    }
+}
+
+/// A count flag that sizes a run, parsed like [`arg_num`]; 0 ends the run.
+fn arg_count(args: &[String], flag: &str, default: usize) -> usize {
+    let n = arg_num(args, flag, default);
+    if n == 0 {
+        exit_with(&format!("{flag} must be at least 1"));
+    }
+    n
+}
+
+fn exit_with(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
 }
 
 fn usage() -> ExitCode {
@@ -151,7 +170,7 @@ fn cmd_identify(args: &[String], reporter: &Reporter) -> ExitCode {
 
 fn cmd_testbed(args: &[String], reporter: &Reporter) -> ExitCode {
     let cfg = TestbedConfig {
-        n_apps: arg_num(args, "--apps", 8usize),
+        n_apps: arg_count(args, "--apps", 8),
         concurrency: arg_num(args, "--concurrency", 40usize),
         setpoint_ms: arg_num(args, "--setpoint", 1000.0f64),
         seed: arg_num(args, "--seed", 2010u64),
@@ -198,8 +217,8 @@ fn cmd_testbed(args: &[String], reporter: &Reporter) -> ExitCode {
 }
 
 fn cmd_largescale(args: &[String], reporter: &Reporter) -> ExitCode {
-    let n_vms = arg_num(args, "--vms", 500usize);
-    let samples = arg_num(args, "--samples", 672usize);
+    let n_vms = arg_count(args, "--vms", 500);
+    let samples = arg_count(args, "--samples", 672);
     let seed = arg_num(args, "--seed", 5415u64);
     let shards = arg_num(args, "--shards", 0usize); // 0 = host parallelism
     let optimizer = match arg_value(args, "--optimizer").as_deref() {
@@ -276,7 +295,7 @@ fn cmd_largescale(args: &[String], reporter: &Reporter) -> ExitCode {
 
 fn cmd_trace_gen(args: &[String], reporter: &Reporter) -> ExitCode {
     let n_vms = arg_num(args, "--vms", 100usize);
-    let samples = arg_num(args, "--samples", 672usize);
+    let samples = arg_count(args, "--samples", 672);
     let seed = arg_num(args, "--seed", 1u64);
     let Some(out) = arg_value(args, "--out") else {
         eprintln!("trace-gen requires --out <file.csv>");

@@ -1,0 +1,29 @@
+//! Degenerate `vdcpower` flags end the run with exit status 1 and a
+//! one-line message that names the flag, never with a panic (status 101)
+//! or a silent fallback to the default.
+
+use std::process::Command;
+
+/// Run `vdcpower` with `args` and check that it exits 1 with one stderr
+/// line naming `flag`.
+fn assert_rejected(args: &[&str], flag: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_vdcpower"))
+        .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .expect("vdcpower starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.contains(flag), "{args:?}: {stderr}");
+}
+
+#[test]
+fn largescale_rejects_zero_samples() {
+    assert_rejected(&["largescale", "--samples", "0"], "--samples");
+}
+
+#[test]
+fn a_value_that_does_not_parse_is_an_error_not_the_default() {
+    assert_rejected(&["largescale", "--vms", "abc"], "--vms");
+}
