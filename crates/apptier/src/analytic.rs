@@ -83,11 +83,6 @@ impl AnalyticPlant {
         mva_closed_network(&demands?, self.profile.think_time, self.concurrency)
     }
 
-    /// Throughput (requests/second) at the current operating point.
-    pub fn throughput(&self) -> f64 {
-        self.mva().map_or(0.0, |r| r.throughput)
-    }
-
     /// Maximum synthetic samples emitted per flush. A percentile estimate
     /// from 2,000 samples is statistically indistinguishable from one over
     /// hundreds of thousands, and capping keeps long virtual periods cheap
@@ -179,7 +174,7 @@ mod tests {
     #[test]
     fn produces_samples_at_mva_rate() {
         let mut p = plant(40, &[1.0, 1.0]);
-        let x = p.throughput();
+        let x = p.mva().unwrap().throughput;
         p.run_for(10.0);
         let n = p.take_completed().len() as f64;
         assert!((n - 10.0 * x).abs() <= 1.0, "completions {n} vs rate {x}");
@@ -224,7 +219,6 @@ mod tests {
         p.run_for(50.0);
         assert!(p.take_completed().is_empty());
         assert!(p.mva().is_none());
-        assert_eq!(p.throughput(), 0.0);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl ResponseStats {
         }
     }
 
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
-    }
-
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
@@ -163,7 +158,7 @@ mod tests {
     #[test]
     fn basic_moments() {
         let s = ResponseStats::from_samples(vec![2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert_eq!(s.count(), 8);
+        assert_eq!(s.sorted.len(), 8);
         assert_eq!(s.mean(), 5.0);
         assert_eq!(s.std_dev(), 2.0);
         assert_eq!(s.min(), 2.0);
@@ -194,7 +189,7 @@ mod tests {
     #[test]
     fn unsorted_input_and_nonfinite_dropped() {
         let s = ResponseStats::from_samples(vec![5.0, f64::NAN, 1.0, f64::INFINITY, 3.0]);
-        assert_eq!(s.count(), 3);
+        assert_eq!(s.sorted.len(), 3);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 5.0);
     }

@@ -19,15 +19,15 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct MvaResult {
     /// Mean response time (seconds), excluding think time.
-    pub response_time: f64,
+    pub(crate) response_time: f64,
     /// Throughput (requests/second).
-    pub throughput: f64,
+    pub(crate) throughput: f64,
     /// Mean number of jobs at each station.
-    pub queue_lengths: Vec<f64>,
+    pub(crate) queue_lengths: Vec<f64>,
     /// Utilization of each station.
-    pub utilizations: Vec<f64>,
+    pub(crate) utilizations: Vec<f64>,
     /// Mean per-station residence times (seconds).
-    pub residence_times: Vec<f64>,
+    pub(crate) residence_times: Vec<f64>,
 }
 
 /// Exact MVA for a closed network of PS stations.

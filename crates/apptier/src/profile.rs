@@ -12,9 +12,9 @@ use crate::{AppTierError, Result};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierDemand {
     /// Mean service demand per request, in CPU cycles.
-    pub mean_cycles: f64,
+    pub(crate) mean_cycles: f64,
     /// Coefficient of variation of the (log-normal) demand distribution.
-    pub cv: f64,
+    pub(crate) cv: f64,
 }
 
 impl TierDemand {
@@ -39,11 +39,11 @@ impl TierDemand {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestClass {
     /// Short label ("browse", "post", …).
-    pub name: String,
+    pub(crate) name: String,
     /// Relative frequency weight (need not be normalized).
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Per-tier service demands for requests of this class.
-    pub tiers: Vec<TierDemand>,
+    pub(crate) tiers: Vec<TierDemand>,
 }
 
 /// A complete workload profile for one multi-tier application.
@@ -55,12 +55,12 @@ pub struct RequestClass {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Weighted-mean per-tier service demands, in request traversal order.
-    pub tiers: Vec<TierDemand>,
+    pub(crate) tiers: Vec<TierDemand>,
     /// Mean client think time between response and next request (seconds);
     /// 0 emulates Apache `ab`, which fires back-to-back requests.
-    pub think_time: f64,
+    pub(crate) think_time: f64,
     /// The request-class mixture (at least one class; weights positive).
-    pub classes: Vec<RequestClass>,
+    pub(crate) classes: Vec<RequestClass>,
 }
 
 impl WorkloadProfile {
@@ -77,7 +77,10 @@ impl WorkloadProfile {
     /// Construct a validated multi-class profile. All classes must have the
     /// same tier count and positive weights; `tiers` becomes the
     /// weight-averaged demand per tier.
-    pub fn with_classes(classes: Vec<RequestClass>, think_time: f64) -> Result<WorkloadProfile> {
+    pub(crate) fn with_classes(
+        classes: Vec<RequestClass>,
+        think_time: f64,
+    ) -> Result<WorkloadProfile> {
         if classes.is_empty() || classes[0].tiers.is_empty() {
             return Err(AppTierError::BadConfig(
                 "profile needs at least one class with at least one tier".into(),
@@ -133,12 +136,12 @@ impl WorkloadProfile {
     }
 
     /// Number of request classes.
-    pub fn n_classes(&self) -> usize {
+    pub(crate) fn n_classes(&self) -> usize {
         self.classes.len()
     }
 
     /// Pick a class index given a uniform sample `u ∈ [0, 1)`.
-    pub fn pick_class(&self, u: f64) -> usize {
+    pub(crate) fn pick_class(&self, u: f64) -> usize {
         let total: f64 = self.classes.iter().map(|c| c.weight).sum();
         let mut acc = 0.0;
         for (i, c) in self.classes.iter().enumerate() {

@@ -103,7 +103,7 @@ impl SimRng {
     }
 
     /// Standard normal sample (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         let u1 = self.uniform().max(f64::MIN_POSITIVE);
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -113,7 +113,7 @@ impl SimRng {
     /// of variation (`cv = σ/μ`); see [`LogNormal`], which this builds for
     /// one draw. A caller drawing many samples from one distribution
     /// should build the [`LogNormal`] once.
-    pub fn lognormal(&mut self, mean: f64, cv: f64) -> f64 {
+    pub(crate) fn lognormal(&mut self, mean: f64, cv: f64) -> f64 {
         LogNormal::new(mean, cv).sample(self)
     }
 
@@ -157,7 +157,7 @@ enum Shape {
 impl LogNormal {
     /// The distribution with linear-space `mean` and coefficient of
     /// variation `cv`.
-    pub fn new(mean: f64, cv: f64) -> LogNormal {
+    pub(crate) fn new(mean: f64, cv: f64) -> LogNormal {
         if mean <= 0.0 {
             return LogNormal(Shape::Constant(0.0));
         }
@@ -174,7 +174,7 @@ impl LogNormal {
 
     /// One sample, drawing from `rng` unless the distribution is
     /// degenerate.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> f64 {
         match self.0 {
             Shape::Constant(v) => v,
             Shape::Spread { mu, sigma } => (mu + sigma * rng.standard_normal()).exp(),

@@ -190,7 +190,7 @@ impl AppSim {
     }
 
     /// Enable, change, or disable (`None`) the open-loop arrival process.
-    pub fn set_arrival_rate(&mut self, rate_rps: Option<f64>) {
+    pub(crate) fn set_arrival_rate(&mut self, rate_rps: Option<f64>) {
         self.open_rate = rate_rps.filter(|r| *r > 0.0 && r.is_finite());
         self.next_open_arrival = match self.open_rate {
             Some(rate) => self.now + self.rng.exponential(1.0 / rate),
@@ -198,19 +198,9 @@ impl AppSim {
         };
     }
 
-    /// Current simulation time (seconds).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
     /// Number of tiers.
-    pub fn n_tiers(&self) -> usize {
+    pub(crate) fn n_tiers(&self) -> usize {
         self.tiers.len()
-    }
-
-    /// Current target concurrency level.
-    pub fn concurrency(&self) -> usize {
-        self.target_concurrency
     }
 
     /// Total requests completed since the start of the simulation.
@@ -318,7 +308,8 @@ impl AppSim {
 
     /// Drain response times *with* their request-class index (for per-class
     /// SLA analysis of mixed workloads).
-    pub fn take_completed_by_class(&mut self) -> Vec<(usize, f64)> {
+    #[cfg(test)]
+    pub(crate) fn take_completed_by_class(&mut self) -> Vec<(usize, f64)> {
         let times = std::mem::take(&mut self.completed);
         let classes = std::mem::take(&mut self.completed_classes);
         classes.into_iter().zip(times).collect()
@@ -521,7 +512,7 @@ mod tests {
         assert!(AppSim::new(p.clone(), 10, &[1.0, f64::NAN], 1).is_err());
         let sim = AppSim::new(p, 10, &[1.0, 1.0], 1).unwrap();
         assert_eq!(sim.n_tiers(), 2);
-        assert_eq!(sim.concurrency(), 10);
+        assert_eq!(sim.target_concurrency, 10);
     }
 
     #[test]
@@ -639,7 +630,7 @@ mod tests {
         sim.set_allocation(1, 2.0).unwrap();
         sim.run_for(2.0);
         assert!(!sim.take_completed().is_empty());
-        assert!((sim.now() - 4.0).abs() < 1e-9);
+        assert!((sim.now - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -700,7 +691,7 @@ mod open_loop_tests {
         assert!(AppSim::open(two_tier(), f64::NAN, &[1.0, 1.0], 1).is_err());
         let sim = AppSim::open(two_tier(), 20.0, &[1.0, 1.0], 1).unwrap();
         assert_eq!(sim.open_rate, Some(20.0));
-        assert_eq!(sim.concurrency(), 0);
+        assert_eq!(sim.target_concurrency, 0);
     }
 
     #[test]
@@ -760,7 +751,7 @@ mod open_loop_tests {
         // both sources flow: throughput clearly above the open rate alone
         // and the population of closed clients is conserved.
         assert!(n > 10.0);
-        assert_eq!(sim.concurrency(), 5);
+        assert_eq!(sim.target_concurrency, 5);
         // Disabling the open source stops unbounded work.
         sim.set_arrival_rate(None);
         assert_eq!(sim.open_rate, None);

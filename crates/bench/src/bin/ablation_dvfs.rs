@@ -10,8 +10,9 @@
 //! cargo run -p vdc-bench --bin ablation_dvfs --release [--vms 1030] [--quick]
 //! ```
 
-use vdc_bench::{arg_count, arg_num, arg_present, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_core::experiments::ablation_dvfs;
+use vdc_telemetry::{arg_count, arg_num, arg_present, exit_with};
 use vdc_trace::{generate_trace, TraceConfig};
 
 fn main() {

@@ -17,13 +17,13 @@
 //! depth gauge, and the placement/wake-wait histograms on top of the
 //! large-scale metrics (see DESIGN.md §11).
 
-use vdc_bench::{arg_count, arg_num, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_churn::{AdmissionPolicy, ChurnConfig, ChurnWorkload};
 use vdc_core::churn::{run_churn, ChurnResult};
 use vdc_core::largescale::{LargeScaleConfig, OptimizerKind};
 use vdc_core::RunOptions;
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{Reporter, Telemetry};
+use vdc_telemetry::{arg_count, arg_num, exit_with, Reporter, Telemetry};
 use vdc_trace::{generate_trace, TraceConfig, UtilizationTrace};
 
 fn scenario_row(name: &str, policy: &str, r: &ChurnResult) {

@@ -21,12 +21,12 @@
 //! `facility_energy_wh`, violation fraction, migrations, safe-mode
 //! samples) — deterministic values, gated by `tools/results_gate` in ci.sh.
 
-use vdc_bench::{arg_count, arg_num, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig, CosimResult};
 use vdc_core::{ControllerSpec, FaultConfig, FaultPlan, RunOptions};
 use vdc_dcsim::PueSeries;
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{Reporter, Telemetry};
+use vdc_telemetry::{arg_count, arg_num, exit_with, Reporter, Telemetry};
 use vdc_trace::{generate_trace, TraceConfig};
 
 fn counter(telemetry: &Telemetry, name: &str) -> u64 {

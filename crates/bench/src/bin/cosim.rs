@@ -19,11 +19,11 @@
 //! capture MPC phase timings, DVFS transition counts, and per-app SLO
 //! accounting (see DESIGN.md §Telemetry).
 
-use vdc_bench::{arg_count, arg_num, arg_present, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig};
 use vdc_core::RunOptions;
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{Reporter, Telemetry};
+use vdc_telemetry::{arg_count, arg_num, arg_present, exit_with, Reporter, Telemetry};
 use vdc_trace::{generate_trace, TraceConfig};
 
 fn main() {

@@ -19,11 +19,11 @@
 //! `optimizer.plan_partial` on top of the cosim metrics (see DESIGN.md
 //! §12).
 
-use vdc_bench::{arg_count, arg_num, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig, CosimResult};
 use vdc_core::{FaultConfig, FaultPlan, RunOptions};
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{Reporter, Telemetry};
+use vdc_telemetry::{arg_count, arg_num, exit_with, Reporter, Telemetry};
 use vdc_trace::{generate_trace, TraceConfig, UtilizationTrace};
 
 fn counter(telemetry: &Telemetry, name: &str) -> u64 {

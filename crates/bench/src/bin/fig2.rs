@@ -6,9 +6,10 @@
 //!     [--setpoint 1000] [--warmup 50] [--measure 250] [--seed 2010]
 //! ```
 
-use vdc_bench::{arg_count, arg_num, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_core::experiments::fig2;
 use vdc_core::testbed::TestbedConfig;
+use vdc_telemetry::{arg_count, arg_num, exit_with};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

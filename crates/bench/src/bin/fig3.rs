@@ -7,10 +7,10 @@
 //!     [--surge-start 600] [--surge-end 1200] [--surge-concurrency 80]
 //! ```
 
-use vdc_bench::{arg_count, arg_num, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_core::experiments::{fig3, fig3_static_baseline};
 use vdc_core::testbed::TestbedConfig;
-use vdc_telemetry::Reporter;
+use vdc_telemetry::{arg_count, arg_num, exit_with, Reporter};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -36,7 +36,7 @@ fn main() {
         "surge: concurrency {} → {} during [{:.0}, {:.0}) s of a {:.0} s run",
         cfg.concurrency, surge_c, surge_start, surge_end, total_s
     ));
-    let result = fig3(&cfg, app, total_s, surge_start, surge_end, surge_c)
+    let series = fig3(&cfg, app, total_s, surge_start, surge_end, surge_c)
         .unwrap_or_else(|e| exit_with(&format!("fig3 failed: {e}")));
 
     rule(54);
@@ -46,8 +46,7 @@ fn main() {
     );
     rule(54);
     // Print every 20 s to keep the table readable.
-    for p in result
-        .series
+    for p in series
         .iter()
         .filter(|p| (p.time_s as u64).is_multiple_of(20))
     {
@@ -69,8 +68,7 @@ fn main() {
     }
     rule(54);
     let phase_mean = |lo: f64, hi: f64| {
-        let vals: Vec<f64> = result
-            .series
+        let vals: Vec<f64> = series
             .iter()
             .filter(|p| p.time_s >= lo && p.time_s < hi)
             .filter_map(|p| p.response_ms)
@@ -78,8 +76,7 @@ fn main() {
         vals.iter().sum::<f64>() / vals.len().max(1) as f64
     };
     let power_mean = |lo: f64, hi: f64| {
-        let vals: Vec<f64> = result
-            .series
+        let vals: Vec<f64> = series
             .iter()
             .filter(|p| p.time_s >= lo && p.time_s < hi)
             .map(|p| p.power_w)

@@ -7,9 +7,10 @@
 //!     [--warmup 40] [--measure 150] [--seed 2010]
 //! ```
 
-use vdc_bench::{arg_num, arg_present, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_core::controller::IdentificationConfig;
 use vdc_core::experiments::{fig4, PlantKind};
+use vdc_telemetry::{arg_num, arg_present, exit_with};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -17,9 +17,10 @@
 //! sweep exercises heterogeneous efficiency ordering and per-site PUE.
 
 use vdc_apptier::rng::SimRng;
-use vdc_bench::{arg_num, arg_present, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_core::experiments::{fig6, Fig6Config};
 use vdc_dcsim::FleetSpec;
+use vdc_telemetry::{arg_num, arg_present, exit_with};
 use vdc_trace::{generate_trace, TraceConfig};
 
 fn main() {

@@ -31,13 +31,13 @@
 //! with the run's telemetry (`megafleet.*`, `optimizer.pod_*`).
 
 use std::time::Instant;
-use vdc_bench::{arg_count, arg_num, arg_value, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_core::largescale::{LargeScaleConfig, OptimizerKind};
 use vdc_core::{run_large_scale_streaming, RunOptions};
 use vdc_dcsim::json::{array, JsonObject};
 use vdc_dcsim::FleetSpec;
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{Reporter, Telemetry};
+use vdc_telemetry::{arg_count, arg_num, arg_value, exit_with, Reporter, Telemetry};
 use vdc_trace::{StreamingTrace, TraceConfig};
 
 /// Peak resident-set size of this process in KiB (`VmHWM` from

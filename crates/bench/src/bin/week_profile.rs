@@ -15,11 +15,11 @@
 //! capture per-sample step cost, optimizer invocation stats, and DVFS
 //! transition counts (see DESIGN.md §Telemetry).
 
-use vdc_bench::{arg_count, arg_num, arg_present, exit_with, figure_header, rule};
+use vdc_bench::{figure_header, rule};
 use vdc_core::largescale::{run_large_scale, LargeScaleConfig, OptimizerKind};
 use vdc_core::RunOptions;
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{Reporter, Telemetry};
+use vdc_telemetry::{arg_count, arg_num, arg_present, exit_with, Reporter, Telemetry};
 use vdc_trace::{generate_trace, TraceConfig};
 
 fn main() {

@@ -50,3 +50,12 @@ fn controllers_rejects_zero_apps() {
 fn a_value_that_does_not_parse_is_an_error_not_the_default() {
     assert_rejected(env!("CARGO_BIN_EXE_megafleet"), &["--vms", "abc"], "--vms");
 }
+
+#[test]
+fn a_flag_given_last_without_a_value_is_an_error() {
+    assert_rejected(
+        env!("CARGO_BIN_EXE_megafleet"),
+        &["--servers", "10", "--out"],
+        "--out",
+    );
+}

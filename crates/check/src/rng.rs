@@ -18,14 +18,14 @@ pub struct TestRng {
 
 impl TestRng {
     /// Construct from a 64-bit seed.
-    pub fn seed_from_u64(seed: u64) -> TestRng {
+    pub(crate) fn seed_from_u64(seed: u64) -> TestRng {
         TestRng {
             inner: SimRng::seed_from_u64(seed),
         }
     }
 
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
     }
 

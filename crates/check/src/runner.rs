@@ -22,12 +22,12 @@ pub type CaseResult = Result<(), Failed>;
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Number of passing cases required.
-    pub cases: u32,
+    pub(crate) cases: u32,
     /// Base seed; every case derives its own stream from it. Overridable
     /// with the `VDC_CHECK_SEED` environment variable to replay a report.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Upper bound on accepted shrink steps.
-    pub max_shrinks: u32,
+    pub(crate) max_shrinks: u32,
 }
 
 /// Discarded inputs allowed per required passing case before a run aborts.
@@ -35,7 +35,7 @@ const MAX_DISCARDS_PER_CASE: u32 = 32;
 
 impl Config {
     /// Default configuration with the given case count.
-    pub fn with_cases(cases: u32) -> Config {
+    pub(crate) fn with_cases(cases: u32) -> Config {
         let seed = std::env::var("VDC_CHECK_SEED")
             .ok()
             .and_then(|s| s.parse().ok())

@@ -30,7 +30,7 @@ pub struct VmEvent {
 
 impl VmEvent {
     /// An arrival of churn VM `k` at `at_sample`.
-    pub fn arrive(at_sample: usize, k: usize) -> VmEvent {
+    pub(crate) fn arrive(at_sample: usize, k: usize) -> VmEvent {
         VmEvent {
             at_sample,
             kind: EventKind::Arrive(k),
@@ -38,7 +38,7 @@ impl VmEvent {
     }
 
     /// A departure of churn VM `k` at `at_sample`.
-    pub fn depart(at_sample: usize, k: usize) -> VmEvent {
+    pub(crate) fn depart(at_sample: usize, k: usize) -> VmEvent {
         VmEvent {
             at_sample,
             kind: EventKind::Depart(k),

@@ -194,11 +194,6 @@ impl ChurnWorkload {
         &self.events
     }
 
-    /// Total number of distinct churn VMs (arrival events).
-    pub fn n_churn_vms(&self) -> usize {
-        self.trace.n_vms()
-    }
-
     /// Horizon length in samples.
     pub fn n_samples(&self) -> usize {
         self.n_samples
@@ -214,7 +209,7 @@ impl ChurnWorkload {
         self.trace.meta(k).memory_mib
     }
 
-    /// Total arrival events (== [`ChurnWorkload::n_churn_vms`]).
+    /// Total arrival events: one per churn VM.
     pub fn total_arrivals(&self) -> usize {
         self.events
             .iter()
@@ -285,7 +280,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(w.total_arrivals(), w.n_churn_vms());
+        assert_eq!(w.total_arrivals(), w.trace.n_vms());
         assert!(w.total_departures() <= w.total_arrivals());
     }
 
@@ -301,7 +296,7 @@ mod tests {
                 .count()
         };
         assert_eq!(arrivals_at(&burst, 48), arrivals_at(&base, 48) + 25);
-        assert_eq!(burst.n_churn_vms(), base.n_churn_vms() + 25);
+        assert_eq!(burst.trace.n_vms(), base.trace.n_vms() + 25);
     }
 
     #[test]
@@ -337,7 +332,7 @@ mod tests {
     fn empty_workload_has_no_events() {
         let w = ChurnWorkload::empty(48, 900.0);
         assert!(w.events().is_empty());
-        assert_eq!(w.n_churn_vms(), 0);
+        assert_eq!(w.trace.n_vms(), 0);
         assert_eq!(w.total_arrivals(), 0);
         assert_eq!(w.total_departures(), 0);
     }
@@ -345,8 +340,8 @@ mod tests {
     #[test]
     fn demand_rows_cover_every_churn_vm() {
         let w = ChurnWorkload::generate(&ChurnConfig::steady(50.0, 13), 96, 900.0);
-        assert!(w.n_churn_vms() > 0, "50/day over a day should arrive");
-        for k in 0..w.n_churn_vms() {
+        assert!(w.trace.n_vms() > 0, "50/day over a day should arrive");
+        for k in 0..w.trace.n_vms() {
             assert!(w.memory_mib(k) >= 512.0);
             for t in 0..w.n_samples() {
                 let d = w.demand_ghz(k, t);

@@ -46,9 +46,9 @@ pub trait Constraint {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ceilings {
     /// Bound on total CPU (GHz); `+∞` when the rule leaves CPU free.
-    pub cpu_ghz: f64,
+    pub(crate) cpu_ghz: f64,
     /// Bound on total memory (MiB); `+∞` when the rule leaves memory free.
-    pub mem_mib: f64,
+    pub(crate) mem_mib: f64,
 }
 
 impl Ceilings {

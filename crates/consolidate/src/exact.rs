@@ -17,13 +17,13 @@ use crate::item::{PackItem, PackServer};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExactPacking {
     /// Chosen server (position in the input slice) per item, in item order.
-    pub assignment: Vec<usize>,
+    pub(crate) assignment: Vec<usize>,
     /// Total idle watts of occupied servers — the minimized objective.
-    pub idle_watts: f64,
+    pub(crate) idle_watts: f64,
     /// Number of occupied servers.
-    pub occupied: usize,
+    pub(crate) occupied: usize,
     /// Assignments explored (cost guard for callers).
-    pub nodes: u64,
+    pub(crate) nodes: u64,
 }
 
 /// Exhaustively find the minimum-idle-power feasible assignment of `items`

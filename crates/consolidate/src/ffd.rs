@@ -12,7 +12,7 @@ use vdc_dcsim::VmId;
 /// First-fit: place each item (input order) on the first server (given
 /// order) that admits it. Mutates `servers[*].resident`. Returns
 /// assignments `(vm, position-in-servers-slice)` and the unplaced VMs.
-pub fn first_fit(
+pub(crate) fn first_fit(
     servers: &mut [PackServer],
     items: &[PackItem],
     constraint: &dyn Constraint,

@@ -58,4 +58,4 @@ pub use pac::{pac_pack, PacError, PacResult};
 pub use plan::{ConsolidationPlan, Move};
 pub use pmapper::pmapper_plan;
 pub use policy::{AlwaysAllow, BandwidthBudget, MigrationPolicy};
-pub use relief::{relieve_overloads, ReliefConfig, ReliefOutcome};
+pub use relief::{relieve_overloads, ReliefConfig};

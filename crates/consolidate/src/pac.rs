@@ -46,12 +46,12 @@ pub struct PacResult {
     /// the portion of the pack that fans out over
     /// [`MinSlackConfig::shards`] workers; the commit loop between sweeps
     /// stays sequential. Timing only — never feeds back into decisions.
-    pub search_ns: u64,
+    pub(crate) search_ns: u64,
 }
 
 impl PacResult {
     /// Whether every VM found a home.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.unplaced.is_empty()
     }
 }

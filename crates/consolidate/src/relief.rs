@@ -24,9 +24,9 @@ pub struct ReliefConfig {
     /// Hysteresis: a server is overloaded when residents violate the
     /// constraint; after eviction it must satisfy the constraint with this
     /// much spare CPU (GHz) to avoid immediate re-trigger.
-    pub headroom_ghz: f64,
+    pub(crate) headroom_ghz: f64,
     /// Hard cap on evictions per invocation (bounds migration bursts).
-    pub max_moves: usize,
+    pub(crate) max_moves: usize,
 }
 
 impl Default for ReliefConfig {
@@ -38,29 +38,18 @@ impl Default for ReliefConfig {
     }
 }
 
-/// One relief invocation over a placement snapshot.
+/// Plan overload relief for the given snapshot.
 ///
 /// Returns a (possibly empty) plan containing only the moves needed to
 /// clear constraint violations. Servers that cannot be relieved (no
-/// feasible destination anywhere) are left overloaded — the condition is
-/// reported via [`ReliefOutcome::unresolved`].
-#[derive(Debug, Clone, Default)]
-pub struct ReliefOutcome {
-    /// The corrective plan.
-    pub plan: ConsolidationPlan,
-    /// Number of servers still overloaded after planning.
-    pub unresolved: usize,
-}
-
-/// Plan overload relief for the given snapshot.
+/// feasible destination anywhere) are left overloaded.
 pub fn relieve_overloads(
     servers: &[PackServer],
     constraint: &dyn Constraint,
     cfg: &ReliefConfig,
-) -> ReliefOutcome {
+) -> ConsolidationPlan {
     let mut state: Vec<PackServer> = servers.to_vec();
     let mut plan = ConsolidationPlan::default();
-    let mut unresolved = 0;
     let mut moves_left = cfg.max_moves;
 
     // Process most-overloaded first (largest CPU excess).
@@ -134,12 +123,9 @@ pub fn relieve_overloads(
             }
             cleared = constraint.admits(&state[src], &[]);
         }
-        if !constraint.admits(&state[src], &[]) {
-            unresolved += 1;
-        }
     }
 
-    ReliefOutcome { plan, unresolved }
+    plan
 }
 
 /// Pick the destination for `victim`: feasible (with headroom), preferring
@@ -206,8 +192,7 @@ mod tests {
             &CpuConstraint::default(),
             &ReliefConfig::default(),
         );
-        assert!(out.plan.is_empty());
-        assert_eq!(out.unresolved, 0);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -222,10 +207,9 @@ mod tests {
             &CpuConstraint::default(),
             &ReliefConfig::default(),
         );
-        assert_eq!(out.plan.moves.len(), 1);
-        assert_eq!(out.plan.moves[0].vm, VmId(2));
-        assert_eq!(out.plan.moves[0].to, 1);
-        assert_eq!(out.unresolved, 0);
+        assert_eq!(out.moves.len(), 1);
+        assert_eq!(out.moves[0].vm, VmId(2));
+        assert_eq!(out.moves[0].to, 1);
     }
 
     #[test]
@@ -241,8 +225,8 @@ mod tests {
             &CpuConstraint::default(),
             &ReliefConfig::default(),
         );
-        assert_eq!(out.plan.moves.len(), 1);
-        assert!(out.plan.moves[0].cpu_ghz == 2.0, "{:?}", out.plan.moves);
+        assert_eq!(out.moves.len(), 1);
+        assert!(out.moves[0].cpu_ghz == 2.0, "{:?}", out.moves);
     }
 
     #[test]
@@ -257,10 +241,9 @@ mod tests {
             &CpuConstraint::default(),
             &ReliefConfig::default(),
         );
-        assert_eq!(out.plan.moves.len(), 1);
-        assert_eq!(out.plan.moves[0].to, 2);
-        assert_eq!(out.plan.servers_to_wake, vec![2]);
-        assert_eq!(out.unresolved, 0);
+        assert_eq!(out.moves.len(), 1);
+        assert_eq!(out.moves[0].to, 2);
+        assert_eq!(out.servers_to_wake, vec![2]);
     }
 
     #[test]
@@ -275,12 +258,12 @@ mod tests {
             &CpuConstraint::default(),
             &ReliefConfig::default(),
         );
-        assert_eq!(out.plan.moves[0].to, 1, "active server must win");
-        assert!(out.plan.servers_to_wake.is_empty());
+        assert_eq!(out.moves[0].to, 1, "active server must win");
+        assert!(out.servers_to_wake.is_empty());
     }
 
     #[test]
-    fn reports_unresolved_when_no_destination() {
+    fn plans_nothing_when_no_destination() {
         let servers = vec![
             server(0, 2.0, &[(1, 3.0)], true), // one huge VM, can't fit anywhere
             server(1, 2.0, &[(2, 1.9)], true),
@@ -290,8 +273,7 @@ mod tests {
             &CpuConstraint::default(),
             &ReliefConfig::default(),
         );
-        assert!(out.plan.moves.is_empty());
-        assert_eq!(out.unresolved, 1);
+        assert!(out.moves.is_empty());
     }
 
     #[test]
@@ -308,8 +290,7 @@ mod tests {
             ..Default::default()
         };
         let out = relieve_overloads(&servers, &CpuConstraint::default(), &cfg);
-        assert_eq!(out.plan.moves.len(), 1);
-        assert_eq!(out.unresolved, 2);
+        assert_eq!(out.moves.len(), 1);
     }
 
     #[test]
@@ -324,8 +305,7 @@ mod tests {
             &CpuConstraint::default(),
             &ReliefConfig::default(),
         );
-        assert!(out.plan.moves.len() >= 3, "{:?}", out.plan.moves.len());
-        assert_eq!(out.unresolved, 0);
+        assert!(out.moves.len() >= 3, "{:?}", out.moves.len());
     }
 
     #[test]
@@ -342,9 +322,6 @@ mod tests {
             ..Default::default()
         };
         let out = relieve_overloads(&servers, &CpuConstraint::default(), &cfg);
-        assert_eq!(
-            out.plan.moves[0].to, 2,
-            "must skip the headroom-less server"
-        );
+        assert_eq!(out.moves[0].to, 2, "must skip the headroom-less server");
     }
 }

@@ -23,7 +23,7 @@ pub fn snapshot(dc: &DataCenter) -> Vec<PackServer> {
 /// output to [`snapshot`]; this form lets shard workers build disjoint
 /// server ranges of the view concurrently while the caller keeps the
 /// `Snapshot` alive.
-pub fn snapshot_view(view: &Snapshot) -> Vec<PackServer> {
+pub(crate) fn snapshot_view(view: &Snapshot) -> Vec<PackServer> {
     (0..view.n_servers())
         .map(|i| pack_server(view, ServerHandle::from_index(i)))
         .collect()

@@ -299,7 +299,7 @@ mod overloaded_starts {
             let before = vm_multiset(&start);
             // Relief first (the between-invocations pass)…
             let relief = relieve_overloads(&start, &constraint, &ReliefConfig::default());
-            let mid = apply(&start, &relief.plan);
+            let mid = apply(&start, &relief);
             prop_assert!(mem_feasible(&mid));
             // …then a full IPAC invocation.
             let plan = ipac_plan(&mid, &[], &constraint, &AlwaysAllow, &IpacConfig::default());

@@ -26,17 +26,11 @@ use vdc_linalg::{eigenvalues, Complex, Matrix};
 /// Result of a closed-loop linearization.
 #[derive(Debug, Clone)]
 pub struct ClosedLoopAnalysis {
-    /// The linearized closed-loop transition matrix (dimension
-    /// `na + m·(nb−1)`).
-    pub matrix: Matrix,
-    /// Its eigenvalues.
-    pub eigenvalues: Vec<Complex>,
+    /// Eigenvalues of the linearized closed-loop transition matrix
+    /// (dimension `na + m·(nb−1)`).
+    pub(crate) eigenvalues: Vec<Complex>,
     /// Spectral radius `max |λ|`.
-    pub spectral_radius: f64,
-    /// The equilibrium allocation used for linearization (GHz).
-    pub c_star: Vec<f64>,
-    /// The equilibrium response time (the set point used during analysis).
-    pub t_star: f64,
+    pub(crate) spectral_radius: f64,
 }
 
 impl ClosedLoopAnalysis {
@@ -160,25 +154,7 @@ fn closed_loop_step(model: &ArxModel, cfg: &MpcConfig, z: &[f64]) -> Result<Vec<
 /// disables the rate limit (the analysis targets the *unconstrained* law —
 /// saturated behaviour is inherently nonlinear).
 pub fn analyze_closed_loop(model: &ArxModel, cfg: &MpcConfig) -> Result<ClosedLoopAnalysis> {
-    let denom = 1.0 - model.a().iter().sum::<f64>();
-    if denom.abs() < 1e-9 {
-        return Err(ControlError::BadConfig(
-            "integrating model: no steady state to linearize around".into(),
-        ));
-    }
-    let c_star: Vec<f64> = cfg
-        .c_min
-        .iter()
-        .zip(&cfg.c_max)
-        .map(|(lo, hi)| 0.5 * (lo + hi))
-        .collect();
-    let gain_sum: f64 = model
-        .b()
-        .iter()
-        .map(|lag| lag.iter().zip(&c_star).map(|(b, c)| b * c).sum::<f64>())
-        .sum();
-    let t_star = (model.bias() + gain_sum) / denom;
-
+    let (c_star, t_star) = equilibrium(model, cfg)?;
     let mut a_cfg = cfg.clone();
     a_cfg.setpoint = t_star;
     a_cfg.delta_max = None;
@@ -227,12 +203,33 @@ pub fn analyze_closed_loop(model: &ArxModel, cfg: &MpcConfig) -> Result<ClosedLo
     let eigs = eigenvalues(&jac)?;
     let spectral_radius = eigs.iter().fold(0.0_f64, |acc, z| acc.max(z.abs()));
     Ok(ClosedLoopAnalysis {
-        matrix: jac,
         eigenvalues: eigs,
         spectral_radius,
-        c_star,
-        t_star,
     })
+}
+
+/// The equilibrium the analysis linearizes around: the box-midpoint
+/// allocation `c*` (GHz) and the model's steady-state response time `t*`
+/// there, which becomes the analysis set point.
+fn equilibrium(model: &ArxModel, cfg: &MpcConfig) -> Result<(Vec<f64>, f64)> {
+    let denom = 1.0 - model.a().iter().sum::<f64>();
+    if denom.abs() < 1e-9 {
+        return Err(ControlError::BadConfig(
+            "integrating model: no steady state to linearize around".into(),
+        ));
+    }
+    let c_star: Vec<f64> = cfg
+        .c_min
+        .iter()
+        .zip(&cfg.c_max)
+        .map(|(lo, hi)| 0.5 * (lo + hi))
+        .collect();
+    let gain_sum: f64 = model
+        .b()
+        .iter()
+        .map(|lag| lag.iter().zip(&c_star).map(|(b, c)| b * c).sum::<f64>())
+        .sum();
+    Ok((c_star, (model.bias() + gain_sum) / denom))
 }
 
 #[cfg(test)]
@@ -267,8 +264,8 @@ mod tests {
     #[test]
     fn nominal_loop_output_modes_are_stable() {
         let analysis = analyze_closed_loop(&paper_model(), &cfg(4.0e4)).unwrap();
-        assert_eq!(analysis.matrix.rows(), 3); // na=1 + 2*(nb-1)=2
-        assert!(analysis.t_star > 0.0);
+        assert_eq!(analysis.eigenvalues.len(), 3); // na=1 + 2*(nb-1)=2
+        assert!(equilibrium(&paper_model(), &cfg(4.0e4)).unwrap().1 > 0.0);
         // With 2 inputs and 1 output the loop carries exactly one
         // structural marginal mode (the allocation-split null space).
         assert_eq!(
@@ -335,12 +332,12 @@ mod tests {
     #[test]
     fn equilibrium_matches_model_steady_state() {
         let model = paper_model();
-        let a = analyze_closed_loop(&model, &cfg(4.0e4)).unwrap();
+        let (c_star, t_star) = equilibrium(&model, &cfg(4.0e4)).unwrap();
         // t* = (bias + Σ b·c*) / (1 − a) with c* = box midpoint (1.65).
         let c = 1.65;
         let expect = (1400.0 + (-180.0 - 120.0 - 60.0 - 40.0) * c) / (1.0 - 0.45);
-        assert!((a.t_star - expect).abs() < 1e-9);
-        assert_eq!(a.c_star, vec![1.65, 1.65]);
+        assert!((t_star - expect).abs() < 1e-9);
+        assert_eq!(c_star, vec![1.65, 1.65]);
     }
 
     #[test]
@@ -350,21 +347,16 @@ mod tests {
         let model = paper_model();
         let mut a_cfg = cfg(4.0e4);
         let analysis = analyze_closed_loop(&model, &a_cfg).unwrap();
-        a_cfg.setpoint = analysis.t_star;
+        let (c_star, t_star) = equilibrium(&model, &a_cfg).unwrap();
+        a_cfg.setpoint = t_star;
         a_cfg.delta_max = None;
 
         // Simulate the loop from a slightly perturbed start.
-        let mut ctrl = MpcController::with_state(
-            model.clone(),
-            a_cfg,
-            &[analysis.t_star],
-            &[],
-            &analysis.c_star,
-        )
-        .unwrap();
-        let mut t = analysis.t_star + 50.0;
-        let mut t_hist = [analysis.t_star];
-        let mut c_hist = vec![analysis.c_star.clone(), analysis.c_star.clone()];
+        let mut ctrl =
+            MpcController::with_state(model.clone(), a_cfg, &[t_star], &[], &c_star).unwrap();
+        let mut t = t_star + 50.0;
+        let mut t_hist = [t_star];
+        let mut c_hist = vec![c_star.clone(), c_star.clone()];
         let mut errs = Vec::new();
         for _ in 0..12 {
             let step = ctrl.step(t).unwrap();
@@ -373,7 +365,7 @@ mod tests {
             let t_next = model.predict(&[t, t_hist[0]][..1], &c_hist).unwrap();
             t_hist[0] = t;
             t = t_next;
-            errs.push((t - analysis.t_star).abs());
+            errs.push((t - t_star).abs());
         }
         // After a dozen periods the perturbation must have decayed hard if
         // rho is small.

@@ -154,7 +154,7 @@ impl ArxModel {
     /// `inputs[k]` is `c(k)`; the output at step `k` uses inputs up to
     /// `c(k−1)`. Initial output history is zero; initial inputs are zero.
     /// Returns `t(1..=inputs.len())` — the free run of the model.
-    pub fn simulate(&self, inputs: &[Vec<f64>]) -> Result<Vec<f64>> {
+    pub(crate) fn simulate(&self, inputs: &[Vec<f64>]) -> Result<Vec<f64>> {
         let n = inputs.len();
         let mut t_hist: Vec<f64> = vec![0.0; self.na()];
         let mut c_hist: Vec<Vec<f64>> = vec![vec![0.0; self.n_inputs]; self.nb()];
@@ -179,7 +179,7 @@ impl ArxModel {
     ///
     /// These are the entries of the MPC dynamic matrix: a step of size
     /// `Δc_ch` at time `k+m` contributes `Δc_ch · s[i−m−1]` to `t(k+i|k)`.
-    pub fn step_response(&self, ch: usize, horizon: usize) -> Result<Vec<f64>> {
+    pub(crate) fn step_response(&self, ch: usize, horizon: usize) -> Result<Vec<f64>> {
         if ch >= self.n_inputs {
             return Err(ControlError::BadDimensions(format!(
                 "channel {} out of range ({} inputs)",
@@ -213,7 +213,7 @@ impl ArxModel {
 
     /// Companion matrix of the autoregressive part; its eigenvalues are the
     /// model poles. Returns `None` for models with `na = 0` (FIR: no poles).
-    pub fn companion_matrix(&self) -> Option<Matrix> {
+    pub(crate) fn companion_matrix(&self) -> Option<Matrix> {
         let na = self.na();
         if na == 0 {
             return None;

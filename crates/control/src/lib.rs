@@ -17,8 +17,6 @@
 //! * [`robust`] — a model-free robust provisioning alternative (fixed
 //!   gains on filtered relative RT error, after Makridis et al.,
 //!   arXiv:1811.05533).
-//! * [`cooling`] — the cooling-coupled MPC variant (PUE-weighted energy
-//!   term in the objective, after Ogura et al., arXiv:1806.03375).
 //! * [`stability`] — pole analysis of identified models.
 //! * [`analysis`] — numerical linearization of the full receding-horizon
 //!   law and closed-loop spectral radii (the paper invokes the
@@ -29,7 +27,6 @@
 
 pub mod analysis;
 pub mod arx;
-pub mod cooling;
 pub mod mpc;
 pub mod reference;
 pub mod robust;
@@ -38,7 +35,6 @@ pub mod sysid;
 
 pub use analysis::{achievable_range, analyze_closed_loop, ClosedLoopAnalysis};
 pub use arx::ArxModel;
-pub use cooling::CoolingMpc;
 pub use mpc::{MpcConfig, MpcController};
 pub use reference::ReferenceTrajectory;
 pub use robust::{RobustConfig, RobustController};

@@ -137,12 +137,6 @@ pub struct MpcStep {
     pub allocation: Vec<f64>,
     /// The first move `Δc(k)` actually taken.
     pub delta: Vec<f64>,
-    /// Predicted response time at the end of the prediction horizon.
-    pub predicted_terminal: f64,
-    /// Current disturbance estimate (measurement minus model prediction).
-    pub disturbance: f64,
-    /// Whether the box-QP fallback path was used.
-    pub saturated: bool,
 }
 
 /// Receding-horizon MPC controller for one multi-tier application.
@@ -182,9 +176,6 @@ pub struct MpcController {
     c_current: Vec<f64>,
     /// Output disturbance estimate (constant-offset form).
     disturbance: f64,
-    /// Number of dynamic-matrix rebuilds since construction (the cache
-    /// generation of Ψ; see [`MpcController::predictor_generation`]).
-    generation: u64,
     /// Cooling-coupling weight of the facility-power term (see
     /// [`MpcController::set_energy_weight`]); `0.0` — the default — keeps
     /// the objective exactly the paper's eq. (2).
@@ -223,7 +214,6 @@ impl MpcController {
             c_hist: vec![c_current.clone(); nb],
             c_current,
             disturbance: 0.0,
-            generation: 0,
             energy_weight: 0.0,
             pue: 1.0,
             telemetry: Telemetry::disabled(),
@@ -239,7 +229,7 @@ impl MpcController {
     /// This is the entry point for closed-loop analysis (see
     /// `stability`/`analysis`): it lets the per-step control law be probed
     /// as a pure function of the loop state.
-    pub fn with_state(
+    pub(crate) fn with_state(
         model: ArxModel,
         cfg: MpcConfig,
         t_hist: &[f64],
@@ -350,15 +340,6 @@ impl MpcController {
         &self.telemetry
     }
 
-    /// The cache generation of the dynamic matrix Ψ: the number of true
-    /// predictor rebuilds since construction. Stays flat across
-    /// [`update_model`](MpcController::update_model) calls that hand back
-    /// an unchanged model and across bounds/allocation edits, which never
-    /// touch Ψ.
-    pub fn predictor_generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Replace the model (e.g. after an RLS update) and rebuild the
     /// dynamic matrix. Histories are preserved where possible.
     ///
@@ -383,7 +364,6 @@ impl MpcController {
         )?;
         rebuild_span.finish();
         self.telemetry.incr("mpc.model_rebuilds", 1);
-        self.generation += 1;
         while self.c_hist.len() < model.nb() {
             self.c_hist.push(
                 self.c_hist
@@ -481,9 +461,6 @@ impl MpcController {
             return Ok(MpcStep {
                 allocation: self.c_current.clone(),
                 delta: vec![0.0; m],
-                predicted_terminal: t_measured,
-                disturbance: self.disturbance,
-                saturated: false,
             });
         }
 
@@ -547,7 +524,6 @@ impl MpcController {
         // Solve phase: KKT least squares, then the active-set box-QP
         // fallback if the first move leaves the allocation box.
         let solve_span = self.telemetry.timer("mpc.solve_ns");
-        let mut saturated = false;
         let delta_all = if self.cfg.terminal_constraint {
             match lstsq_eq(
                 &a,
@@ -575,7 +551,6 @@ impl MpcController {
         let delta_all = if first_ok {
             delta_all
         } else {
-            saturated = true;
             self.telemetry.incr("mpc.qp_fallbacks", 1);
             self.solve_box_qp(&a, &a_rhs, &terminal_row, terminal_rhs, &lo, &hi)?
         };
@@ -589,12 +564,6 @@ impl MpcController {
             c_next[ch] = (c_next[ch] + delta[ch]).clamp(self.cfg.c_min[ch], self.cfg.c_max[ch]);
         }
 
-        // Predicted terminal output under the chosen trajectory.
-        let mut predicted_terminal = free[p - 1];
-        for j in 0..n_dec {
-            predicted_terminal += self.psi[(p - 1, j)] * delta_all[j];
-        }
-
         // Shift input history: c_current becomes c(k−1) next period.
         self.c_hist.insert(0, self.c_current.clone());
         self.c_hist.truncate(self.model.nb().max(1));
@@ -603,9 +572,6 @@ impl MpcController {
         Ok(MpcStep {
             allocation: c_next,
             delta,
-            predicted_terminal,
-            disturbance: self.disturbance,
-            saturated,
         })
     }
 
@@ -996,18 +962,9 @@ mod tests {
         let mut ctrl = MpcController::new(model.clone(), cfg, &[1.0, 1.0]).unwrap();
         let telemetry = Telemetry::enabled();
         ctrl.set_telemetry(telemetry.clone());
-        assert_eq!(ctrl.predictor_generation(), 0);
         // A sysid refresh that converged to the same coefficients: cache hit.
         ctrl.update_model(model.clone()).unwrap();
         ctrl.update_model(model).unwrap();
-        assert_eq!(ctrl.predictor_generation(), 0);
-        let rebuilds = |t: &Telemetry| {
-            t.counter_values()
-                .into_iter()
-                .find(|(n, _)| n == "mpc.model_rebuilds")
-                .map(|(_, v)| v)
-                .unwrap_or(0)
-        };
         assert_eq!(rebuilds(&telemetry), 0, "cache hits must not rebuild");
         // A genuinely different model: cache miss, one rebuild.
         let stronger = ArxModel::new(
@@ -1017,8 +974,16 @@ mod tests {
         )
         .unwrap();
         ctrl.update_model(stronger).unwrap();
-        assert_eq!(ctrl.predictor_generation(), 1);
         assert_eq!(rebuilds(&telemetry), 1);
+    }
+
+    /// Predictor rebuilds counted by the `mpc.model_rebuilds` telemetry key.
+    fn rebuilds(t: &Telemetry) -> u64 {
+        t.counter_values()
+            .into_iter()
+            .find(|(n, _)| n == "mpc.model_rebuilds")
+            .map(|(_, v)| v)
+            .unwrap_or(0)
     }
 
     #[test]
@@ -1026,11 +991,13 @@ mod tests {
         let model = plant_model();
         let cfg = default_cfg(1000.0);
         let mut in_place = MpcController::new(model.clone(), cfg.clone(), &[1.0, 1.0]).unwrap();
+        let telemetry = Telemetry::enabled();
+        in_place.set_telemetry(telemetry.clone());
         in_place
             .set_allocation_bounds(vec![0.4, 0.4], vec![2.5, 2.5])
             .unwrap();
         assert_eq!(
-            in_place.predictor_generation(),
+            rebuilds(&telemetry),
             0,
             "a bounds edit must not rebuild the predictor"
         );
@@ -1057,9 +1024,11 @@ mod tests {
         let model = plant_model();
         let cfg = default_cfg(1000.0);
         let mut in_place = MpcController::new(model.clone(), cfg.clone(), &[1.0, 1.0]).unwrap();
+        let telemetry = Telemetry::enabled();
+        in_place.set_telemetry(telemetry.clone());
         let _ = in_place.step(1900.0).unwrap();
         in_place.force_allocation(&[2.2, 2.4]).unwrap();
-        assert_eq!(in_place.predictor_generation(), 0);
+        assert_eq!(rebuilds(&telemetry), 0);
         let mut rebuilt = MpcController::new(model, cfg, &[2.2, 2.4]).unwrap();
         for t in [1400.0, 1200.0, 1050.0] {
             let a = in_place.step(t).unwrap();

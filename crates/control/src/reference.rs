@@ -15,10 +15,10 @@ use crate::{ControlError, Result};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReferenceTrajectory {
     /// Control period `T` (seconds).
-    pub period: f64,
+    pub(crate) period: f64,
     /// Time constant `Tref` (seconds). Smaller = faster convergence but
     /// larger overshoot risk (§IV-B).
-    pub time_constant: f64,
+    pub(crate) time_constant: f64,
 }
 
 impl ReferenceTrajectory {
@@ -51,7 +51,7 @@ impl ReferenceTrajectory {
     }
 
     /// The whole trajectory for `i = 1..=horizon`.
-    pub fn horizon(&self, ts: f64, t_now: f64, horizon: usize) -> Vec<f64> {
+    pub(crate) fn horizon(&self, ts: f64, t_now: f64, horizon: usize) -> Vec<f64> {
         (1..=horizon).map(|i| self.at(ts, t_now, i)).collect()
     }
 }

@@ -33,22 +33,22 @@ use vdc_telemetry::Telemetry;
 pub struct RobustConfig {
     /// Proportional gain on the filtered relative-error *increment*
     /// (GHz per unit of relative error).
-    pub kp: f64,
+    pub(crate) kp: f64,
     /// Integral gain on the filtered relative error (GHz per period per
     /// unit of relative error). Must be positive — this is the term that
     /// makes tracking offset-free.
-    pub ki: f64,
+    pub(crate) ki: f64,
     /// EWMA weight of the newest relative-error sample, in `(0, 1]`.
-    pub filter_alpha: f64,
+    pub(crate) filter_alpha: f64,
     /// Relative-error deadband: filtered errors within it hold the
     /// allocation (no noise-chasing near the set point).
-    pub deadband: f64,
+    pub(crate) deadband: f64,
     /// Per-tier minimum allocation (GHz).
-    pub c_min: f64,
+    pub(crate) c_min: f64,
     /// Per-tier maximum allocation (GHz).
-    pub c_max: f64,
+    pub(crate) c_max: f64,
     /// Per-period move bound (GHz).
-    pub delta_max: f64,
+    pub(crate) delta_max: f64,
 }
 
 impl Default for RobustConfig {

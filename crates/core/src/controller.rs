@@ -179,13 +179,8 @@ impl ResponseTimeController {
 
     /// Attach a telemetry sink to the underlying MPC (phase-split timings
     /// and solver-fallback counters; see [`MpcController::set_telemetry`]).
-    pub fn set_telemetry(&mut self, telemetry: vdc_telemetry::Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: vdc_telemetry::Telemetry) {
         self.mpc.set_telemetry(telemetry);
-    }
-
-    /// The regulated SLA statistic.
-    pub fn metric(&self) -> SlaMetric {
-        self.metric
     }
 
     /// Override the per-tier allocation bounds (GHz). The edit happens in
@@ -195,7 +190,7 @@ impl ResponseTimeController {
     /// against the rate limit) are rejected: the error is returned, a
     /// `control.bad_bounds` telemetry counter ticks, and the previous
     /// bounds stay in force.
-    pub fn set_bounds(&mut self, c_min: f64, c_max: f64) -> Result<()> {
+    pub(crate) fn set_bounds(&mut self, c_min: f64, c_max: f64) -> Result<()> {
         let n = self.mpc.model().n_inputs();
         self.mpc
             .set_allocation_bounds(vec![c_min; n], vec![c_max; n])
@@ -206,7 +201,7 @@ impl ResponseTimeController {
     }
 
     /// Control period (seconds).
-    pub fn period_s(&self) -> f64 {
+    pub(crate) fn period_s(&self) -> f64 {
         self.period_s
     }
 
@@ -216,7 +211,7 @@ impl ResponseTimeController {
     }
 
     /// Current set point (ms).
-    pub fn setpoint(&self) -> f64 {
+    pub(crate) fn setpoint(&self) -> f64 {
         self.mpc.config().setpoint
     }
 
@@ -226,12 +221,12 @@ impl ResponseTimeController {
     }
 
     /// Most recent measurement fed to the controller (ms).
-    pub fn last_measurement_ms(&self) -> Option<f64> {
+    pub(crate) fn last_measurement_ms(&self) -> Option<f64> {
         self.last_measurement_ms
     }
 
     /// Whether the controller is holding in sensor-dropout safe mode.
-    pub fn in_safe_mode(&self) -> bool {
+    pub(crate) fn in_safe_mode(&self) -> bool {
         self.safe_mode
     }
 
@@ -243,7 +238,7 @@ impl ResponseTimeController {
     /// safe mode: the EWMA filter resets (pre-outage dynamics are stale)
     /// and the reference band widens so re-entry is gentle. Returns
     /// `Ok(None)` always — a masked sample is *absent*, never `0.0`.
-    pub fn control_period_masked<P: Plant + ?Sized>(
+    pub(crate) fn control_period_masked<P: Plant + ?Sized>(
         &mut self,
         plant: &mut P,
     ) -> Result<Option<f64>> {
@@ -314,12 +309,6 @@ impl ResponseTimeController {
         Ok(Some(t_ms))
     }
 
-    /// Total CPU demand across tiers (GHz) — what the server-level
-    /// arbitrators aggregate.
-    pub fn total_demand_ghz(&self) -> f64 {
-        self.allocation().iter().sum()
-    }
-
     fn force_allocation(&mut self, alloc: &[f64]) {
         // Reset the MPC state at the forced allocation, keeping the model,
         // config, and cached predictor; histories reset, which is
@@ -333,11 +322,6 @@ impl ResponseTimeController {
     /// here) without widening the public surface.
     pub(crate) fn mpc_mut(&mut self) -> &mut MpcController {
         &mut self.mpc
-    }
-
-    /// Shared access to the wrapped MPC (see [`Self::mpc_mut`]).
-    pub(crate) fn mpc(&self) -> &MpcController {
-        &self.mpc
     }
 }
 
@@ -418,7 +402,7 @@ mod tests {
         c.set_setpoint(700.0);
         assert_eq!(c.setpoint(), 700.0);
         assert_eq!(c.period_s(), 4.0);
-        assert!((c.total_demand_ghz() - 2.0).abs() < 1e-12);
+        assert!((c.allocation().iter().sum::<f64>() - 2.0).abs() < 1e-12);
     }
 }
 
@@ -441,7 +425,7 @@ mod metric_tests {
         // Target the mean at 600 ms (mean sits well below the p90).
         let mut ctrl = ResponseTimeController::new(model, 600.0, 4.0, &[1.0, 1.0]).unwrap();
         ctrl.set_metric(SlaMetric::Mean);
-        assert_eq!(ctrl.metric(), SlaMetric::Mean);
+        assert_eq!(ctrl.metric, SlaMetric::Mean);
         let mut plant = AppSim::new(WorkloadProfile::rubbos(), 30, &[1.0, 1.0], 43).unwrap();
         let mut tail = Vec::new();
         for k in 0..110 {

@@ -66,7 +66,7 @@ pub struct CosimResult {
     /// Applications simulated.
     pub n_apps: usize,
     /// Total energy of active servers over the horizon (Wh). With a PUE
-    /// series attached ([`RunOptions::pue`]) this is facility Wh: each
+    /// series attached to the run's options this is facility Wh: each
     /// sample's IT power is scaled by that sample's PUE, as the trace
     /// replay charges it. Without one it equals `it_energy_wh`.
     pub total_energy_wh: f64,

@@ -95,17 +95,9 @@ pub struct Fig3Point {
     pub power_w: f64,
 }
 
-/// Result of the Fig. 3 experiment.
-#[derive(Debug, Clone)]
-pub struct Fig3Result {
-    /// Index of the surged application.
-    pub app: usize,
-    /// The time series.
-    pub series: Vec<Fig3Point>,
-}
-
 /// Fig. 3: typical run with a workload surge. The surged application's
-/// concurrency doubles during `[surge_start_s, surge_end_s)`.
+/// concurrency doubles during `[surge_start_s, surge_end_s)`. Returns the
+/// time series.
 pub fn fig3(
     cfg: &TestbedConfig,
     app: usize,
@@ -113,7 +105,7 @@ pub fn fig3(
     surge_start_s: f64,
     surge_end_s: f64,
     surge_concurrency: usize,
-) -> Result<Fig3Result> {
+) -> Result<Vec<Fig3Point>> {
     let mut tb = Testbed::build(cfg)?;
     let mut series = Vec::new();
     let mut surged = false;
@@ -134,7 +126,7 @@ pub fn fig3(
             power_w: s.power_w,
         });
     }
-    Ok(Fig3Result { app, series })
+    Ok(series)
 }
 
 /// Static-allocation baseline for the Fig. 3 scenario: the same surge
@@ -217,7 +209,7 @@ fn make_plant(
 /// Identify once (at the given concurrency) and return the shared model —
 /// Figs. 4/5 deliberately reuse the model identified at concurrency 40
 /// while the actual workload differs.
-pub fn identify_reference_model(
+pub(crate) fn identify_reference_model(
     concurrency: usize,
     ident: &IdentificationConfig,
     seed: u64,
@@ -370,7 +362,7 @@ impl Fig6Config {
 }
 
 /// Fig. 6: energy per VM for IPAC vs pMapper across data-center sizes,
-/// parallelized across sizes on the [`crate::shard`] substrate. Each swept
+/// parallelized across sizes on the crate's `shard` substrate. Each swept
 /// size is one shard-map element; results come back in sweep order, so the
 /// output is identical for every shard count.
 ///
@@ -408,8 +400,6 @@ pub fn fig6(trace: &UtilizationTrace, cfg: &Fig6Config) -> Result<Vec<Fig6Point>
 /// at one size — separates the paper's two claimed saving sources.
 #[derive(Debug, Clone)]
 pub struct AblationResult {
-    /// Size used.
-    pub n_vms: usize,
     /// IPAC with DVFS.
     pub ipac: LargeScaleResult,
     /// IPAC without DVFS.
@@ -422,7 +412,6 @@ pub struct AblationResult {
 pub fn ablation_dvfs(trace: &UtilizationTrace, n_vms: usize) -> Result<AblationResult> {
     let opts = RunOptions::default();
     Ok(AblationResult {
-        n_vms,
         ipac: run_large_scale(
             trace,
             &LargeScaleConfig::new(n_vms, OptimizerKind::Ipac),

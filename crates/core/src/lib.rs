@@ -30,10 +30,11 @@
 //! own demand stage, then run the same data-center stages, in one order,
 //! through the crate-private `pipeline` module.
 //!
-//! [`shard`] is the deterministic fork–join substrate under [`cosim`] and
-//! [`largescale`]: per-element work fans out over scoped threads while
-//! every reduction stays a sequential index-order fold, so sharded runs
-//! are bit-identical to single-threaded runs at any shard count.
+//! The crate-private `shard` module is the deterministic fork–join
+//! substrate under [`cosim`] and [`largescale`]: per-element work fans out
+//! over scoped threads while every reduction stays a sequential
+//! index-order fold, so sharded runs are bit-identical to single-threaded
+//! runs at any shard count.
 
 #![warn(missing_docs)]
 
@@ -45,7 +46,7 @@ pub mod largescale;
 pub mod optimizer;
 mod pipeline;
 pub mod run;
-pub mod shard;
+mod shard;
 pub mod testbed;
 pub mod tier;
 

@@ -29,7 +29,7 @@ use vdc_telemetry::Telemetry;
 /// count. The workers walk a copy-on-write [`vdc_dcsim::Snapshot`] (dense
 /// arena reads, no tree lookups), so each server's resident list is pure
 /// per-element work.
-pub fn snapshot_sharded(dc: &DataCenter, shards: usize) -> Vec<PackServer> {
+pub(crate) fn snapshot_sharded(dc: &DataCenter, shards: usize) -> Vec<PackServer> {
     let view = dc.snapshot();
     crate::shard::map_indices(view.n_servers(), shards, |i| {
         vdc_consolidate::view::pack_server(&view, ServerHandle::from_index(i))
@@ -140,14 +140,14 @@ pub enum Algorithm {
 /// Optimizer configuration.
 pub struct OptimizerConfig {
     /// Consolidation algorithm.
-    pub algorithm: Algorithm,
+    pub(crate) algorithm: Algorithm,
     /// Packing feasibility rule (defaults to CPU + memory, the §VII-B
     /// administrator constraint).
-    pub constraint: AndConstraint,
+    pub(crate) constraint: AndConstraint,
     /// IPAC tuning (ignored by pMapper).
-    pub ipac: IpacConfig,
+    pub(crate) ipac: IpacConfig,
     /// Cost-aware migration policy (applied by IPAC's drain rounds).
-    pub policy: Box<dyn MigrationPolicy + Send + Sync>,
+    pub(crate) policy: Box<dyn MigrationPolicy + Send + Sync>,
 }
 
 impl OptimizerConfig {
@@ -201,8 +201,8 @@ impl PowerOptimizer {
     /// ([`pod_partition`]); each pod is packed independently — fanned out
     /// over the shard workers — then a cross-pod rebalance pass moves VMs
     /// from the worst-filled pod's overloaded servers into the best-slack
-    /// pod. Call after [`PowerOptimizer::set_telemetry`] so the `pod_*`
-    /// keys are pre-registered on the right sink.
+    /// pod. Call after the telemetry sink is attached so the `pod_*` keys
+    /// are pre-registered on the right sink.
     pub fn set_pods(&mut self, pod_size: Option<usize>) {
         self.pods = pod_size.filter(|&p| p > 0);
         if self.pods.is_some() {
@@ -231,17 +231,17 @@ impl PowerOptimizer {
     /// (`optimizer.pack_steps`, `optimizer.pack_relaxations`), migrations
     /// proposed vs applied, sleep/wake decisions, and the
     /// post-consolidation capacity slack (`optimizer.slack_ghz`).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
 
     /// Number of invocations so far.
-    pub fn invocations(&self) -> u64 {
+    pub(crate) fn invocations(&self) -> u64 {
         self.invocations
     }
 
     /// Total migrations executed across invocations.
-    pub fn total_migrations(&self) -> u64 {
+    pub(crate) fn total_migrations(&self) -> u64 {
         self.total_migrations
     }
 
@@ -798,7 +798,7 @@ impl PowerOptimizer {
     /// commits its successful prefix (`optimizer.plan_partial` counts
     /// truncations). With a plan whose migration failure probability is
     /// zero, this is behaviorally identical to [`PowerOptimizer::optimize`].
-    pub fn optimize_faulted(
+    pub(crate) fn optimize_faulted(
         &mut self,
         dc: &mut DataCenter,
         new_items: &[PackItem],

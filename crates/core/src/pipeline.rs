@@ -43,70 +43,70 @@ const WATCHDOG_STREAK: usize = 3;
 /// How a runner drives the shared stages.
 pub(crate) struct Stages {
     /// Prefix of the runner's telemetry keys: `largescale` or `cosim`.
-    pub prefix: &'static str,
+    pub(crate) prefix: &'static str,
     /// Optimizer invocation period, in samples.
-    pub optimizer_period: usize,
+    pub(crate) optimizer_period: usize,
     /// Run the overload-relief pass on the samples between invocations.
-    pub relief: bool,
+    pub(crate) relief: bool,
     /// Run the DVFS arbitrator; `false` pins active servers at max frequency.
-    pub dvfs: bool,
+    pub(crate) dvfs: bool,
     /// Length of one sample (seconds).
-    pub interval_s: f64,
+    pub(crate) interval_s: f64,
     /// Resolved worker count of the fan-out stages.
-    pub shards: usize,
+    pub(crate) shards: usize,
 }
 
 /// What one sample's power charge measured over the active servers.
 pub(crate) struct Charge {
     /// Facility power (watts): IT power × site PUE × the runner's factor.
-    pub watts: f64,
+    pub(crate) watts: f64,
     /// Active servers.
-    pub active: usize,
+    pub(crate) active: usize,
     /// CPU demand on the active servers (GHz).
-    pub demand_ghz: f64,
+    pub(crate) demand_ghz: f64,
     /// Demand beyond its host's maximum capacity (GHz), left unserved.
-    pub unmet_ghz: f64,
+    pub(crate) unmet_ghz: f64,
 }
 
 /// Run-level totals, rolled up by [`SimState::finish`].
 pub(crate) struct Totals {
     /// Facility energy (Wh), plus wake energy.
-    pub energy_wh: f64,
+    pub(crate) energy_wh: f64,
     /// The same before PUE (Wh).
-    pub it_energy_wh: f64,
+    pub(crate) it_energy_wh: f64,
     /// Energy of wake transitions (Wh).
-    pub wake_energy_wh: f64,
+    pub(crate) wake_energy_wh: f64,
     /// Facility energy per site (Wh), without wake energy.
-    pub site_energy_wh: Vec<f64>,
+    pub(crate) site_energy_wh: Vec<f64>,
     /// Mean active servers per sample.
-    pub mean_active_servers: f64,
+    pub(crate) mean_active_servers: f64,
     /// Peak active servers.
-    pub peak_active_servers: usize,
+    pub(crate) peak_active_servers: usize,
     /// Optimizer plus relief migrations.
-    pub migrations: u64,
+    pub(crate) migrations: u64,
     /// Relief migrations (periodic and watchdog passes).
-    pub relief_migrations: u64,
+    pub(crate) relief_migrations: u64,
     /// Optimizer invocations, the initial placement included.
-    pub optimizer_invocations: u64,
+    pub(crate) optimizer_invocations: u64,
     /// Unserved share of all CPU demand.
-    pub sla_violation_fraction: f64,
+    pub(crate) sla_violation_fraction: f64,
     /// Final placement `(vm id, server index)`, sorted by VM id.
-    pub final_placements: Vec<(u64, usize)>,
+    pub(crate) final_placements: Vec<(u64, usize)>,
 }
 
 /// The data center, its optimizer, the fault session and the run
 /// accumulators that the shared stages act on.
 pub(crate) struct SimState<'a> {
     /// The simulated data center; the runners' demand stages write it.
-    pub dc: DataCenter,
+    pub(crate) dc: DataCenter,
     /// The fault session. Everything fault-related is behind this one
     /// `Option`: `RunOptions::faults()` normalizes empty plans to `None`,
     /// so a fault-free run executes the exact pre-fault instruction stream.
-    pub faults: Option<FaultSession<'a>>,
+    pub(crate) faults: Option<FaultSession<'a>>,
     /// The run's telemetry sink.
-    pub telemetry: Telemetry,
+    pub(crate) telemetry: Telemetry,
     /// How the runner drives the stages.
-    pub stages: Stages,
+    pub(crate) stages: Stages,
     optimizer: PowerOptimizer,
     violation_streak: usize,
     samples: usize,
@@ -123,7 +123,7 @@ pub(crate) struct SimState<'a> {
 impl<'a> SimState<'a> {
     /// Stamp `fleet` into a new data center, drawing each server's type
     /// from `rng`, and set up the optimizer and the fault session.
-    pub fn new(
+    pub(crate) fn new(
         stages: Stages,
         fleet: &FleetSpec,
         rng: &mut SimRng,
@@ -166,18 +166,18 @@ impl<'a> SimState<'a> {
     }
 
     /// A span timing into the runner-prefixed histogram `stat`.
-    pub fn timer(&self, stat: &str) -> SpanTimer {
+    pub(crate) fn timer(&self, stat: &str) -> SpanTimer {
         self.telemetry.timer(&self.key(stat))
     }
 
     /// Migrations so far, optimizer and relief.
-    pub fn migrations(&self) -> u64 {
+    pub(crate) fn migrations(&self) -> u64 {
         self.optimizer.total_migrations() + self.relief_migrations
     }
 
     /// One optimizer invocation over the fleet plus `items`, registered VMs
     /// not yet placed: the initial placement, and stage 2's long period.
-    pub fn optimize(&mut self, items: &[PackItem]) -> Result<()> {
+    pub(crate) fn optimize(&mut self, items: &[PackItem]) -> Result<()> {
         match self.faults.as_mut() {
             Some(f) => self.optimizer.optimize_faulted(&mut self.dc, items, f)?,
             None => self.optimizer.optimize(&mut self.dc, items)?,
@@ -188,7 +188,7 @@ impl<'a> SimState<'a> {
     /// Stage 1: replay every host crash/recover event due at sample `t`.
     /// A crash evacuates the host's VMs (see [`evacuate`]). Out-of-range
     /// host indices (a plan drawn for a larger fleet) are skipped.
-    pub fn host_events(&mut self, t: usize) -> Result<()> {
+    pub(crate) fn host_events(&mut self, t: usize) -> Result<()> {
         let Some(f) = self.faults.as_mut() else {
             return Ok(());
         };
@@ -218,7 +218,7 @@ impl<'a> SimState<'a> {
     /// Stage 2: invoke the optimizer on its long period; between
     /// invocations, run the on-demand overload-relief pass (§III) when the
     /// runner enables it.
-    pub fn consolidate_or_relieve(&mut self, t: usize) -> Result<()> {
+    pub(crate) fn consolidate_or_relieve(&mut self, t: usize) -> Result<()> {
         if t > 0 && t.is_multiple_of(self.stages.optimizer_period) {
             self.optimize(&[])
         } else if self.stages.relief {
@@ -236,17 +236,16 @@ impl<'a> SimState<'a> {
     /// active.
     fn relieve(&mut self, snap: &[PackServer]) -> Result<()> {
         let constraint = AndConstraint::cpu_and_memory();
-        let outcome = relieve_overloads(snap, &constraint, &ReliefConfig::default());
-        if outcome.plan.is_empty() {
+        let plan = relieve_overloads(snap, &constraint, &ReliefConfig::default());
+        if plan.is_empty() {
             return Ok(());
         }
         let migrations = match self.faults.as_mut() {
             Some(f) => {
                 let max_attempts = f.plan().max_migration_attempts();
-                let partial =
-                    apply_plan_fallible(&mut self.dc, &outcome.plan, max_attempts, || {
-                        f.draw_migration_failure()
-                    })?;
+                let partial = apply_plan_fallible(&mut self.dc, &plan, max_attempts, || {
+                    f.draw_migration_failure()
+                })?;
                 f.migration_retries += partial.retries;
                 f.migrations_dropped += partial.dropped as u64;
                 f.stranded_vms += partial.stranded.len() as u64;
@@ -256,7 +255,7 @@ impl<'a> SimState<'a> {
                 }
                 partial.stats.migrations
             }
-            None => apply_plan(&mut self.dc, &outcome.plan)?.migrations,
+            None => apply_plan(&mut self.dc, &plan)?.migrations,
         };
         self.relief_migrations += migrations as u64;
         self.telemetry
@@ -269,7 +268,7 @@ impl<'a> SimState<'a> {
     /// (state writes and transition counters) stays a sequential
     /// index-order pass. Without DVFS, active servers run at maximum
     /// frequency and idle ones still sleep (both schemes consolidate).
-    pub fn dvfs(&mut self) -> Result<()> {
+    pub(crate) fn dvfs(&mut self) -> Result<()> {
         if !self.stages.dvfs {
             for i in 0..self.dc.n_servers() {
                 let s = ServerHandle::from_index(i);
@@ -306,7 +305,7 @@ impl<'a> SimState<'a> {
     /// The per-server reads fan out across shards; every sum stays a
     /// sequential fold in active-list order, matching the single-threaded
     /// fold bit for bit.
-    pub fn account(&mut self, factor: f64) -> Result<Charge> {
+    pub(crate) fn account(&mut self, factor: f64) -> Result<Charge> {
         let active = self.dc.active_servers();
         let span = self.timer("power_map_ns");
         let dc = &self.dc;
@@ -357,7 +356,7 @@ impl<'a> SimState<'a> {
     /// row trip an out-of-cadence emergency relief pass. A crash can dump
     /// VMs onto busy hosts faster than the periodic cadence fixes them, and
     /// on optimizer samples the regular relief does not run.
-    pub fn watchdog(&mut self, violated: bool) -> Result<()> {
+    pub(crate) fn watchdog(&mut self, violated: bool) -> Result<()> {
         let Some(f) = self.faults.as_mut() else {
             return Ok(());
         };
@@ -379,7 +378,7 @@ impl<'a> SimState<'a> {
     /// Roll the run up: wake energy, the fault session's apply-path
     /// aggregates, the arbitrator's transition counts, the energy gauge,
     /// the migration total and the final placement.
-    pub fn finish(self) -> Totals {
+    pub(crate) fn finish(self) -> Totals {
         // Wake-transition energy is added unscaled (IT level) to both totals.
         let wake_energy_wh = self.dc.wake_energy_wh();
         let energy_wh = self.energy_wh + wake_energy_wh;
@@ -447,11 +446,11 @@ fn register_fault_keys(telemetry: &Telemetry) {
 /// Where [`pack_onto_fleet`] put each VM.
 pub(crate) struct Packed {
     /// Placements onto active servers.
-    pub active: Vec<(VmId, ServerHandle)>,
+    pub(crate) active: Vec<(VmId, ServerHandle)>,
     /// Placements onto sleeping servers; placing a VM there wakes its host.
-    pub woken: Vec<(VmId, ServerHandle)>,
+    pub(crate) woken: Vec<(VmId, ServerHandle)>,
     /// VMs that fit nowhere.
-    pub unplaced: Vec<VmId>,
+    pub(crate) unplaced: Vec<VmId>,
 }
 
 /// Pack registered, unplaced VMs the way evacuation and admission both

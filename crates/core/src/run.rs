@@ -38,7 +38,7 @@ use vdc_telemetry::Telemetry;
 pub struct RunOptions<'a> {
     /// Metrics/span/SLO sink. `None` runs unobserved (zero overhead);
     /// telemetry only observes, never perturbs results.
-    pub telemetry: Option<&'a Telemetry>,
+    pub(crate) telemetry: Option<&'a Telemetry>,
     /// Shard workers for the fan-out stages: `Some(0)` = host
     /// parallelism, `Some(n)` = exactly `n`, `None` = one worker.
     pub shards: Option<usize>,
@@ -53,7 +53,7 @@ pub struct RunOptions<'a> {
     /// which [`FaultPlan::is_empty`] holds — runs fault-free, byte-identical
     /// to a plain run (the zero-fault contract `tests/determinism.rs`
     /// enforces). Faulted runs stay bit-identical at every shard count.
-    pub faults: Option<&'a FaultPlan>,
+    pub(crate) faults: Option<&'a FaultPlan>,
     /// Hierarchical pod size for the optimizer: `Some(n)` partitions the
     /// fleet into site-aligned pods of at most `n` servers and plans each
     /// pod independently (see [`crate::optimizer::pod_partition`]). `None`
@@ -61,7 +61,7 @@ pub struct RunOptions<'a> {
     /// *does* change placement decisions — the regret harness
     /// (`tests/regret.rs`) bounds the power cost — but a given pod size is
     /// still bit-identical across shard counts.
-    pub pods: Option<usize>,
+    pub(crate) pods: Option<usize>,
     /// Which tier controller the co-simulation builds per application (the
     /// [`crate::tier`] seam). `None` builds the paper MPC. Runners without
     /// application-level controllers — the large-scale trace replay and
@@ -69,7 +69,7 @@ pub struct RunOptions<'a> {
     /// axis entirely. Like `pods`, a non-default controller *does* change
     /// results; any given spec is still deterministic and bit-identical
     /// across shard counts.
-    pub controller: Option<ControllerSpec>,
+    pub(crate) controller: Option<ControllerSpec>,
     /// Site PUE series of the co-simulation. Each sample, every
     /// application's controller sees the current PUE via
     /// [`crate::tier::TierController::observe_pue`] (only cooling-coupled
@@ -77,7 +77,7 @@ pub struct RunOptions<'a> {
     /// and the sample's active-server power is charged at the facility,
     /// IT × PUE. `None` feeds nothing and charges IT power, byte-identical
     /// to the pre-seam loop.
-    pub pue: Option<&'a PueSeries>,
+    pub(crate) pue: Option<&'a PueSeries>,
 }
 
 impl<'a> RunOptions<'a> {

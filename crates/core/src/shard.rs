@@ -33,7 +33,7 @@ use std::ops::Range;
 /// Resolve a requested shard count: `0` means "use the host parallelism"
 /// (the CLI convention for `--shards 0`/unset); anything else is taken
 /// literally. Never returns 0.
-pub fn resolve(requested: usize) -> usize {
+pub(crate) fn resolve(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -47,7 +47,7 @@ pub fn resolve(requested: usize) -> usize {
 /// ranges (the first `n % shards` ranges get one extra element). With
 /// `n < shards` the result has `n` single-element ranges — more shards
 /// than work degrades gracefully instead of spawning idle workers.
-pub fn partition(n: usize, shards: usize) -> Vec<Range<usize>> {
+pub(crate) fn partition(n: usize, shards: usize) -> Vec<Range<usize>> {
     let shards = shards.max(1).min(n);
     if shards == 0 {
         return Vec::new();
@@ -69,7 +69,7 @@ pub fn partition(n: usize, shards: usize) -> Vec<Range<usize>> {
 /// results in index order. `f` must be pure with respect to index order
 /// (it may read shared state, which is what makes the output independent
 /// of the shard count).
-pub fn map_indices<R, F>(n: usize, shards: usize, f: F) -> Vec<R>
+pub(crate) fn map_indices<R, F>(n: usize, shards: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -95,7 +95,7 @@ where
 /// chunk, so per-element mutation (an application's plant + controller
 /// advancing one sample) needs no synchronization. Results come back in
 /// index order; `f` also receives the element's global index.
-pub fn map_slice_mut<T, R, F>(items: &mut [T], shards: usize, f: F) -> Vec<R>
+pub(crate) fn map_slice_mut<T, R, F>(items: &mut [T], shards: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,

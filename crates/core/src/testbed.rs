@@ -47,7 +47,7 @@ impl Default for TestbedConfig {
 #[derive(Debug, Clone)]
 pub struct TestbedSample {
     /// Simulation time at the end of the period (seconds).
-    pub time_s: f64,
+    pub(crate) time_s: f64,
     /// Measured 90-percentile response time per application (ms); `None`
     /// if no requests completed that period.
     pub response_ms: Vec<Option<f64>>,
@@ -147,7 +147,7 @@ impl Testbed {
     }
 
     /// Current simulation time (seconds).
-    pub fn time_s(&self) -> f64 {
+    pub(crate) fn time_s(&self) -> f64 {
         self.time_s
     }
 
@@ -169,18 +169,13 @@ impl Testbed {
 
     /// Change an application's concurrency level (the Fig. 3 workload
     /// surge: App5 ramps 40 → 80 at t = 600 s).
-    pub fn set_concurrency(&mut self, app: usize, concurrency: usize) {
+    pub(crate) fn set_concurrency(&mut self, app: usize, concurrency: usize) {
         self.apps[app].set_concurrency(concurrency);
-    }
-
-    /// Change an application's response-time set point (Fig. 5 sweep).
-    pub fn set_setpoint(&mut self, app: usize, setpoint_ms: f64) {
-        self.controllers[app].set_setpoint(setpoint_ms);
     }
 
     /// Run one control period for every application, then arbitrate CPU on
     /// every server (DVFS) and account power.
-    pub fn step(&mut self) -> Result<TestbedSample> {
+    pub(crate) fn step(&mut self) -> Result<TestbedSample> {
         let period = self.controllers[0].period_s();
 
         // 1. Application-level control.
@@ -339,8 +334,10 @@ mod tests {
     fn power_tracks_demand() {
         let mut tb = Testbed::build(&quick_cfg()).unwrap();
         let early = tb.step().unwrap().power_w;
-        tb.set_setpoint(0, 600.0); // tighter SLA → more CPU → more power
-        tb.set_setpoint(1, 600.0);
+        // Tighter SLA → more CPU → more power.
+        for ctrl in &mut tb.controllers {
+            ctrl.set_setpoint(600.0);
+        }
         let samples = tb.run(60).unwrap();
         let late = samples.last().unwrap().power_w;
         assert!(late >= early - 30.0, "power {late} vs {early}");

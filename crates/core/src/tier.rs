@@ -11,9 +11,10 @@
 //!   [`vdc_control::robust`] (after Makridis et al., arXiv:1811.05533),
 //!   wrapped with the same plant-loop mechanics (measure → filter → move,
 //!   starvation watchdog, sensor-dropout safe mode).
-//! * **`cooling`** — the cooling-coupled MPC of [`vdc_control::cooling`]
-//!   (after Ogura et al., arXiv:1806.03375): the paper's controller plus a
-//!   PUE-weighted allocation-level term, fed per sample through
+//! * **`cooling`** — the cooling-coupled MPC (after Ogura et al.,
+//!   arXiv:1806.03375): the paper's controller plus the PUE-weighted
+//!   allocation-level term of [`vdc_control::MpcController`], fed per
+//!   sample through
 //!   [`TierController::observe_pue`] from the fleet layer's `PueSeries`.
 //!
 //! Selection is data, not code: [`ControllerSpec`] travels on
@@ -164,7 +165,7 @@ impl RobustTierController {
     /// Build from the SLA target and initial allocation. The allocation
     /// box and rate limit come from [`RobustConfig::default`] and match
     /// the MPC path's (`c` in `[0.3, 3.0]` GHz, 0.3 GHz per period).
-    pub fn new(setpoint_ms: f64, period_s: f64, c0: &[f64]) -> Result<RobustTierController> {
+    pub(crate) fn new(setpoint_ms: f64, period_s: f64, c0: &[f64]) -> Result<RobustTierController> {
         if !(period_s.is_finite() && period_s > 0.0) {
             return Err(CoreError::BadConfig(format!(
                 "control period {period_s} s must be positive"
@@ -179,11 +180,6 @@ impl RobustTierController {
             last_measurement_ms: None,
             safe_mode: false,
         })
-    }
-
-    /// The wrapped control law.
-    pub fn law(&self) -> &RobustController {
-        &self.law
     }
 }
 
@@ -276,7 +272,7 @@ pub struct CoolingTierController {
 impl CoolingTierController {
     /// Build from an identified model; `energy_weight` must be finite and
     /// non-negative (zero degenerates to the paper controller exactly).
-    pub fn new(
+    pub(crate) fn new(
         model: ArxModel,
         setpoint_ms: f64,
         period_s: f64,
@@ -288,16 +284,6 @@ impl CoolingTierController {
             .set_energy_weight(energy_weight)
             .map_err(CoreError::Control)?;
         Ok(CoolingTierController { rtc })
-    }
-
-    /// The configured energy weight.
-    pub fn energy_weight(&self) -> f64 {
-        self.rtc.mpc().energy_weight()
-    }
-
-    /// The PUE multiplier currently applied.
-    pub fn pue(&self) -> f64 {
-        self.rtc.mpc().pue()
     }
 }
 
@@ -392,16 +378,6 @@ impl ControllerSpec {
         }
     }
 
-    /// Parse a CLI flag value (`mpc` | `robust` | `cooling`).
-    pub fn parse(s: &str) -> Option<ControllerSpec> {
-        match s {
-            "mpc" => Some(ControllerSpec::Mpc),
-            "robust" => Some(ControllerSpec::Robust),
-            "cooling" => Some(ControllerSpec::cooling()),
-            _ => None,
-        }
-    }
-
     /// Build the boxed controller for one application from its identified
     /// model. The `Mpc` arm routes through [`ResponseTimeController::new`]
     /// with exactly the pre-seam arguments, so the default path stays
@@ -448,15 +424,14 @@ mod tests {
     }
 
     #[test]
-    fn spec_names_round_trip_through_parse() {
-        for spec in [
+    fn spec_names_and_default() {
+        let names = [
             ControllerSpec::Mpc,
             ControllerSpec::Robust,
             ControllerSpec::cooling(),
-        ] {
-            assert_eq!(ControllerSpec::parse(spec.name()), Some(spec));
-        }
-        assert_eq!(ControllerSpec::parse("pid"), None);
+        ]
+        .map(|spec| spec.name());
+        assert_eq!(names, ["mpc", "robust", "cooling"]);
         assert_eq!(ControllerSpec::default(), ControllerSpec::Mpc);
     }
 
@@ -521,9 +496,9 @@ mod tests {
         mpc.observe_pue(2.5); // must be accepted and ignored
         let mut cooling =
             CoolingTierController::new(model(), 1000.0, 4.0, &[1.0, 1.0], 10.0).unwrap();
-        assert_eq!(cooling.pue(), 1.0);
+        assert_eq!(cooling.rtc.mpc_mut().pue(), 1.0);
         TierController::observe_pue(&mut cooling, 1.6);
-        assert_eq!(cooling.pue(), 1.6);
-        assert_eq!(cooling.energy_weight(), 10.0);
+        assert_eq!(cooling.rtc.mpc_mut().pue(), 1.6);
+        assert_eq!(cooling.rtc.mpc_mut().energy_weight(), 10.0);
     }
 }

@@ -59,7 +59,7 @@ pub struct MigrationRecord {
     /// Memory copied (MiB) — the dominant cost of pre-copy live migration.
     pub memory_mib: f64,
     /// Estimated transfer duration in seconds at the configured bandwidth.
-    pub duration_s: f64,
+    pub(crate) duration_s: f64,
 }
 
 /// One per-server outcome of the DVFS/arbitrator pass, computed read-only
@@ -183,11 +183,6 @@ impl Snapshot {
         self.state.servers.len()
     }
 
-    /// All servers, slot-indexed.
-    pub fn servers(&self) -> &[Server] {
-        &self.state.servers
-    }
-
     /// Borrow a server.
     pub fn server(&self, server: ServerHandle) -> Result<&Server> {
         let s = self.state.server_slot(server)?;
@@ -206,58 +201,15 @@ impl Snapshot {
         Ok(self.state.demand[h.index()])
     }
 
-    /// The demand table, slot-indexed (vacant slots read 0.0).
-    pub fn demands(&self) -> &[f64] {
-        &self.state.demand
-    }
-
-    /// Hosting server per VM slot.
-    pub fn placements(&self) -> &[Option<ServerHandle>] {
-        &self.state.placement
-    }
-
-    /// Current server hosting a VM, if placed. Stale handles (the slot
-    /// was recycled under a bumped generation) read `None`, never the new
-    /// tenant's placement.
-    pub fn placement_of(&self, h: VmHandle) -> Option<ServerHandle> {
-        self.state.vm_ref(h).ok()?;
-        self.state.placement.get(h.index()).copied().flatten()
-    }
-
     /// VMs hosted on a server, in placement order.
     pub fn hosted_vms(&self, server: ServerHandle) -> Result<&[VmHandle]> {
         self.state.hosted_on(server)
-    }
-
-    /// Aggregate CPU demand hosted on a server (GHz).
-    pub fn server_demand_ghz(&self, server: ServerHandle) -> Result<f64> {
-        self.state.server_demand_ghz(server)
-    }
-
-    /// Aggregate memory hosted on a server (MiB).
-    pub fn server_memory_mib(&self, server: ServerHandle) -> Result<f64> {
-        self.state.server_memory_mib(server)
-    }
-
-    /// Translate an external VM label to its arena handle.
-    pub fn lookup(&self, id: VmId) -> Option<VmHandle> {
-        self.state.index.get(&id).copied()
-    }
-
-    /// The site a server belongs to (site 0 when it was added without one).
-    pub fn server_site(&self, server: ServerHandle) -> usize {
-        self.state.server_site(server)
     }
 
     /// The current facility PUE of the server's site (1.0 when no PUE was
     /// ever set).
     pub fn server_pue(&self, server: ServerHandle) -> f64 {
         self.state.server_pue(server)
-    }
-
-    /// The current facility PUE of a site (1.0 for unknown sites).
-    pub fn site_pue(&self, site: usize) -> f64 {
-        self.state.site_pue.get(site).copied().unwrap_or(1.0)
     }
 }
 
@@ -280,7 +232,6 @@ pub struct DataCenter {
     state: Arc<DcState>,
     arbitrator: CpuArbitrator,
     energy_wh: f64,
-    elapsed_s: f64,
     migrations: Vec<MigrationRecord>,
     wake_count: u64,
     sleep_count: u64,
@@ -299,7 +250,6 @@ impl DataCenter {
             state: Arc::new(DcState::default()),
             arbitrator: CpuArbitrator::default(),
             energy_wh: 0.0,
-            elapsed_s: 0.0,
             migrations: Vec::new(),
             wake_count: 0,
             sleep_count: 0,
@@ -373,11 +323,6 @@ impl DataCenter {
         Ok(())
     }
 
-    /// Number of sites seen so far (0 for an empty data center).
-    pub fn n_sites(&self) -> usize {
-        self.state.site_pue.len()
-    }
-
     /// The site a server belongs to (site 0 when it was added without one).
     pub fn server_site(&self, server: ServerHandle) -> usize {
         self.state.server_site(server)
@@ -387,11 +332,6 @@ impl DataCenter {
     /// ever set).
     pub fn server_pue(&self, server: ServerHandle) -> f64 {
         self.state.server_pue(server)
-    }
-
-    /// The current facility PUE of a site (1.0 for unknown sites).
-    pub fn site_pue(&self, site: usize) -> f64 {
-        self.state.site_pue.get(site).copied().unwrap_or(1.0)
     }
 
     /// Number of servers.
@@ -481,7 +421,7 @@ impl DataCenter {
 
     /// Arena length in slots (live VMs plus vacant slots awaiting reuse);
     /// the bound for slot-enumerating fan-out loops and the length of
-    /// [`DataCenter::demands`]. Because vacant slots are recycled before
+    /// [`DataCenter::demands_mut`]. Because vacant slots are recycled before
     /// the arena grows, this never exceeds the high-water live population.
     pub fn vm_slots(&self) -> usize {
         self.state.vms.len()
@@ -513,11 +453,6 @@ impl DataCenter {
         self.state.placement.get(h.index()).copied().flatten()
     }
 
-    /// Hosting server per VM slot (`None` = unplaced or vacant slot).
-    pub fn placements(&self) -> &[Option<ServerHandle>] {
-        &self.state.placement
-    }
-
     /// VMs hosted on a server, in placement order.
     pub fn hosted_vms(&self, server: ServerHandle) -> Result<&[VmHandle]> {
         self.state.hosted_on(server)
@@ -538,11 +473,6 @@ impl DataCenter {
         Ok(self.state.demand[h.index()])
     }
 
-    /// The demand table, slot-indexed (vacant slots read 0.0).
-    pub fn demands(&self) -> &[f64] {
-        &self.state.demand
-    }
-
     /// Mutable access to the whole demand table for sharded per-slot
     /// updates (`shard::map_slice_mut` hands each worker a disjoint chunk).
     /// Callers must write non-negative values; entries of vacant slots are
@@ -557,7 +487,7 @@ impl DataCenter {
     }
 
     /// Aggregate memory hosted on a server (MiB).
-    pub fn server_memory_mib(&self, server: ServerHandle) -> Result<f64> {
+    pub(crate) fn server_memory_mib(&self, server: ServerHandle) -> Result<f64> {
         self.state.server_memory_mib(server)
     }
 
@@ -854,19 +784,12 @@ impl DataCenter {
 
     /// Advance accounting time by `dt_s` seconds at the current power draw.
     pub fn accumulate_energy(&mut self, dt_s: f64) {
-        let dt = dt_s.max(0.0);
-        self.energy_wh += self.total_power_watts() * dt / 3600.0;
-        self.elapsed_s += dt;
+        self.energy_wh += self.total_power_watts() * dt_s.max(0.0) / 3600.0;
     }
 
     /// Total energy consumed so far (watt-hours).
     pub fn energy_wh(&self) -> f64 {
         self.energy_wh
-    }
-
-    /// Accounted simulation time (seconds).
-    pub fn elapsed_s(&self) -> f64 {
-        self.elapsed_s
     }
 }
 
@@ -1044,10 +967,9 @@ mod tests {
         assert!((dc.total_power_watts() - 255.0).abs() < 1e-9);
         dc.accumulate_energy(3600.0);
         assert!((dc.energy_wh() - 255.0).abs() < 1e-9);
-        assert_eq!(dc.elapsed_s(), 3600.0);
         // Negative dt ignored.
         dc.accumulate_energy(-5.0);
-        assert_eq!(dc.elapsed_s(), 3600.0);
+        assert!((dc.energy_wh() - 255.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1162,7 +1084,7 @@ mod arena_tests {
         dc.apply_dvfs(true).unwrap();
         // The snapshot still shows the pre-mutation world...
         assert_eq!(snap.vm_demand(h).unwrap(), 1.5);
-        assert_eq!(snap.placement_of(h), Some(srv(0)));
+        assert_eq!(snap.state.placement[h.index()], Some(srv(0)));
         assert_eq!(snap.hosted_vms(srv(0)).unwrap(), &[h]);
         assert!(snap.server(srv(1)).unwrap().is_active());
         // ...while the live state moved on.
@@ -1311,12 +1233,11 @@ mod site_tests {
     #[test]
     fn default_site_is_zero_with_unit_pue() {
         let mut dc = DataCenter::new();
-        assert_eq!(dc.n_sites(), 0);
+        assert_eq!(dc.state.site_pue.len(), 0);
         dc.add_server(Server::active(ServerSpec::type_quad_3ghz()));
-        assert_eq!(dc.n_sites(), 1);
+        assert_eq!(dc.state.site_pue, [1.0]);
         assert_eq!(dc.server_site(srv(0)), 0);
         assert_eq!(dc.server_pue(srv(0)), 1.0);
-        assert_eq!(dc.site_pue(7), 1.0, "unknown sites read 1.0");
         // With PUE 1.0 facility power is bit-identical to IT power.
         let it = dc.server_power_watts(srv(0)).unwrap();
         let fac = dc.server_facility_power_watts(srv(0)).unwrap();
@@ -1334,7 +1255,7 @@ mod site_tests {
             .unwrap();
         dc.add_server_in_site(Server::active(ServerSpec::type_quad_3ghz()), 1)
             .unwrap();
-        assert_eq!(dc.n_sites(), 2);
+        assert_eq!(dc.state.site_pue.len(), 2);
         dc.set_site_pue(1, 1.5).unwrap();
         let it0 = dc.server_power_watts(srv(0)).unwrap();
         let it1 = dc.server_power_watts(srv(1)).unwrap();
@@ -1355,7 +1276,7 @@ mod site_tests {
         assert!(dc.set_site_pue(0, f64::NAN).is_err());
         assert!(dc.set_site_pue(0, f64::INFINITY).is_err());
         dc.set_site_pue(0, 1.35).unwrap();
-        assert_eq!(dc.site_pue(0), 1.35);
+        assert_eq!(dc.server_pue(srv(0)), 1.35);
     }
 
     #[test]
@@ -1369,7 +1290,7 @@ mod site_tests {
         dc.set_site_pue(0, 1.5).unwrap();
         assert!(!Arc::ptr_eq(&snap.state, &dc.snapshot().state));
         assert_eq!(snap.server_pue(srv(0)), 1.4, "snapshot keeps the old PUE");
-        assert_eq!(snap.server_site(srv(0)), 0);
+        assert_eq!(snap.state.server_site(srv(0)), 0);
     }
 }
 

@@ -58,7 +58,7 @@ impl PueSeries {
     }
 
     /// The raw samples.
-    pub fn samples(&self) -> &[f64] {
+    pub(crate) fn samples(&self) -> &[f64] {
         &self.values
     }
 }
@@ -197,7 +197,7 @@ impl FleetSpec {
     }
 
     /// Total servers across all sites.
-    pub fn n_servers(&self) -> usize {
+    pub(crate) fn n_servers(&self) -> usize {
         self.sites.iter().map(|s| s.n_servers).sum()
     }
 
@@ -492,17 +492,12 @@ mod tests {
             })
             .unwrap();
         assert_eq!(sites, vec![0, 0, 0, 1, 1, 1]);
-        assert_eq!(dc.n_sites(), 2);
-        let snap = dc.snapshot();
-        for (i, srv) in snap.servers().iter().enumerate() {
+        for (i, srv) in dc.servers().iter().enumerate() {
             assert!(!srv.is_active(), "servers start asleep");
             assert!(srv.spec.profile.is_some());
-            assert_eq!(
-                snap.server_site(crate::ServerHandle::from_index(i)),
-                sites[i]
-            );
+            assert_eq!(dc.server_site(crate::ServerHandle::from_index(i)), sites[i]);
         }
-        assert_eq!(dc.site_pue(0), 1.12);
-        assert_eq!(dc.site_pue(1), 1.58);
+        assert_eq!(dc.server_pue(crate::ServerHandle::from_index(0)), 1.12);
+        assert_eq!(dc.server_pue(crate::ServerHandle::from_index(5)), 1.58);
     }
 }

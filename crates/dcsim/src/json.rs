@@ -7,10 +7,6 @@
 //! reader ([`JsonValue::parse`]) exists so tests and downstream tooling
 //! can round-trip those documents without a second dialect.
 
-use crate::power::PowerModel;
-use crate::server::ServerSpec;
-use crate::vm::VmSpec;
-
 /// Escape a string for inclusion inside a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -390,51 +386,9 @@ impl Parser<'_> {
     }
 }
 
-impl PowerModel {
-    /// Hand-rolled JSON rendering of the model parameters.
-    pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .num("sleep_watts", self.sleep_watts)
-            .num("static_watts", self.static_watts)
-            .num("max_watts", self.max_watts)
-            .build()
-    }
-}
-
-impl ServerSpec {
-    /// Hand-rolled JSON rendering of the catalog entry. The `profile`
-    /// field appears only for catalog-stamped specs, so ad-hoc (legacy)
-    /// specs render byte-identically to before profiles existed.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new().str("name", &self.name);
-        if let Some(p) = self.profile {
-            obj = obj.int("profile", p.index() as i64);
-        }
-        obj.int("cores", self.cores as i64)
-            .num("max_freq_ghz", self.max_freq_ghz)
-            .num("memory_mib", self.memory_mib)
-            .num("wake_latency_s", self.wake_latency_s)
-            .nums("freq_levels_ghz", &self.freq_levels_ghz)
-            .raw("power", &self.power.to_json())
-            .build()
-    }
-}
-
-impl VmSpec {
-    /// Hand-rolled JSON rendering of the VM descriptor.
-    pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .int("id", self.id.0 as i64)
-            .num("cpu_demand_ghz", self.cpu_demand_ghz)
-            .num("memory_mib", self.memory_mib)
-            .build()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::VmId;
 
     #[test]
     fn escapes_specials() {
@@ -467,18 +421,6 @@ mod tests {
             "{\"name\":\"dual 2 GHz\",\"cores\":2,\"active\":true,\
              \"xs\":[1.0,2.5],\"nested\":{\"k\":1}}"
         );
-    }
-
-    #[test]
-    fn spec_serialization_contains_fields() {
-        let spec = ServerSpec::type_dual_2ghz();
-        let j = spec.to_json();
-        assert!(j.contains("\"name\":"));
-        assert!(j.contains("\"freq_levels_ghz\":["));
-        assert!(j.contains("\"power\":{"));
-        let vm = VmSpec::new(7, 1.25, 512.0);
-        assert!(vm.to_json().contains("\"id\":7"));
-        let _ = VmId(7);
     }
 
     #[test]
@@ -580,7 +522,11 @@ mod tests {
 
     #[test]
     fn writer_documents_parse_back_in_field_order() {
-        let doc = ServerSpec::type_dual_2ghz().to_json();
+        let doc = JsonObject::new()
+            .str("name", "dual 2 GHz")
+            .nums("freq_levels_ghz", &[1.0, 2.0])
+            .raw("power", &JsonObject::new().num("max_watts", 200.0).build())
+            .build();
         let v = JsonValue::parse(&doc).unwrap();
         let JsonValue::Object(fields) = &v else {
             panic!("not an object")

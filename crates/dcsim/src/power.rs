@@ -22,7 +22,7 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Power when the server sleeps (suspend-to-RAM), watts.
-    pub sleep_watts: f64,
+    pub(crate) sleep_watts: f64,
     /// Static (leakage + platform) power when active at maximum frequency,
     /// watts; DVFS trims it mildly (see the module formula). This is the
     /// idle floor the paper's consolidation eliminates by putting servers
@@ -34,7 +34,7 @@ pub struct PowerModel {
 
 impl PowerModel {
     /// Construct a validated model (`0 ≤ sleep ≤ static ≤ max`).
-    pub fn new(sleep_watts: f64, static_watts: f64, max_watts: f64) -> Option<PowerModel> {
+    pub(crate) fn new(sleep_watts: f64, static_watts: f64, max_watts: f64) -> Option<PowerModel> {
         let ok = sleep_watts >= 0.0
             && static_watts >= sleep_watts
             && max_watts >= static_watts
@@ -60,7 +60,7 @@ impl PowerModel {
     }
 
     /// Sleep power.
-    pub fn sleep_power(&self) -> f64 {
+    pub(crate) fn sleep_power(&self) -> f64 {
         self.sleep_watts
     }
 }

@@ -48,21 +48,21 @@ pub struct HostProfile {
     /// Human-readable model name (e.g. `ASUSTeK-RS720-E9`).
     pub name: String,
     /// Number of cores.
-    pub cores: u32,
+    pub(crate) cores: u32,
     /// Total power at maximum frequency and 100 % utilization (watts).
-    pub peak_power_w: f64,
+    pub(crate) peak_power_w: f64,
     /// Idle (static) power when active at maximum frequency (watts).
-    pub idle_power_w: f64,
+    pub(crate) idle_power_w: f64,
     /// Power when sleeping (suspend-to-RAM), watts.
-    pub sleep_watts: f64,
+    pub(crate) sleep_watts: f64,
     /// Maximum per-core frequency (GHz).
     pub max_freq_ghz: f64,
     /// Discrete DVFS ladder (GHz, ascending, last == max).
     pub freq_levels_ghz: Vec<f64>,
     /// Installed memory (MiB).
-    pub memory_mib: f64,
+    pub(crate) memory_mib: f64,
     /// Seconds to wake from sleep.
-    pub wake_latency_s: f64,
+    pub(crate) wake_latency_s: f64,
 }
 
 impl HostProfile {
@@ -70,7 +70,7 @@ impl HostProfile {
     /// 4 GiB of memory per core, sleep at 5 % of peak, 30 s wake latency,
     /// and a four-step DVFS ladder at 40/60/80/100 % of the maximum
     /// frequency.
-    pub fn specpower(
+    pub(crate) fn specpower(
         name: &str,
         cores: u32,
         peak_power_w: f64,
@@ -95,7 +95,7 @@ impl HostProfile {
 
     /// Lossless conversion from a legacy catalog entry; `server_spec`
     /// reproduces the input field for field.
-    pub fn from_spec(spec: &ServerSpec) -> HostProfile {
+    pub(crate) fn from_spec(spec: &ServerSpec) -> HostProfile {
         HostProfile {
             name: spec.name.clone(),
             cores: spec.cores,
@@ -119,7 +119,7 @@ impl HostProfile {
     }
 
     /// Total CPU capacity at maximum frequency (GHz·cores).
-    pub fn max_capacity_ghz(&self) -> f64 {
+    pub(crate) fn max_capacity_ghz(&self) -> f64 {
         self.max_freq_ghz * self.cores as f64
     }
 
@@ -147,7 +147,7 @@ impl HostProfile {
 
     /// Materialize the catalog entry as a [`ServerSpec`] carrying the given
     /// profile handle.
-    pub fn server_spec(&self, id: ProfileId) -> Result<ServerSpec> {
+    pub(crate) fn server_spec(&self, id: ProfileId) -> Result<ServerSpec> {
         Ok(ServerSpec {
             name: self.name.clone(),
             cores: self.cores,
@@ -169,7 +169,7 @@ pub struct HostCatalog {
 
 impl HostCatalog {
     /// Build a catalog, validating every profile's power curve and ladder.
-    pub fn new(profiles: Vec<HostProfile>) -> Result<HostCatalog> {
+    pub(crate) fn new(profiles: Vec<HostProfile>) -> Result<HostCatalog> {
         if profiles.is_empty() {
             return Err(DcError::Invalid("catalog must not be empty".into()));
         }
@@ -234,7 +234,7 @@ impl HostCatalog {
     }
 
     /// All profiles, in handle order.
-    pub fn profiles(&self) -> &[HostProfile] {
+    pub(crate) fn profiles(&self) -> &[HostProfile] {
         &self.profiles
     }
 
@@ -246,7 +246,7 @@ impl HostCatalog {
     }
 
     /// Find a profile by model name.
-    pub fn by_name(&self, name: &str) -> Option<ProfileId> {
+    pub(crate) fn by_name(&self, name: &str) -> Option<ProfileId> {
         self.profiles
             .iter()
             .position(|p| p.name == name)

@@ -42,7 +42,7 @@ impl ServerHandle {
 
     /// The slot generation this handle was issued for — always 0 today,
     /// because servers are never removed from the arena.
-    pub fn generation(self) -> u32 {
+    pub(crate) fn generation(self) -> u32 {
         self.generation
     }
 }
@@ -57,13 +57,13 @@ impl std::fmt::Display for ServerHandle {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerSpec {
     /// Human-readable model name.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of cores.
-    pub cores: u32,
+    pub(crate) cores: u32,
     /// Maximum per-core frequency in GHz.
-    pub max_freq_ghz: f64,
+    pub(crate) max_freq_ghz: f64,
     /// Discrete DVFS frequency ladder (GHz, ascending, last == max).
-    pub freq_levels_ghz: Vec<f64>,
+    pub(crate) freq_levels_ghz: Vec<f64>,
     /// Installed memory in MiB.
     pub memory_mib: f64,
     /// Power model.
@@ -73,7 +73,7 @@ pub struct ServerSpec {
     /// The catalog profile this spec was stamped from, when the server
     /// came out of a [`crate::HostCatalog`]; `None` for ad-hoc specs (the
     /// legacy §VI-B constructors below).
-    pub profile: Option<ProfileId>,
+    pub(crate) profile: Option<ProfileId>,
 }
 
 impl ServerSpec {
@@ -84,15 +84,8 @@ impl ServerSpec {
     }
 
     /// Capacity at a given per-core frequency.
-    pub fn capacity_at(&self, freq_ghz: f64) -> f64 {
+    pub(crate) fn capacity_at(&self, freq_ghz: f64) -> f64 {
         freq_ghz * self.cores as f64
-    }
-
-    /// Power efficiency: "the ratio between the maximum CPU frequency and
-    /// maximum power consumption" (§V), using total capacity. GHz per watt;
-    /// higher is better.
-    pub fn power_efficiency(&self) -> f64 {
-        self.max_capacity_ghz() / self.power.max_watts
     }
 
     /// The 3 GHz quad-core type of §VI-B. Numbers chosen so that larger
@@ -208,7 +201,7 @@ impl Server {
 
     /// Power draw (watts) given the total CPU demand currently hosted
     /// (GHz). Demand above capacity saturates at 100 % utilization.
-    pub fn power_watts(&self, demand_ghz: f64) -> f64 {
+    pub(crate) fn power_watts(&self, demand_ghz: f64) -> f64 {
         match self.state {
             ServerState::Sleeping => self.spec.power.sleep_power(),
             ServerState::Failed => 0.0,
@@ -231,7 +224,7 @@ impl Server {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuArbitrator {
     /// Fractional capacity headroom retained when picking the frequency.
-    pub headroom: f64,
+    pub(crate) headroom: f64,
 }
 
 impl Default for CpuArbitrator {
@@ -284,7 +277,11 @@ mod tests {
     #[test]
     fn efficiency_ordering() {
         let cat = ServerSpec::catalog();
-        let eff: Vec<f64> = cat.iter().map(|s| s.power_efficiency()).collect();
+        // GHz of capacity per peak watt (§V's power efficiency).
+        let eff: Vec<f64> = cat
+            .iter()
+            .map(|s| s.max_capacity_ghz() / s.power.max_watts)
+            .collect();
         assert!(eff[0] > eff[1] && eff[1] > eff[2], "{eff:?}");
     }
 

@@ -87,7 +87,7 @@ pub struct VmSpec {
     pub id: VmId,
     /// Current CPU demand in GHz (cycles/second / 1e9). Updated at run time
     /// by the application-level controller or the utilization trace.
-    pub cpu_demand_ghz: f64,
+    pub(crate) cpu_demand_ghz: f64,
     /// Memory footprint in MiB (static; drives migration cost and the
     /// memory packing constraint).
     pub memory_mib: f64,

@@ -111,7 +111,7 @@ pub enum HostFaultKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostFault {
     /// Sample index the event fires at.
-    pub at_sample: usize,
+    pub(crate) at_sample: usize,
     /// Server slot index the event targets. Run loops skip events whose
     /// index is out of range for their fleet (plans may be generated for
     /// a nominal host count).
@@ -125,11 +125,11 @@ pub struct HostFault {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DropoutWindow {
     /// Application index the window applies to.
-    pub app: usize,
+    pub(crate) app: usize,
     /// First masked sample.
-    pub from_sample: usize,
+    pub(crate) from_sample: usize,
     /// First sample past the window (exclusive).
-    pub until_sample: usize,
+    pub(crate) until_sample: usize,
 }
 
 /// A generated, replayable fault plan: sorted host events, per-app
@@ -167,7 +167,7 @@ impl FaultPlan {
     /// host `h`'s mean time to failure, `<= 0` exempts the host). This is
     /// the per-`HostProfile` hook: callers with a heterogeneous fleet map
     /// each host's profile to its model's MTTF before generating.
-    pub fn generate_with_mttf(
+    pub(crate) fn generate_with_mttf(
         cfg: &FaultConfig,
         n_samples: usize,
         interval_s: f64,
@@ -311,7 +311,7 @@ impl FaultPlan {
     /// Whether migration attempt number `attempt` (a global ordinal in
     /// deterministic apply order) fails. Pure function of the plan, so
     /// replays agree regardless of shard count.
-    pub fn migration_attempt_fails(&self, attempt: u64) -> bool {
+    pub(crate) fn migration_attempt_fails(&self, attempt: u64) -> bool {
         if self.migration_failure_prob <= 0.0 {
             return false;
         }
@@ -320,7 +320,7 @@ impl FaultPlan {
     }
 
     /// Whether wake attempt number `attempt` fails.
-    pub fn wake_attempt_fails(&self, attempt: u64) -> bool {
+    pub(crate) fn wake_attempt_fails(&self, attempt: u64) -> bool {
         if self.wake_failure_prob <= 0.0 {
             return false;
         }
@@ -342,11 +342,6 @@ impl FaultPlan {
             attempts += 1;
         }
         attempts
-    }
-
-    /// Horizon length the plan was generated for (0 for [`FaultPlan::empty`]).
-    pub fn n_samples(&self) -> usize {
-        self.n_samples
     }
 }
 
@@ -442,11 +437,6 @@ impl<'p> FaultSession<'p> {
         }
         failed
     }
-
-    /// Whether app `app`'s sensor is masked at sample `t`.
-    pub fn sensor_dropped(&self, app: usize, t: usize) -> bool {
-        self.plan.sensor_dropped(app, t)
-    }
 }
 
 #[cfg(test)]
@@ -480,7 +470,7 @@ mod tests {
         assert!(!empty.wake_attempt_fails(0));
         let mut s = FaultSession::new(&empty);
         assert!(s.host_events_at(0).is_empty());
-        assert!(!s.sensor_dropped(0, 0));
+        assert!(!empty.sensor_dropped(0, 0));
     }
 
     #[test]

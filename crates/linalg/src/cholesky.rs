@@ -50,13 +50,8 @@ impl Cholesky {
     }
 
     /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.l.rows()
-    }
-
-    /// Borrow the lower-triangular factor.
-    pub fn l(&self) -> &Matrix {
-        &self.l
     }
 
     /// Solve `A x = b` via forward/backward substitution.
@@ -96,7 +91,7 @@ mod tests {
     fn factor_known_spd() {
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
         let ch = Cholesky::new(&a).unwrap();
-        let l = ch.l();
+        let l = &ch.l;
         assert!((l[(0, 0)] - 2.0).abs() < 1e-14);
         assert!((l[(1, 0)] - 1.0).abs() < 1e-14);
         assert!((l[(1, 1)] - 2.0_f64.sqrt()).abs() < 1e-14);

@@ -8,17 +8,17 @@ pub struct Complex {
     /// Real part.
     pub re: f64,
     /// Imaginary part.
-    pub im: f64,
+    pub(crate) im: f64,
 }
 
 impl Complex {
     /// Construct from real and imaginary parts.
-    pub const fn new(re: f64, im: f64) -> Self {
+    pub(crate) const fn new(re: f64, im: f64) -> Self {
         Complex { re, im }
     }
 
     /// The real number `re`.
-    pub const fn real(re: f64) -> Self {
+    pub(crate) const fn real(re: f64) -> Self {
         Complex { re, im: 0.0 }
     }
 
@@ -35,17 +35,17 @@ impl Complex {
     }
 
     /// Squared modulus.
-    pub fn abs_sq(self) -> f64 {
+    pub(crate) fn abs_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
     /// Construct from polar coordinates.
-    pub fn from_polar(r: f64, theta: f64) -> Complex {
+    pub(crate) fn from_polar(r: f64, theta: f64) -> Complex {
         Complex::new(r * theta.cos(), r * theta.sin())
     }
 
     /// Whether both components are finite.
-    pub fn is_finite(self) -> bool {
+    pub(crate) fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
     }
 }

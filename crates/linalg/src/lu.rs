@@ -86,7 +86,7 @@ impl Lu {
     }
 
     /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lu.rows()
     }
 
@@ -122,7 +122,7 @@ impl Lu {
     }
 
     /// Solve `A X = B` column by column.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
+    pub(crate) fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         let n = self.dim();
         if b.rows() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -156,11 +156,6 @@ impl Lu {
     }
 }
 
-/// Convenience: solve `A x = b` with a fresh LU factorization.
-pub fn solve(a: &Matrix, b: &Vector) -> Result<Vector> {
-    Lu::new(a)?.solve(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +170,7 @@ mod tests {
     #[test]
     fn solve_identity() {
         let b = Vector::from_slice(&[1.0, 2.0, 3.0]);
-        let x = solve(&Matrix::identity(3), &b).unwrap();
+        let x = Lu::new(&Matrix::identity(3)).unwrap().solve(&b).unwrap();
         assert_close(x.as_slice(), b.as_slice(), 1e-14);
     }
 
@@ -184,7 +179,7 @@ mod tests {
         // 2x + y = 5 ; x + 3y = 10  =>  x = 1, y = 3
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
         let b = Vector::from_slice(&[5.0, 10.0]);
-        let x = solve(&a, &b).unwrap();
+        let x = Lu::new(&a).unwrap().solve(&b).unwrap();
         assert_close(x.as_slice(), &[1.0, 3.0], 1e-12);
     }
 
@@ -193,7 +188,7 @@ mod tests {
         // Zero on the initial pivot position forces a row swap.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let b = Vector::from_slice(&[2.0, 3.0]);
-        let x = solve(&a, &b).unwrap();
+        let x = Lu::new(&a).unwrap().solve(&b).unwrap();
         assert_close(x.as_slice(), &[3.0, 2.0], 1e-14);
     }
 
@@ -261,7 +256,7 @@ mod tests {
                 a[(r, r)] += 3.0; // diagonal dominance: well-conditioned
             }
             let b: Vector = (0..n).map(|_| next()).collect();
-            let x = solve(&a, &b).unwrap();
+            let x = Lu::new(&a).unwrap().solve(&b).unwrap();
             let r = &a.matvec(&x).unwrap() - &b;
             assert!(r.max_abs() < 1e-10, "n={n} residual {}", r.max_abs());
         }

@@ -112,36 +112,30 @@ impl Matrix {
 
     /// `(rows, cols)` pair.
     #[inline]
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
     /// Whether the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
-    }
-
-    /// Raw row-major data slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
     }
 
     /// A single row as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// A single row as a mutable slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Copy of column `c` as a `Vector`.
-    pub fn col(&self, c: usize) -> Vector {
+    pub(crate) fn col(&self, c: usize) -> Vector {
         let mut v = Vec::with_capacity(self.rows);
         for r in 0..self.rows {
             v.push(self[(r, c)]);
@@ -294,7 +288,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `src` extends past the matrix bounds.
-    pub fn set_block(&mut self, r0: usize, c0: usize, src: &Matrix) {
+    pub(crate) fn set_block(&mut self, r0: usize, c0: usize, src: &Matrix) {
         assert!(
             r0 + src.rows <= self.rows && c0 + src.cols <= self.cols,
             "set_block out of bounds"
@@ -437,7 +431,7 @@ mod tests {
     fn zeros_and_identity() {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.shape(), (2, 3));
-        assert!(z.as_slice().iter().all(|&v| v == 0.0));
+        assert!(z.data.iter().all(|&v| v == 0.0));
         let i = Matrix::identity(3);
         assert_eq!(i[(0, 0)], 1.0);
         assert_eq!(i[(0, 1)], 0.0);

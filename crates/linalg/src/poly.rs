@@ -30,18 +30,13 @@ impl Poly {
     }
 
     /// The zero polynomial.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Poly { coeffs: vec![0.0] }
     }
 
     /// Degree (0 for constants, including the zero polynomial).
-    pub fn degree(&self) -> usize {
+    pub(crate) fn degree(&self) -> usize {
         self.coeffs.len() - 1
-    }
-
-    /// Coefficients, lowest degree first.
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
     }
 
     /// Evaluate at a real point (Horner).
@@ -58,7 +53,7 @@ impl Poly {
     }
 
     /// Derivative polynomial.
-    pub fn derivative(&self) -> Poly {
+    pub(crate) fn derivative(&self) -> Poly {
         if self.coeffs.len() <= 1 {
             return Poly::zero();
         }
@@ -207,7 +202,7 @@ mod tests {
         let p = Poly::new(vec![1.0, 2.0, 3.0]);
         assert_eq!(p.eval(2.0), 17.0);
         let d = p.derivative();
-        assert_eq!(d.coeffs(), &[2.0, 6.0]);
+        assert_eq!(d.coeffs, [2.0, 6.0]);
         assert_eq!(Poly::new(vec![5.0]).derivative(), Poly::zero());
     }
 
@@ -222,7 +217,7 @@ mod tests {
         // (1 + x)(1 - x) = 1 - x²
         let a = Poly::new(vec![1.0, 1.0]);
         let b = Poly::new(vec![1.0, -1.0]);
-        assert_eq!(a.mul(&b).coeffs(), &[1.0, 0.0, -1.0]);
+        assert_eq!(a.mul(&b).coeffs, [1.0, 0.0, -1.0]);
     }
 
     #[test]

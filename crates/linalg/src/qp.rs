@@ -59,7 +59,7 @@ pub struct QpSolution {
     /// Number of active-set iterations used.
     pub iterations: usize,
     /// Indices of bounds active at the solution.
-    pub active: Vec<usize>,
+    pub(crate) active: Vec<usize>,
 }
 
 /// Bound status of a variable in the working set.
@@ -127,7 +127,7 @@ impl BoxQp {
     ///
     /// For SPD `H` the active-set iteration converges; the iteration cap is
     /// a safety net that returns the best iterate found so far.
-    pub fn solve_from(&self, x0: &Vector) -> Result<QpSolution, QpError> {
+    pub(crate) fn solve_from(&self, x0: &Vector) -> Result<QpSolution, QpError> {
         let n = self.f.len();
         if x0.len() != n {
             return Err(QpError::DimensionMismatch);

@@ -81,18 +81,13 @@ impl Qr {
         Ok(Qr { qr, beta })
     }
 
-    /// Number of rows of the original matrix.
-    pub fn rows(&self) -> usize {
-        self.qr.rows()
-    }
-
     /// Number of columns of the original matrix.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.qr.cols()
     }
 
     /// Numerical rank estimate from the diagonal of `R`.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         let scale = self.qr.max_abs().max(1.0);
         (0..self.cols())
             .filter(|&i| self.qr[(i, i)].abs() > RANK_TOL * scale)
@@ -148,44 +143,6 @@ impl Qr {
         }
         Ok(Vector::from_vec(x))
     }
-
-    /// Cheap condition-number estimate: `max|R_ii| / min|R_ii|`. This
-    /// lower-bounds the true 2-norm condition number of `A`; large values
-    /// flag poorly excited identification experiments.
-    pub fn condition_estimate(&self) -> f64 {
-        let n = self.cols();
-        if n == 0 {
-            return 1.0;
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0_f64;
-        for i in 0..n {
-            let d = self.qr[(i, i)].abs();
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        if lo == 0.0 {
-            f64::INFINITY
-        } else {
-            hi / lo
-        }
-    }
-
-    /// Residual 2-norm `||A x - b||₂` of a least-squares solve, computed from
-    /// the transformed right-hand side (no explicit `A x` needed).
-    pub fn residual_norm(&self, b: &Vector) -> Result<f64> {
-        let (m, n) = self.qr.shape();
-        if b.len() != m {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Qr::residual_norm",
-                got: (b.len(), 1),
-                expected: (m, 1),
-            });
-        }
-        let mut y = b.as_slice().to_vec();
-        self.apply_qt(&mut y);
-        Ok(y[n..].iter().map(|v| v * v).sum::<f64>().sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +174,7 @@ mod tests {
         let sol = qr.solve(&Vector::from_vec(b.clone())).unwrap();
         assert!((sol[0] - 2.0).abs() < 1e-12);
         assert!((sol[1] - 1.0).abs() < 1e-12);
-        assert!(qr.residual_norm(&Vector::from_vec(b)).unwrap() < 1e-12);
+        assert!((&a.matvec(&sol).unwrap() - &Vector::from_vec(b)).norm() < 1e-12);
     }
 
     #[test]
@@ -261,60 +218,5 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 2.0], &[0.0, 3.0]]);
         let qr = Qr::new(&a).unwrap();
         assert_eq!(qr.rank(), 1);
-    }
-}
-
-#[cfg(test)]
-mod condition_tests {
-    use super::*;
-
-    #[test]
-    fn identity_is_perfectly_conditioned() {
-        let qr = Qr::new(&Matrix::identity(4)).unwrap();
-        assert!((qr.condition_estimate() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaling_columns_worsens_condition() {
-        let well = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-        let mut badly = well.clone();
-        for r in 0..3 {
-            badly[(r, 1)] *= 1e-6;
-        }
-        let c_well = Qr::new(&well).unwrap().condition_estimate();
-        let c_bad = Qr::new(&badly).unwrap().condition_estimate();
-        assert!(c_bad > 1e5 * c_well, "{c_well} vs {c_bad}");
-    }
-
-    #[test]
-    fn estimate_lower_bounds_true_condition() {
-        // The true 2-norm condition number is sqrt(λmax / λmin) of AᵀA;
-        // the QR diagonal estimate never exceeds it.
-        let a = Matrix::from_rows(&[
-            &[1.0, 0.9, 0.5],
-            &[0.9, 1.0, 0.4],
-            &[0.5, 0.4, 1.0],
-            &[0.1, 0.2, 0.3],
-        ]);
-        let lambdas: Vec<f64> = crate::eigenvalues(&a.gram())
-            .unwrap()
-            .iter()
-            .map(|z| z.re)
-            .collect();
-        let max = lambdas.iter().copied().fold(f64::MIN, f64::max);
-        let min = lambdas.iter().copied().fold(f64::MAX, f64::min);
-        let true_cond = (max / min).sqrt();
-        let qr_cond = Qr::new(&a).unwrap().condition_estimate();
-        assert!(
-            qr_cond <= true_cond * (1.0 + 1e-9),
-            "{qr_cond} vs {true_cond}"
-        );
-    }
-
-    #[test]
-    fn rank_deficient_is_infinite_or_huge() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]);
-        let qr = Qr::new(&a).unwrap();
-        assert!(qr.condition_estimate() > 1e10);
     }
 }

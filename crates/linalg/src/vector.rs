@@ -14,13 +14,6 @@ impl Vector {
         Vector { data: vec![0.0; n] }
     }
 
-    /// Constant vector of length `n`.
-    pub fn filled(n: usize, value: f64) -> Self {
-        Vector {
-            data: vec![value; n],
-        }
-    }
-
     /// Take ownership of a `Vec<f64>`.
     pub fn from_vec(data: Vec<f64>) -> Self {
         Vector { data }
@@ -76,7 +69,7 @@ impl Vector {
     }
 
     /// Scale in place.
-    pub fn scale_mut(&mut self, s: f64) {
+    pub(crate) fn scale_mut(&mut self, s: f64) {
         for v in &mut self.data {
             *v *= s;
         }
@@ -104,7 +97,7 @@ impl Vector {
     ///
     /// # Panics
     /// Panics if bound lengths differ from the vector length.
-    pub fn clamp_box(&mut self, lo: &[f64], hi: &[f64]) {
+    pub(crate) fn clamp_box(&mut self, lo: &[f64], hi: &[f64]) {
         assert_eq!(self.len(), lo.len(), "clamp_box: lo length mismatch");
         assert_eq!(self.len(), hi.len(), "clamp_box: hi length mismatch");
         for ((v, &l), &h) in self.data.iter_mut().zip(lo).zip(hi) {
@@ -116,7 +109,7 @@ impl Vector {
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
-    pub fn segment(&self, start: usize, len: usize) -> Vector {
+    pub(crate) fn segment(&self, start: usize, len: usize) -> Vector {
         Vector::from_slice(&self.data[start..start + len])
     }
 }
@@ -207,7 +200,6 @@ mod tests {
     #[test]
     fn construction() {
         assert_eq!(Vector::zeros(3).as_slice(), &[0.0, 0.0, 0.0]);
-        assert_eq!(Vector::filled(2, 7.0).as_slice(), &[7.0, 7.0]);
         assert!(Vector::zeros(0).is_empty());
     }
 

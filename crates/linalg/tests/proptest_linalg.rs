@@ -223,6 +223,11 @@ fn hildreth_agrees_with_active_set() {
         let qp = BoxQp::new(h.clone(), f.clone(), lb.clone(), ub.clone()).unwrap();
         let active = qp.solve().unwrap();
         let dual = vdc_linalg::hildreth_solve(&h, &f, &lb, &ub, 50_000, 1e-13).unwrap();
+        prop_assert!(
+            dual.converged,
+            "the Hildreth oracle did not converge in {} iterations",
+            dual.iterations
+        );
         // Objectives must match (solutions may differ only on flats, which
         // an SPD Hessian rules out).
         let obj_dual = qp.objective(&dual.x);

@@ -81,7 +81,7 @@ pub fn render_json(t: &Telemetry, run: &str) -> String {
 }
 
 /// Render the metrics document as TSV (`kind name field value` columns).
-pub fn render_tsv(t: &Telemetry, run: &str) -> String {
+pub(crate) fn render_tsv(t: &Telemetry, run: &str) -> String {
     let mut out = String::from("kind\tname\tfield\tvalue\n");
     let mut push = |kind: &str, name: &str, field: &str, value: &str| {
         out.push_str(&format!("{kind}\t{name}\t{field}\t{value}\n"));

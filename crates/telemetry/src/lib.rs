@@ -51,7 +51,7 @@ pub mod slo;
 pub mod span;
 
 pub use registry::{Counter, Gauge, Histogram, HistogramSummary, MetricRegistry};
-pub use report::{Level, Reporter};
+pub use report::{arg_count, arg_num, arg_present, arg_value, exit_with, Level, Reporter};
 pub use slo::{SloAccountant, SloEntry};
 pub use span::SpanTimer;
 
@@ -95,21 +95,21 @@ pub struct SloSummary {
     /// Mean measurement (ms).
     pub mean_ms: f64,
     /// Estimated p50 measurement (ms).
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// Estimated p90 measurement (ms) — the paper's controlled statistic.
-    pub p90_ms: f64,
+    pub(crate) p90_ms: f64,
     /// Estimated p99 measurement (ms).
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// Measurements above `Ts`.
     pub violations: u64,
     /// `violations / samples`.
-    pub violation_fraction: f64,
+    pub(crate) violation_fraction: f64,
     /// Wall time spent in violation (s).
-    pub time_in_violation_s: f64,
+    pub(crate) time_in_violation_s: f64,
     /// Total observed wall time (s).
-    pub observed_s: f64,
+    pub(crate) observed_s: f64,
     /// Longest run of consecutive violating samples.
-    pub longest_violation_window: u64,
+    pub(crate) longest_violation_window: u64,
 }
 
 impl Telemetry {
@@ -161,7 +161,8 @@ impl Telemetry {
         }
     }
 
-    /// Record one SLO measurement for `app` (see [`SloAccountant::observe`]).
+    /// Record one SLO measurement for `app`: `measured_ms` against
+    /// `setpoint_ms`, covering `dt_s` seconds of operation.
     pub fn slo_observe(&self, app: u32, setpoint_ms: f64, measured_ms: f64, dt_s: f64) {
         if let Some(inner) = &self.inner {
             inner
@@ -181,7 +182,7 @@ impl Telemetry {
     }
 
     /// Sorted gauge snapshot (empty when disabled).
-    pub fn gauge_values(&self) -> Vec<(String, f64)> {
+    pub(crate) fn gauge_values(&self) -> Vec<(String, f64)> {
         self.inner
             .as_ref()
             .map(|i| i.metrics.gauge_values())

@@ -35,12 +35,12 @@ pub struct Counter {
 
 impl Counter {
     /// Add `n` to the counter.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -61,12 +61,12 @@ impl Default for Gauge {
 
 impl Gauge {
     /// Overwrite the gauge value.
-    pub fn set(&self, v: f64) {
+    pub(crate) fn set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -119,7 +119,7 @@ fn bucket_value(idx: usize) -> f64 {
 
 impl Histogram {
     /// Record one sample.
-    pub fn record(&self, v: f64) {
+    pub(crate) fn record(&self, v: f64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         atomic_f64_update(&self.sum_bits, |s| s + v);
@@ -128,17 +128,17 @@ impl Histogram {
     }
 
     /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of samples.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
     /// Mean of samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             0.0
@@ -148,20 +148,20 @@ impl Histogram {
     }
 
     /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         let m = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
         m.is_finite().then_some(m)
     }
 
     /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         let m = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
         m.is_finite().then_some(m)
     }
 
     /// Estimate the `q`-quantile (`q` in `[0, 1]`) from the buckets,
     /// clamped into the exact observed `[min, max]`. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         let n = self.count();
         if n == 0 {
             return None;
@@ -210,7 +210,7 @@ pub struct HistogramSummary {
     /// Estimated 90th percentile.
     pub p90: f64,
     /// Estimated 99th percentile.
-    pub p99: f64,
+    pub(crate) p99: f64,
 }
 
 /// Thread-safe registry of named metrics.
@@ -234,28 +234,23 @@ fn intern<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc
 }
 
 impl MetricRegistry {
-    /// New, empty registry.
-    pub fn new() -> MetricRegistry {
-        MetricRegistry::default()
-    }
-
     /// Counter handle for `name` (created on first use).
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub(crate) fn counter(&self, name: &str) -> Arc<Counter> {
         intern(&self.counters, name)
     }
 
     /// Gauge handle for `name` (created on first use).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str) -> Arc<Gauge> {
         intern(&self.gauges, name)
     }
 
     /// Histogram handle for `name` (created on first use).
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str) -> Arc<Histogram> {
         intern(&self.histograms, name)
     }
 
     /// Sorted `(name, value)` snapshot of all counters.
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
+    pub(crate) fn counter_values(&self) -> Vec<(String, u64)> {
         self.counters
             .read()
             .expect("registry lock")
@@ -265,7 +260,7 @@ impl MetricRegistry {
     }
 
     /// Sorted `(name, value)` snapshot of all gauges.
-    pub fn gauge_values(&self) -> Vec<(String, f64)> {
+    pub(crate) fn gauge_values(&self) -> Vec<(String, f64)> {
         self.gauges
             .read()
             .expect("registry lock")
@@ -275,7 +270,7 @@ impl MetricRegistry {
     }
 
     /// Sorted summaries of all non-empty histograms.
-    pub fn histogram_summaries(&self) -> Vec<HistogramSummary> {
+    pub(crate) fn histogram_summaries(&self) -> Vec<HistogramSummary> {
         self.histograms
             .read()
             .expect("registry lock")
@@ -301,7 +296,7 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_basics() {
-        let r = MetricRegistry::new();
+        let r = MetricRegistry::default();
         r.counter("a.events").add(2);
         r.counter("a.events").add(3);
         r.gauge("a.level").set(1.5);
@@ -359,7 +354,7 @@ mod tests {
 
     #[test]
     fn registry_is_sharable_across_threads() {
-        let r = Arc::new(MetricRegistry::new());
+        let r = Arc::new(MetricRegistry::default());
         let c = r.counter("t.hits");
         let h = r.histogram("t.ns");
         std::thread::scope(|s| {
@@ -383,7 +378,7 @@ mod tests {
 
     #[test]
     fn empty_histograms_are_omitted_from_summaries() {
-        let r = MetricRegistry::new();
+        let r = MetricRegistry::default();
         let _ = r.histogram("never.recorded");
         assert!(r.histogram_summaries().is_empty());
     }

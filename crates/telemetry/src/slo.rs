@@ -15,19 +15,19 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct SloEntry {
     /// SLA set point `Ts` the measurements are judged against (ms).
-    pub setpoint_ms: f64,
+    pub(crate) setpoint_ms: f64,
     /// Distribution of measurements (ms).
-    pub hist: Histogram,
+    pub(crate) hist: Histogram,
     /// Samples whose measurement exceeded `Ts`.
-    pub violations: u64,
+    pub(crate) violations: u64,
     /// Accumulated wall time of violating samples (s).
-    pub time_in_violation_s: f64,
+    pub(crate) time_in_violation_s: f64,
     /// Accumulated observed time (s).
-    pub observed_s: f64,
+    pub(crate) observed_s: f64,
     /// Length of the current run of consecutive violating samples.
     current_window: u64,
     /// Longest run of consecutive violating samples seen so far.
-    pub longest_violation_window: u64,
+    pub(crate) longest_violation_window: u64,
 }
 
 impl SloEntry {
@@ -57,7 +57,7 @@ impl SloEntry {
     }
 
     /// Fraction of samples violating the set point (0 when empty).
-    pub fn violation_fraction(&self) -> f64 {
+    pub(crate) fn violation_fraction(&self) -> f64 {
         let n = self.hist.count();
         if n == 0 {
             0.0
@@ -74,17 +74,12 @@ pub struct SloAccountant {
 }
 
 impl SloAccountant {
-    /// Empty accountant.
-    pub fn new() -> SloAccountant {
-        SloAccountant::default()
-    }
-
     /// Record one measurement for `app`: `measured_ms` against
     /// `setpoint_ms`, covering `dt_s` seconds of operation. The set point
     /// of an application is fixed by its first observation (a later,
     /// different set point updates it for subsequent judgments — the
     /// Fig. 5 sweep changes `Ts` at run time).
-    pub fn observe(&mut self, app: u32, setpoint_ms: f64, measured_ms: f64, dt_s: f64) {
+    pub(crate) fn observe(&mut self, app: u32, setpoint_ms: f64, measured_ms: f64, dt_s: f64) {
         let entry = self
             .apps
             .entry(app)
@@ -94,13 +89,8 @@ impl SloAccountant {
     }
 
     /// Iterate `(app, entry)` in app order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &SloEntry)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &SloEntry)> {
         self.apps.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Entry for one application, if observed.
-    pub fn entry(&self, app: u32) -> Option<&SloEntry> {
-        self.apps.get(&app)
     }
 }
 
@@ -110,7 +100,7 @@ mod tests {
 
     #[test]
     fn counts_violations_and_windows() {
-        let mut s = SloAccountant::new();
+        let mut s = SloAccountant::default();
         // Pattern: ok, viol, viol, viol, ok, viol — longest window 3.
         for (i, ms) in [900.0, 1100.0, 1200.0, 1050.0, 800.0, 1500.0]
             .iter()
@@ -119,7 +109,7 @@ mod tests {
             let _ = i;
             s.observe(7, 1000.0, *ms, 2.0);
         }
-        let e = s.entry(7).unwrap();
+        let e = s.apps.get(&7).unwrap();
         assert_eq!(e.violations, 4);
         assert_eq!(e.longest_violation_window, 3);
         assert!((e.time_in_violation_s - 8.0).abs() < 1e-12);
@@ -130,24 +120,24 @@ mod tests {
 
     #[test]
     fn apps_are_independent_and_sorted() {
-        let mut s = SloAccountant::new();
+        let mut s = SloAccountant::default();
         s.observe(3, 500.0, 600.0, 1.0);
         s.observe(1, 500.0, 400.0, 1.0);
         s.observe(3, 500.0, 450.0, 1.0);
         let order: Vec<u32> = s.iter().map(|(a, _)| a).collect();
         assert_eq!(order, vec![1, 3]);
-        assert_eq!(s.entry(1).unwrap().violations, 0);
-        assert_eq!(s.entry(3).unwrap().violations, 1);
-        assert!(s.entry(9).is_none());
+        assert_eq!(s.apps.get(&1).unwrap().violations, 0);
+        assert_eq!(s.apps.get(&3).unwrap().violations, 1);
+        assert!(!s.apps.contains_key(&9));
     }
 
     #[test]
     fn p90_tracks_the_distribution() {
-        let mut s = SloAccountant::new();
+        let mut s = SloAccountant::default();
         for i in 1..=100 {
             s.observe(0, 95.0, i as f64, 1.0);
         }
-        let e = s.entry(0).unwrap();
+        let e = s.apps.get(&0).unwrap();
         let p90 = e.hist.quantile(0.9).unwrap();
         assert!((p90 / 90.0 - 1.0).abs() < 0.10, "p90 {p90}");
         assert_eq!(e.violations, 5); // 96..=100

@@ -21,19 +21,19 @@ pub enum Sector {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SectorShape {
     /// Baseline utilization in `\[0, 1\]`.
-    pub base: f64,
+    pub(crate) base: f64,
     /// Amplitude of the diurnal component.
-    pub diurnal_amp: f64,
+    pub(crate) diurnal_amp: f64,
     /// Hour of day (0–24) at which load peaks.
-    pub peak_hour: f64,
+    pub(crate) peak_hour: f64,
     /// Multiplier applied to the diurnal component on weekends.
-    pub weekend_factor: f64,
+    pub(crate) weekend_factor: f64,
     /// Standard deviation of the AR(1) noise component.
-    pub noise_sd: f64,
+    pub(crate) noise_sd: f64,
     /// Per-sample probability of a flash-crowd spike.
-    pub spike_prob: f64,
+    pub(crate) spike_prob: f64,
     /// Mean amplitude of a spike.
-    pub spike_amp: f64,
+    pub(crate) spike_amp: f64,
 }
 
 impl Sector {
@@ -46,7 +46,7 @@ impl Sector {
     ];
 
     /// The sector's load shape.
-    pub fn shape(&self) -> SectorShape {
+    pub(crate) fn shape(&self) -> SectorShape {
         match self {
             Sector::Manufacturing => SectorShape {
                 base: 0.32,
@@ -98,7 +98,7 @@ impl Sector {
     }
 
     /// Parse a [`Sector::name`] back.
-    pub fn from_name(name: &str) -> Option<Sector> {
+    pub(crate) fn from_name(name: &str) -> Option<Sector> {
         Sector::ALL.iter().copied().find(|s| s.name() == name)
     }
 }

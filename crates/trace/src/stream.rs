@@ -152,12 +152,6 @@ impl StreamingTrace {
         }
     }
 
-    /// The sample the stream is positioned at (`None` before the first
-    /// [`StreamingTrace::advance_to`]).
-    pub fn cursor(&self) -> Option<usize> {
-        self.cursor
-    }
-
     /// Generate the next sample column for every VM.
     fn step(&mut self) {
         let t = self.cursor.map_or(0, |c| c + 1);
@@ -277,7 +271,7 @@ mod tests {
         // Jump straight to sample 20, then re-request it.
         s.advance_to(20);
         s.advance_to(20);
-        assert_eq!(s.cursor(), Some(20));
+        assert_eq!(s.cursor, Some(20));
         for vm in 0..5 {
             assert_eq!(
                 DemandSource::demand_ghz(&s, vm, 20).to_bits(),

@@ -34,40 +34,8 @@ use vdcpower::core::testbed::{Testbed, TestbedConfig};
 use vdcpower::core::RunOptions;
 use vdcpower::dcsim::FleetSpec;
 use vdcpower::telemetry::export::write_metrics;
-use vdcpower::telemetry::{Reporter, Telemetry};
+use vdcpower::telemetry::{arg_count, arg_num, arg_value, Reporter, Telemetry};
 use vdcpower::trace::{generate_trace, trace_stats, TraceConfig, UtilizationTrace};
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// A numeric flag, or `default` when it is absent; a value that does not
-/// parse ends the run with a message naming the flag.
-fn arg_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match arg_value(args, flag) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| exit_with(&format!("invalid value {v:?} for {flag}"))),
-    }
-}
-
-/// A count flag that sizes a run, parsed like [`arg_num`]; 0 ends the run.
-fn arg_count(args: &[String], flag: &str, default: usize) -> usize {
-    let n = arg_num(args, flag, default);
-    if n == 0 {
-        exit_with(&format!("{flag} must be at least 1"));
-    }
-    n
-}
-
-fn exit_with(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1)
-}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -176,7 +144,7 @@ fn cmd_testbed(args: &[String], reporter: &Reporter) -> ExitCode {
         seed: arg_num(args, "--seed", 2010u64),
         ..Default::default()
     };
-    let periods = arg_num(args, "--periods", 200usize);
+    let periods = arg_count(args, "--periods", 200);
     reporter.info(&format!(
         "testbed: {} apps @ concurrency {}, set point {} ms, {periods} periods",
         cfg.n_apps, cfg.concurrency, cfg.setpoint_ms
@@ -294,7 +262,7 @@ fn cmd_largescale(args: &[String], reporter: &Reporter) -> ExitCode {
 }
 
 fn cmd_trace_gen(args: &[String], reporter: &Reporter) -> ExitCode {
-    let n_vms = arg_num(args, "--vms", 100usize);
+    let n_vms = arg_count(args, "--vms", 100);
     let samples = arg_count(args, "--samples", 672);
     let seed = arg_num(args, "--seed", 1u64);
     let Some(out) = arg_value(args, "--out") else {

@@ -27,3 +27,25 @@ fn largescale_rejects_zero_samples() {
 fn a_value_that_does_not_parse_is_an_error_not_the_default() {
     assert_rejected(&["largescale", "--vms", "abc"], "--vms");
 }
+
+#[test]
+fn a_flag_given_last_without_a_value_is_an_error() {
+    assert_rejected(
+        &["trace-gen", "--samples", "4", "--out", "t.csv", "--vms"],
+        "--vms",
+    );
+    assert_rejected(
+        &["largescale", "--vms", "10", "--samples", "4", "--fleet"],
+        "--fleet",
+    );
+}
+
+#[test]
+fn testbed_rejects_zero_periods() {
+    assert_rejected(&["testbed", "--apps", "1", "--periods", "0"], "--periods");
+}
+
+#[test]
+fn trace_gen_rejects_zero_vms() {
+    assert_rejected(&["trace-gen", "--vms", "0"], "--vms");
+}
