@@ -21,10 +21,11 @@ run() {
 # Hermeticity: the dependency graph must be path-only. Every package that
 # `cargo metadata` can see must either live in this workspace (null
 # "source") or not resolve at all; any registry/git source is a regression.
+# Extra arguments (a --manifest-path) go to cargo metadata.
 run_metadata_check() {
-    echo "==> hermeticity: cargo metadata --offline lists only path dependencies"
+    echo "==> hermeticity: cargo metadata --offline${*:+ $*} lists only path dependencies"
     local sources
-    sources=$(cargo metadata --format-version 1 --offline |
+    sources=$(cargo metadata --format-version 1 --offline "$@" |
         tr ',' '\n' | grep -o '"source":"[^"]*"' | sort -u || true)
     if [ -n "$sources" ]; then
         echo "non-path dependency sources found:" >&2
@@ -33,6 +34,8 @@ run_metadata_check() {
     fi
 }
 run_metadata_check
+# vdcbench is a workspace of its own, so its graph is checked separately.
+run_metadata_check --manifest-path vdcbench/Cargo.toml
 
 run cargo fmt --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
