@@ -494,7 +494,6 @@ mod tests {
         assert_eq!(sites, vec![0, 0, 0, 1, 1, 1]);
         for (i, srv) in dc.servers().iter().enumerate() {
             assert!(!srv.is_active(), "servers start asleep");
-            assert!(srv.spec.profile.is_some());
             assert_eq!(dc.server_site(crate::ServerHandle::from_index(i)), sites[i]);
         }
         assert_eq!(dc.server_pue(crate::ServerHandle::from_index(0)), 1.12);

@@ -145,9 +145,8 @@ impl HostProfile {
         })
     }
 
-    /// Materialize the catalog entry as a [`ServerSpec`] carrying the given
-    /// profile handle.
-    pub(crate) fn server_spec(&self, id: ProfileId) -> Result<ServerSpec> {
+    /// Materialize the catalog entry as a [`ServerSpec`].
+    pub(crate) fn server_spec(&self) -> Result<ServerSpec> {
         Ok(ServerSpec {
             name: self.name.clone(),
             cores: self.cores,
@@ -156,7 +155,6 @@ impl HostProfile {
             memory_mib: self.memory_mib,
             power: self.power_model()?,
             wake_latency_s: self.wake_latency_s,
-            profile: Some(id),
         })
     }
 }
@@ -253,9 +251,9 @@ impl HostCatalog {
             .map(ProfileId::from_index)
     }
 
-    /// Materialize one profile as a handle-carrying [`ServerSpec`].
+    /// Materialize one profile as a [`ServerSpec`].
     pub fn spec(&self, id: ProfileId) -> Result<ServerSpec> {
-        self.get(id)?.server_spec(id)
+        self.get(id)?.server_spec()
     }
 }
 
@@ -301,7 +299,6 @@ mod tests {
         for (i, want) in legacy.iter().enumerate() {
             let id = ProfileId::from_index(i);
             let got = cat.spec(id).unwrap();
-            assert_eq!(got.profile, Some(id));
             assert_eq!(got.name, want.name);
             assert_eq!(got.power, want.power, "{}", want.name);
             assert_eq!(got.freq_levels_ghz, want.freq_levels_ghz);

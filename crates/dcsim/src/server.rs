@@ -6,7 +6,6 @@
 //! demands, and then throttles the processor … using DVFS" (§IV).
 
 use crate::power::PowerModel;
-use crate::profile::ProfileId;
 
 /// Copyable generation-tagged handle addressing one server slot in the
 /// [`crate::DataCenter`] arena.
@@ -70,10 +69,6 @@ pub struct ServerSpec {
     pub power: PowerModel,
     /// Seconds to wake from sleep (S3 resume + readiness).
     pub wake_latency_s: f64,
-    /// The catalog profile this spec was stamped from, when the server
-    /// came out of a [`crate::HostCatalog`]; `None` for ad-hoc specs (the
-    /// legacy §VI-B constructors below).
-    pub(crate) profile: Option<ProfileId>,
 }
 
 impl ServerSpec {
@@ -99,7 +94,6 @@ impl ServerSpec {
             memory_mib: 16384.0,
             power: PowerModel::new(15.0, 190.0, 320.0).expect("static catalog model"),
             wake_latency_s: 30.0,
-            profile: None,
         }
     }
 
@@ -113,7 +107,6 @@ impl ServerSpec {
             memory_mib: 8192.0,
             power: PowerModel::new(10.0, 110.0, 180.0).expect("static catalog model"),
             wake_latency_s: 25.0,
-            profile: None,
         }
     }
 
@@ -127,7 +120,6 @@ impl ServerSpec {
             memory_mib: 4096.0,
             power: PowerModel::new(8.0, 95.0, 150.0).expect("static catalog model"),
             wake_latency_s: 25.0,
-            profile: None,
         }
     }
 

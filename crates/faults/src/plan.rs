@@ -145,7 +145,6 @@ pub struct FaultPlan {
     wake_failure_prob: f64,
     migration_seed: u64,
     wake_seed: u64,
-    n_samples: usize,
 }
 
 impl FaultPlan {
@@ -262,7 +261,6 @@ impl FaultPlan {
             wake_failure_prob: cfg.wake_failure_prob,
             migration_seed: seed_stream(cfg.seed, STREAM_MIGRATION),
             wake_seed: seed_stream(cfg.seed, STREAM_WAKE),
-            n_samples,
         }
     }
 
@@ -278,7 +276,6 @@ impl FaultPlan {
             wake_failure_prob: 0.0,
             migration_seed: 0,
             wake_seed: 0,
-            n_samples: 0,
         }
     }
 

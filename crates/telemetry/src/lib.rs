@@ -18,7 +18,9 @@
 //!   through the workspace's hand-rolled JSON writer;
 //! * a leveled **reporter** ([`report`]) so human narration goes to
 //!   stderr behind `--quiet` / `--verbose` while stdout stays
-//!   machine-readable.
+//!   machine-readable, beside the command-line flag parser
+//!   ([`arg_num`], [`arg_count`], [`arg_value`]) that `vdcpower` and the
+//!   experiment binaries share.
 //!
 //! The entry point is the cheap, cloneable [`Telemetry`] handle. A
 //! disabled handle (the default everywhere) turns every call into a
