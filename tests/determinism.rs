@@ -11,6 +11,7 @@
 use vdc_churn::{AdmissionPolicy, ChurnConfig, ChurnWorkload};
 use vdc_core::churn::{run_churn, ChurnResult};
 use vdc_core::cosim::{run_cosim, CosimConfig, CosimResult};
+use vdc_core::experiments::{fig3_static_baseline, fig4, fig5, PlantKind, SweepPoint};
 use vdc_core::largescale::{run_large_scale, LargeScaleConfig, LargeScaleResult, OptimizerKind};
 use vdc_core::{
     run_large_scale_streaming, ControllerSpec, FaultConfig, FaultPlan, IdentificationConfig,
@@ -606,6 +607,64 @@ fn golden_testbed_des_with_mpc() {
     assert_eq!(h.0, GOLDEN_TESTBED, "testbed digest {:#018x}", h.0);
 }
 
+/// Golden pin: the single-application runs at `experiments_fast.rs`'s
+/// sizes — the Fig. 4 and Fig. 5 sweeps on the analytic plant (a DES-
+/// identified model, then MPC periods whose p90 the plant measures) and
+/// the Fig. 3 static baseline on the DES. Every sweep point's x, mean,
+/// std and n, then every baseline point.
+#[test]
+fn golden_single_app_sweeps_and_static_baseline() {
+    let ident = IdentificationConfig {
+        periods: 160,
+        ..Default::default()
+    };
+    let sweep_digest = |h: &mut Fnv, points: &[SweepPoint]| {
+        h.u64(points.len() as u64);
+        for p in points {
+            h.f64(p.x);
+            h.f64(p.response.mean);
+            h.f64(p.response.std);
+            h.u64(p.response.n as u64);
+        }
+    };
+    let mut h = Fnv::new();
+    let fig4_points = fig4(
+        &[30, 50, 70],
+        1000.0,
+        &ident,
+        30,
+        100,
+        7,
+        PlantKind::Analytic,
+    )
+    .expect("fig4 sweep runs");
+    sweep_digest(&mut h, &fig4_points);
+    let fig5_points = fig5(
+        &[700.0, 1000.0, 1300.0],
+        40,
+        &ident,
+        30,
+        100,
+        9,
+        PlantKind::Analytic,
+    )
+    .expect("fig5 sweep runs");
+    sweep_digest(&mut h, &fig5_points);
+    let cfg = TestbedConfig {
+        concurrency: 40,
+        ..Default::default()
+    };
+    let baseline = fig3_static_baseline(&cfg, 600.0, 200.0, 400.0, 80, &[0.9, 0.9], 11)
+        .expect("static baseline runs");
+    h.u64(baseline.len() as u64);
+    for p in &baseline {
+        h.f64(p.time_s);
+        h.u64(p.response_ms.map_or(u64::MAX, f64::to_bits));
+        h.f64(p.power_w);
+    }
+    assert_eq!(h.0, GOLDEN_SINGLE_APP, "single-app digest {:#018x}", h.0);
+}
+
 // Bit digests of the pinned runs. A change that moves one changes
 // simulation results and must say so.
 const GOLDEN_COSIM: u64 = 0x564e_b582_e317_2d77;
@@ -613,3 +672,4 @@ const GOLDEN_LARGE_SCALE_IPAC: u64 = 0x6286_7530_b359_3a7b;
 const GOLDEN_LARGE_SCALE_PMAPPER: u64 = 0x911b_85de_591f_d5e6;
 const GOLDEN_CHURN: u64 = 0x0ded_9de1_9ba3_fe77;
 const GOLDEN_TESTBED: u64 = 0x1788_dbf5_8b47_fbb4;
+const GOLDEN_SINGLE_APP: u64 = 0x2616_ee9d_3981_4a6f;
