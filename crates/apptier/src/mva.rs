@@ -22,12 +22,6 @@ pub struct MvaResult {
     pub(crate) response_time: f64,
     /// Throughput (requests/second).
     pub(crate) throughput: f64,
-    /// Mean number of jobs at each station.
-    pub(crate) queue_lengths: Vec<f64>,
-    /// Utilization of each station.
-    pub(crate) utilizations: Vec<f64>,
-    /// Mean per-station residence times (seconds).
-    pub(crate) residence_times: Vec<f64>,
 }
 
 /// Exact MVA for a closed network of PS stations.
@@ -65,14 +59,9 @@ pub fn mva_closed_network(
             q[i] = x * r[i];
         }
     }
-    let response_time = r.iter().sum();
-    let utilizations = demands_s.iter().map(|&d| (x * d).min(1.0)).collect();
     Some(MvaResult {
-        response_time,
+        response_time: r.iter().sum(),
         throughput: x,
-        queue_lengths: q,
-        utilizations,
-        residence_times: r,
     })
 }
 
@@ -103,7 +92,6 @@ mod tests {
         let d = [0.010, 0.020];
         let r = mva_closed_network(&d, 0.0, 200).unwrap();
         assert!((r.throughput - 1.0 / 0.020).abs() < 0.5);
-        assert!(r.utilizations[1] > 0.99);
         // Response time ~ N*D_max for large N.
         assert!((r.response_time - 200.0 * 0.020).abs() < 0.5);
     }
@@ -118,10 +106,6 @@ mod tests {
         let lhs = n as f64;
         let rhs = r.throughput * (r.response_time + z);
         assert!((lhs - rhs).abs() < 1e-9);
-        // Per-station Little's law.
-        for i in 0..3 {
-            assert!((r.queue_lengths[i] - r.throughput * r.residence_times[i]).abs() < 1e-9);
-        }
     }
 
     #[test]
