@@ -1,6 +1,7 @@
 //! Property-based tests for the linear-algebra substrate: invariants that
 //! must hold for *any* well-formed input, checked over randomized cases.
 
+use std::cell::Cell;
 use vdc_check::{check, from_fn, prop_assert, prop_assert_eq, vec_of, Gen, TestRng};
 use vdc_linalg::poly as poly_mod;
 use vdc_linalg::poly::Poly;
@@ -30,12 +31,14 @@ fn square_system(lo: usize, hi: usize) -> impl Gen<Value = (Matrix, Vector)> {
     })
 }
 
-/// `(dominant matrix, linear term, box bound)` for the QP properties.
+/// `(dominant matrix, linear term, box bound)` for the QP properties. The
+/// linear term is wide enough that about half the minimizers lie on the
+/// box and half inside it.
 fn qp_instance() -> impl Gen<Value = (Matrix, Vec<f64>, f64)> {
     from_fn(|rng: &mut TestRng| {
         let n = rng.usize_in(2, 6);
         let a = gen_dominant_matrix(rng, n);
-        let f = (0..n).map(|_| rng.f64_in(-3.0, 3.0)).collect();
+        let f = (0..n).map(|_| rng.f64_in(-20.0, 20.0)).collect();
         (a, f, rng.f64_in(0.1, 2.0))
     })
 }
@@ -210,9 +213,12 @@ fn box_qp_solution_is_feasible_and_optimal() {
 }
 
 /// Independent-solver equivalence: Hildreth's dual coordinate ascent and
-/// the primal active-set method must agree on random SPD box QPs.
+/// the primal active-set method must agree on random SPD box QPs, both
+/// where the minimizer is interior (the dual stays at zero) and where a
+/// bound is active (the dual has to ascend).
 #[test]
 fn hildreth_agrees_with_active_set() {
+    let (interior, on_box) = (Cell::new(0), Cell::new(0));
     check(48, &qp_instance(), |(a, f_data, bound)| {
         let n = a.rows();
         let mut h = a.gram();
@@ -222,6 +228,12 @@ fn hildreth_agrees_with_active_set() {
         let ub = vec![*bound; n];
         let qp = BoxQp::new(h.clone(), f.clone(), lb.clone(), ub.clone()).unwrap();
         let active = qp.solve().unwrap();
+        let count = if (0..n).any(|i| active.x[i] <= lb[i] || active.x[i] >= ub[i]) {
+            &on_box
+        } else {
+            &interior
+        };
+        count.set(count.get() + 1);
         let dual = vdc_linalg::hildreth_solve(&h, &f, &lb, &ub, 50_000, 1e-13).unwrap();
         prop_assert!(
             dual.converged,
@@ -247,4 +259,6 @@ fn hildreth_agrees_with_active_set() {
         }
         Ok(())
     });
+    assert!(interior.get() > 0, "no case had an interior minimizer");
+    assert!(on_box.get() > 0, "no case had an active bound");
 }
