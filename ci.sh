@@ -38,21 +38,23 @@ run_metadata_check
 run_metadata_check --manifest-path vdcbench/Cargo.toml
 
 run cargo fmt --check
-run cargo clippy --workspace --all-targets --offline -- -D warnings
+# --locked on every step that resolves a graph: a manifest change whose
+# Cargo.lock was not updated fails here instead of being rewritten.
+run cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 # The results gate below runs the member crates' bins (cosim, churn, ...),
 # so build every workspace package, not only the facade.
-run cargo build --release --offline --workspace
+run cargo build --release --offline --locked --workspace
 # Every member crate's unit and property suites, not just the facade's.
-run cargo test -q --offline --workspace
+run cargo test -q --offline --locked --workspace
 # vdcbench is a workspace of its own (vdcbench/Cargo.toml), so the steps
 # above never compile it. Build and test it here: a change that breaks an
 # API the benchmark imports fails in CI, not at benchmark time.
-run cargo test -q --release --offline --manifest-path vdcbench/Cargo.toml
+run cargo test -q --release --offline --locked --manifest-path vdcbench/Cargo.toml
 
 # Documentation must build clean for every member crate: any rustdoc
 # warning (a broken intra-doc link, a malformed example) fails here, not
 # on docs.rs.
-run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --locked
 
 # Telemetry-overhead smoke check: an instrumented co-simulation must stay
 # within a generous factor of the no-op-sink run (release build, so the
