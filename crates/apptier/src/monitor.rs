@@ -54,7 +54,7 @@ impl SlaMetric {
 /// ascending samples: the smallest sample such that at least `p`% of the
 /// samples are ≤ it. `p` is clamped to `[0, 100]`, and `p = 0` is the
 /// minimum.
-fn nearest_rank_index(p: f64, n: usize) -> usize {
+pub(crate) fn nearest_rank_index(p: f64, n: usize) -> usize {
     let p = p.clamp(0.0, 100.0);
     if p == 0.0 {
         return 0;

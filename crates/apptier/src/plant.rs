@@ -1,13 +1,19 @@
 //! The plant abstraction: anything a response-time controller can drive.
 //!
 //! The controller's contract with the world is small: set per-tier CPU
-//! allocations, let simulated time pass, and collect the response times of
-//! requests that completed. [`Plant`] captures exactly that, so the same
-//! controller runs against the exact discrete-event simulator
+//! allocations, let simulated time pass, and measure the SLA metric over
+//! the requests that completed. [`Plant`] captures exactly that, so the
+//! same controller runs against the exact discrete-event simulator
 //! ([`crate::AppSim`]) or the instant analytic approximation
 //! ([`crate::analytic::AnalyticPlant`]) — or, in a real deployment, an
 //! adapter around Xen credit-scheduler caps and an Apache log tailer.
+//!
+//! [`Plant::measure`] is how a controller reads its metric. Its default
+//! drains the completions and hands them to [`SlaMetric::measure`]; the
+//! analytic plant overrides it to read a p90 from the tail of its pending
+//! draws, with the same bits and the same stream afterwards.
 
+use crate::monitor::SlaMetric;
 use crate::Result;
 
 /// A controllable multi-tier application.
@@ -24,6 +30,14 @@ pub trait Plant {
     /// Drain the response times (seconds) of requests completed since the
     /// last drain.
     fn take_completed(&mut self) -> Vec<f64>;
+
+    /// Drain the completions since the last drain and measure `metric`
+    /// over them (seconds; `None` when no finite sample completed). An
+    /// override must return the bits of the default and leave the plant
+    /// as the default would.
+    fn measure(&mut self, metric: SlaMetric) -> Option<f64> {
+        metric.measure(self.take_completed())
+    }
 
     /// Change the closed-loop client population (workload intensity knob).
     fn set_concurrency(&mut self, concurrency: usize);

@@ -102,11 +102,13 @@ impl SimRng {
         -mean * (1.0 - u).max(f64::MIN_POSITIVE).ln()
     }
 
-    /// Standard normal sample (Box–Muller).
-    pub(crate) fn standard_normal(&mut self) -> f64 {
+    /// The two uniforms of one Box–Muller draw, in draw order: `u1`,
+    /// floored at the smallest positive normal so that its log is finite,
+    /// then `u2`. [`normal_from`] turns them into the normal.
+    fn normal_uniforms(&mut self) -> (f64, f64) {
         let u1 = self.uniform().max(f64::MIN_POSITIVE);
         let u2 = self.uniform();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        (u1, u2)
     }
 
     /// Log-normal sample with the given *linear-space* mean and coefficient
@@ -130,6 +132,12 @@ impl SimRng {
         assert!(!options.is_empty(), "pick from an empty slice");
         &options[self.index(options.len())]
     }
+}
+
+/// The Box–Muller standard normal of the uniforms `(u1, u2)`:
+/// `r·cos(2π·u2)` with radius `r = √(−2 ln u1)`.
+fn normal_from(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// A log-normal distribution given by its *linear-space* mean and
@@ -177,9 +185,81 @@ impl LogNormal {
     pub(crate) fn sample(&self, rng: &mut SimRng) -> f64 {
         match self.0 {
             Shape::Constant(v) => v,
-            Shape::Spread { mu, sigma } => (mu + sigma * rng.standard_normal()).exp(),
+            Shape::Spread { mu, sigma } => {
+                let (u1, u2) = rng.normal_uniforms();
+                spread_draw(mu, sigma, u1, u2)
+            }
         }
     }
+
+    /// The `k`-th smallest (zero-based, in `f64::total_cmp` order) of the
+    /// next `n` samples, or `None` when the walk below cannot prove its
+    /// answer exact. On `Some`, `rng` is where drawing all `n` samples
+    /// would leave it; on `None` it is untouched, so the caller can draw
+    /// them instead.
+    ///
+    /// The walk pulls both uniforms of every draw, in stream order, but
+    /// evaluates only the draws whose normal can reach `TAIL_Z`: a draw
+    /// with `u1 > e^(−TAIL_Z²/2)` has radius below `TAIL_Z`, and one with
+    /// `u2` inside `(¼, ¾)` has `cos(2π·u2) < 0`. Both tests keep a
+    /// `TAIL_MARGIN` that outweighs every rounding once
+    /// `σ̂ ≥ TAIL_MIN_SIGMA`, so every skipped draw is below
+    /// `x0 = exp(μ̂ + σ̂·TAIL_Z)`. The evaluated draws that reach
+    /// `x0` are kept, with [`spread_draw`]'s bits; they are the top `m` of
+    /// the batch, so the answer is the `(k − (n − m))`-th kept draw when
+    /// `k ≥ n − m`. `x0` must be a normal float and every kept draw finite,
+    /// so that no sample is one `measure` would drop.
+    pub(crate) fn tail_order_statistic(&self, rng: &mut SimRng, n: usize, k: usize) -> Option<f64> {
+        let Shape::Spread { mu, sigma } = self.0 else {
+            return None;
+        };
+        let x0 = (mu + sigma * TAIL_Z).exp();
+        if sigma < TAIL_MIN_SIGMA || !x0.is_normal() {
+            return None;
+        }
+        let u1_floor = (-TAIL_Z * TAIL_Z / 2.0).exp() * (1.0 + TAIL_MARGIN);
+        let mut walk = rng.clone();
+        // 13.6 % of draws reach the tail in expectation.
+        let mut kept = Vec::with_capacity(n / 4);
+        for _ in 0..n {
+            let (u1, u2) = walk.normal_uniforms();
+            if u1 > u1_floor || (0.25 + TAIL_MARGIN < u2 && u2 < 0.75 - TAIL_MARGIN) {
+                continue;
+            }
+            let x = spread_draw(mu, sigma, u1, u2);
+            if x >= x0 {
+                kept.push(x);
+            }
+        }
+        let below = n - kept.len();
+        if k < below || kept.iter().any(|x| !x.is_finite()) {
+            return None;
+        }
+        *rng = walk;
+        Some(*kept.select_nth_unstable_by(k - below, f64::total_cmp).1)
+    }
+}
+
+/// The normal quantile at which [`LogNormal::tail_order_statistic`] cuts
+/// the tail: `P(z ≥ 1.1)` keeps 13.6 % of draws in expectation, against
+/// the 10 % a p90 needs, so over 2,000 draws a shortfall is 4.6 standard
+/// deviations away. Of the draws, `e^(−1.1²/2)·½ ≈ 27 %` are evaluated.
+const TAIL_Z: f64 = 1.1;
+
+/// Margin on the walk's two rejection tests. A rejected `u1` puts the
+/// radius at least `0.9·TAIL_MARGIN` below `TAIL_Z`.
+const TAIL_MARGIN: f64 = 1e-9;
+
+/// The smallest `σ̂` the walk accepts. The gap it leaves in the exponent,
+/// `0.9e-9·σ̂ ≥ 9e-13`, is then at least 7 times the rounding of
+/// `μ̂ + σ̂·z` at any `|μ̂ + σ̂·TAIL_Z| < 710` (a normal `x0`).
+const TAIL_MIN_SIGMA: f64 = 1e-3;
+
+/// `exp(μ̂ + σ̂·z)` for the Box–Muller normal `z` of `(u1, u2)`: the one
+/// formula of a spread draw, shared by [`LogNormal::sample`] and the tail
+/// walk.
+fn spread_draw(mu: f64, sigma: f64, u1: f64, u2: f64) -> f64 {
+    (mu + sigma * normal_from(u1, u2)).exp()
 }
 
 #[cfg(test)]
@@ -357,6 +437,44 @@ mod tests {
     }
 
     #[test]
+    fn tail_walk_matches_the_drawn_batch_or_leaves_the_stream() {
+        // Where the walk answers, it is the sorted batch's element and the
+        // stream is where drawing the batch leaves it.
+        let d = LogNormal::new(0.8, 0.45);
+        let mut walked = SimRng::seed_from_u64(31);
+        let mut drawn = walked.clone();
+        let (n, k) = (2000, 1799);
+        let got = d.tail_order_statistic(&mut walked, n, k);
+        let mut batch: Vec<f64> = (0..n).map(|_| d.sample(&mut drawn)).collect();
+        batch.sort_unstable_by(f64::total_cmp);
+        assert_eq!(got.map(f64::to_bits), Some(batch[k].to_bits()));
+        assert_eq!(walked, drawn);
+        // Where it cannot prove the answer, it declines and draws nothing:
+        // no spread, too narrow, a tail edge that overflows or underflows,
+        // kept draws that overflow, and too few kept draws for the rank.
+        for (mean, cv, n, k) in [
+            (5.0, 0.0, 2000, 1799),
+            (1.0, 1e-4, 2000, 1799),
+            (f64::MAX, 3.0, 2000, 1799),
+            (1e-320, 0.5, 2000, 1799),
+            (1e307, 3.0, 2000, 1999),
+            (1.0, 0.5, 100, 0),
+        ] {
+            let before = walked.clone();
+            let d = LogNormal::new(mean, cv);
+            assert_eq!(
+                d.tail_order_statistic(&mut walked, n, k),
+                None,
+                "{mean}, {cv}"
+            );
+            assert_eq!(
+                walked, before,
+                "LogNormal::new({mean}, {cv}) moved the stream"
+            );
+        }
+    }
+
+    #[test]
     fn uniform_range_and_index_bounds() {
         let mut r = SimRng::seed_from_u64(2);
         for _ in 0..1000 {
@@ -398,7 +516,12 @@ mod tests {
     fn standard_normal_moments() {
         let mut r = SimRng::seed_from_u64(3);
         let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.standard_normal()).collect();
+        let samples: Vec<f64> = (0..n)
+            .map(|_| {
+                let (u1, u2) = r.normal_uniforms();
+                normal_from(u1, u2)
+            })
+            .collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");

@@ -1,8 +1,9 @@
 //! Property-based tests for the plant: conservation laws and statistics
 //! invariants that must hold for any workload configuration.
 
+use std::cell::Cell;
 use vdc_apptier::monitor::{ResponseStats, SlaMetric};
-use vdc_apptier::{AppSim, TierDemand, WorkloadProfile};
+use vdc_apptier::{AnalyticPlant, AppSim, Plant, TierDemand, WorkloadProfile};
 use vdc_check::{check, f64_range, from_fn, prop_assert, prop_assert_eq, vec_of, Gen, TestRng};
 
 const CASES: u32 = 24;
@@ -196,4 +197,109 @@ fn measure_matches_the_sorted_stats_bit_for_bit() {
             Ok(())
         },
     );
+}
+
+/// An analytic plant, the periods (seconds) before each of eight drains,
+/// the period after each drain, and a random percentile. A drain follows
+/// 1–3 `run_for` calls of 10 ms to 300 s, so batches run from nothing to
+/// the 2,000-draw cap, and two or three of them are often pending at once.
+/// One plant in eight has cv 0 (a constant batch) and one in eight a cv
+/// under 1e-3; both are too narrow for the tail walk.
+#[allow(clippy::type_complexity)]
+fn analytic_inputs() -> impl Gen<Value = (AnalyticPlant, Vec<Vec<f64>>, f64, f64)> {
+    from_fn(|rng: &mut TestRng| {
+        let profile = gen_profile(rng);
+        let alloc: Vec<f64> = (0..profile.n_tiers())
+            .map(|_| rng.f64_in(0.2, 3.0))
+            .collect();
+        let cv = match rng.below(8) {
+            0 => 0.0,
+            1 => rng.f64_in(0.0, 1e-3),
+            _ => rng.f64_in(0.05, 1.2),
+        };
+        let plant = AnalyticPlant::new(
+            profile,
+            rng.usize_in(1, 80),
+            &alloc,
+            cv,
+            rng.u64_in(0, 1 << 32),
+        )
+        .unwrap();
+        let period = |rng: &mut TestRng| 10f64.powf(rng.f64_in(-2.0, 2.5));
+        let runs = (0..8)
+            .map(|_| (0..rng.usize_in(1, 4)).map(|_| period(rng)).collect())
+            .collect();
+        let next_s = period(rng);
+        (plant, runs, next_s, rng.f64_in(-10.0, 110.0))
+    })
+}
+
+#[test]
+fn analytic_measure_matches_drain_and_select_bit_for_bit() {
+    let (taken, fell_back, multi_batch) = (Cell::new(0), Cell::new(0), Cell::new(0));
+    check(64, &analytic_inputs(), |(plant, runs, next_s, random_p)| {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let metrics = [
+            SlaMetric::Percentile(50.0),
+            SlaMetric::P90,
+            SlaMetric::Percentile(95.0),
+            SlaMetric::Percentile(99.9),
+            SlaMetric::Percentile(100.0),
+            SlaMetric::Percentile(*random_p),
+            SlaMetric::Mean,
+            SlaMetric::Max,
+        ];
+        // `a` measures, `b` drains and selects, `c` drains after every
+        // `run_for` to count the batches `a` and `b` hold at once.
+        let (mut a, mut b, mut c) = (plant.clone(), plant.clone(), plant.clone());
+        for (metric, periods) in metrics.into_iter().zip(runs) {
+            let mut batches = 0;
+            let mut one_by_one = Vec::new();
+            for &dt in periods {
+                a.run_for(dt);
+                b.run_for(dt);
+                c.run_for(dt);
+                let batch = c.take_completed();
+                batches += usize::from(!batch.is_empty());
+                one_by_one.extend(batch);
+            }
+            let tail_before = a.tail_measurements();
+            let measured = a.measure(metric).map(f64::to_bits);
+            let drained = b.take_completed();
+            prop_assert_eq!(bits(drained.clone()), bits(one_by_one));
+            prop_assert_eq!(
+                measured,
+                metric.measure(drained).map(f64::to_bits),
+                "{metric:?} over {batches} batches"
+            );
+            let from_tail = a.tail_measurements() > tail_before;
+            match metric {
+                _ if batches > 1 => multi_batch.set(multi_batch.get() + 1),
+                SlaMetric::Percentile(p) if batches == 1 && p >= 90.0 => {
+                    let count = if from_tail { &taken } else { &fell_back };
+                    count.set(count.get() + 1);
+                }
+                _ => {}
+            }
+            prop_assert!(
+                !from_tail || batches == 1,
+                "{metric:?} read the tail of {batches} batches"
+            );
+            // Same stream: the next period draws the same bits on both.
+            for p in [&mut a, &mut b, &mut c] {
+                p.run_for(*next_s);
+            }
+            let next_b = bits(b.take_completed());
+            prop_assert_eq!(bits(a.take_completed()), next_b.clone());
+            prop_assert_eq!(bits(c.take_completed()), next_b);
+        }
+        Ok(())
+    });
+    for (name, count) in [
+        ("tail path taken", &taken),
+        ("tail path fell back", &fell_back),
+        ("multi-batch drain", &multi_batch),
+    ] {
+        assert!(count.get() > 0, "no case covered: {name}");
+    }
 }

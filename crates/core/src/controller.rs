@@ -90,7 +90,7 @@ pub fn identify_plant<P: Plant + ?Sized>(
         let alloc: Vec<f64> = prbs.iter_mut().map(|p| p.next_level()).collect();
         plant.set_allocations(&alloc)?;
         plant.run_for(cfg.period_s);
-        let Some(value) = cfg.metric.measure(plant.take_completed()) else {
+        let Some(value) = plant.measure(cfg.metric) else {
             // Starved period: skip the sample (no measurement, like a
             // monitor timeout on the real testbed).
             continue;
@@ -266,7 +266,7 @@ impl ResponseTimeController {
     pub fn control_period<P: Plant + ?Sized>(&mut self, plant: &mut P) -> Result<Option<f64>> {
         plant.set_allocations(self.allocation())?;
         plant.run_for(self.period_s);
-        let Some(measured_s) = self.metric.measure(plant.take_completed()) else {
+        let Some(measured_s) = plant.measure(self.metric) else {
             // No completions (severely starved): push allocations up by the
             // rate limit to recover, as a watchdog would.
             let bumped: Vec<f64> = self

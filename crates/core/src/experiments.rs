@@ -163,9 +163,7 @@ pub fn fig3_static_baseline(
         time += period;
         series.push(Fig3Point {
             time_s: time,
-            response_ms: SlaMetric::P90
-                .measure(plant.take_completed())
-                .map(|s| s * 1000.0),
+            response_ms: plant.measure(SlaMetric::P90).map(|s| s * 1000.0),
             power_w: 0.0, // single-app baseline: cluster power not modeled
         });
     }

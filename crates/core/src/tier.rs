@@ -187,7 +187,7 @@ impl TierController for RobustTierController {
     fn control_period(&mut self, plant: &mut dyn Plant) -> Result<Option<f64>> {
         plant.set_allocations(self.law.allocation())?;
         plant.run_for(self.period_s);
-        let Some(measured_s) = self.metric.measure(plant.take_completed()) else {
+        let Some(measured_s) = plant.measure(self.metric) else {
             // Starved: watchdog-bump the allocation by the rate limit.
             let bumped: Vec<f64> = self
                 .law

@@ -20,7 +20,7 @@
 //! ```
 
 use vdcpower::apptier::monitor::SlaMetric;
-use vdcpower::apptier::{AppSim, WorkloadProfile};
+use vdcpower::apptier::{AppSim, Plant, WorkloadProfile};
 use vdcpower::control::sysid::RecursiveLeastSquares;
 use vdcpower::control::{MpcConfig, MpcController, ReferenceTrajectory};
 use vdcpower::core::controller::{identify_plant, IdentificationConfig};
@@ -67,7 +67,7 @@ fn main() {
     for k in 0..150 {
         plant.set_allocations(mpc.current_allocation()).unwrap();
         plant.run_for(period_s);
-        let Some(p90_s) = SlaMetric::P90.measure(plant.take_completed()) else {
+        let Some(p90_s) = plant.measure(SlaMetric::P90) else {
             continue;
         };
         let t_ms = p90_s * 1000.0;
