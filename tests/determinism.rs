@@ -576,22 +576,11 @@ fn golden_churn_with_crash_storm() {
     assert_eq!(digest, GOLDEN_CHURN, "churn digest {digest:#018x}");
 }
 
-/// Golden pin: the DES testbed (two apps, shared identified model, paper
-/// MPC, DVFS arbitration) over 40 periods — every sample's p90, power and
-/// frequencies, then each controller's final allocation.
-#[test]
-fn golden_testbed_des_with_mpc() {
-    let cfg = TestbedConfig {
-        n_apps: 2,
-        concurrency: 25,
-        ident: IdentificationConfig {
-            periods: 120,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut tb = Testbed::build(&cfg).expect("testbed builds");
-    let samples = tb.run(40).expect("testbed runs");
+/// Every sample's p90s, power and frequencies over `periods`, then each
+/// controller's final allocation.
+fn testbed_digest(cfg: &TestbedConfig, periods: usize) -> u64 {
+    let mut tb = Testbed::build(cfg).expect("testbed builds");
+    let samples = tb.run(periods).expect("testbed runs");
     let mut h = Fnv::new();
     h.u64(samples.len() as u64);
     for s in &samples {
@@ -604,7 +593,43 @@ fn golden_testbed_des_with_mpc() {
     for app in 0..tb.n_apps() {
         h.f64s(tb.controller(app).allocation());
     }
-    assert_eq!(h.0, GOLDEN_TESTBED, "testbed digest {:#018x}", h.0);
+    h.0
+}
+
+/// Golden pin: the DES testbed (two apps, shared identified model, paper
+/// MPC, DVFS arbitration) over 40 periods. Two apps leave server 3 with
+/// no VM.
+#[test]
+fn golden_testbed_des_with_mpc() {
+    let cfg = TestbedConfig {
+        n_apps: 2,
+        concurrency: 25,
+        ident: IdentificationConfig {
+            periods: 120,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let digest = testbed_digest(&cfg, 40);
+    assert_eq!(digest, GOLDEN_TESTBED, "testbed digest {digest:#018x}");
+}
+
+/// Golden pin: the paper's testbed as `fig2` and `fig3` run it (eight apps
+/// at concurrency 40, all four servers busy) over 40 periods.
+#[test]
+fn golden_testbed_eight_apps() {
+    let cfg = TestbedConfig {
+        ident: IdentificationConfig {
+            periods: 120,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let digest = testbed_digest(&cfg, 40);
+    assert_eq!(
+        digest, GOLDEN_TESTBED_EIGHT_APPS,
+        "eight-app testbed digest {digest:#018x}"
+    );
 }
 
 /// Golden pin: the single-application runs at `experiments_fast.rs`'s
@@ -672,4 +697,5 @@ const GOLDEN_LARGE_SCALE_IPAC: u64 = 0x6286_7530_b359_3a7b;
 const GOLDEN_LARGE_SCALE_PMAPPER: u64 = 0x911b_85de_591f_d5e6;
 const GOLDEN_CHURN: u64 = 0x0ded_9de1_9ba3_fe77;
 const GOLDEN_TESTBED: u64 = 0x1788_dbf5_8b47_fbb4;
+const GOLDEN_TESTBED_EIGHT_APPS: u64 = 0x82bc_f5e2_7f5b_3d27;
 const GOLDEN_SINGLE_APP: u64 = 0x2616_ee9d_3981_4a6f;
