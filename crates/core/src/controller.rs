@@ -317,9 +317,9 @@ impl ResponseTimeController {
         let _ = self.mpc.force_allocation(alloc);
     }
 
-    /// Mutable access to the wrapped MPC, for variant controllers (the
-    /// cooling-coupled wrapper sets its energy weight and PUE multiplier
-    /// here) without widening the public surface.
+    /// Mutable access to the wrapped MPC, for the cooling-coupled spec
+    /// (its energy weight) and the PUE feed, without widening the public
+    /// surface.
     pub(crate) fn mpc_mut(&mut self) -> &mut MpcController {
         &mut self.mpc
     }

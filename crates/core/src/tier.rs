@@ -3,18 +3,20 @@
 //! The paper's MPC ([`ResponseTimeController`]) is one point in a design
 //! space. This module turns the application-control layer into a real seam:
 //! an object-safe trait every run loop (`cosim`, `testbed`, faults) drives
-//! through `Box<dyn TierController>`, with three implementations —
+//! through `Box<dyn TierController>`, with two implementations and three
+//! specs —
 //!
-//! * **`mpc`** — the paper's §IV controller, unchanged. The default, and
-//!   bit-identical to the pre-seam code path.
-//! * **`robust`** — the model-free fixed-gain provisioning law of
-//!   [`vdc_control::robust`] (after Makridis et al., arXiv:1811.05533),
-//!   wrapped with the same plant-loop mechanics (measure → filter → move,
-//!   starvation watchdog, sensor-dropout safe mode).
+//! * **`mpc`** — the paper's §IV controller, [`ResponseTimeController`],
+//!   unchanged. The default, and bit-identical to the pre-seam code path.
+//! * **`robust`** — [`RobustTierController`], the model-free fixed-gain
+//!   provisioning law of [`vdc_control::robust`] (after Makridis et al.,
+//!   arXiv:1811.05533), wrapped with the same plant-loop mechanics
+//!   (measure → filter → move, starvation watchdog, sensor-dropout safe
+//!   mode).
 //! * **`cooling`** — the cooling-coupled MPC (after Ogura et al.,
-//!   arXiv:1806.03375): the paper's controller plus the PUE-weighted
-//!   allocation-level term of [`vdc_control::MpcController`], fed per
-//!   sample through
+//!   arXiv:1806.03375): a [`ResponseTimeController`] whose MPC has a
+//!   non-zero weight on the PUE-weighted allocation-level term of
+//!   [`vdc_control::MpcController`]. The PUE arrives per sample through
 //!   [`TierController::observe_pue`] from the fleet layer's `PueSeries`.
 //!
 //! Selection is data, not code: [`ControllerSpec`] travels on
@@ -41,8 +43,10 @@
 //!   leaves the previous bounds in force. It must never partially apply.
 //! * `allocation()` is always inside the configured box, and never moves
 //!   while in safe mode.
-//! * `observe_pue` is feed-forward only: controllers that do not price
-//!   cooling ignore it, and ignoring it must be free (the default no-op).
+//! * `observe_pue` is feed-forward only: it may not change a control move
+//!   unless the controller prices cooling. The robust law ignores it (the
+//!   default no-op); the paper MPC records it, and its zero energy weight
+//!   keeps it inert.
 
 use crate::controller::ResponseTimeController;
 use crate::{CoreError, Result};
@@ -93,7 +97,7 @@ pub trait TierController: Send + std::fmt::Debug {
 
     /// Feed the site's current PUE sample (feed-forward, from the fleet
     /// layer's `PueSeries`). Controllers that do not price cooling ignore
-    /// it; the default is a no-op.
+    /// it or hold it inert; the default is a no-op.
     fn observe_pue(&mut self, _pue: f64) {}
 
     /// Total CPU demand across tiers (GHz) — what the server-level
@@ -142,6 +146,13 @@ impl TierController for ResponseTimeController {
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
         ResponseTimeController::set_telemetry(self, telemetry);
+    }
+
+    /// Recorded by the MPC, which reads it only through a non-zero energy
+    /// weight (`ControllerSpec::CoolingMpc`): at the paper's weight of 0 the
+    /// cooling term appends no rows, so the control law is unchanged.
+    fn observe_pue(&mut self, pue: f64) {
+        self.mpc_mut().set_pue(pue);
     }
 }
 
@@ -261,81 +272,9 @@ impl TierController for RobustTierController {
     }
 }
 
-/// The cooling-coupled MPC bound to a plant: the paper controller's entire
-/// plant loop (measurement filter, watchdog, safe mode) with the
-/// PUE-weighted energy term switched on in the wrapped MPC's objective.
-#[derive(Debug, Clone)]
-pub struct CoolingTierController {
-    rtc: ResponseTimeController,
-}
-
-impl CoolingTierController {
-    /// Build from an identified model; `energy_weight` must be finite and
-    /// non-negative (zero degenerates to the paper controller exactly).
-    pub(crate) fn new(
-        model: ArxModel,
-        setpoint_ms: f64,
-        period_s: f64,
-        c0: &[f64],
-        energy_weight: f64,
-    ) -> Result<CoolingTierController> {
-        let mut rtc = ResponseTimeController::new(model, setpoint_ms, period_s, c0)?;
-        rtc.mpc_mut()
-            .set_energy_weight(energy_weight)
-            .map_err(CoreError::Control)?;
-        Ok(CoolingTierController { rtc })
-    }
-}
-
-impl TierController for CoolingTierController {
-    fn control_period(&mut self, plant: &mut dyn Plant) -> Result<Option<f64>> {
-        self.rtc.control_period(plant)
-    }
-
-    fn control_period_masked(&mut self, plant: &mut dyn Plant) -> Result<Option<f64>> {
-        self.rtc.control_period_masked(plant)
-    }
-
-    fn allocation(&self) -> &[f64] {
-        self.rtc.allocation()
-    }
-
-    fn set_bounds(&mut self, c_min: f64, c_max: f64) -> Result<()> {
-        self.rtc.set_bounds(c_min, c_max)
-    }
-
-    fn set_setpoint(&mut self, setpoint_ms: f64) {
-        self.rtc.set_setpoint(setpoint_ms);
-    }
-
-    fn setpoint(&self) -> f64 {
-        self.rtc.setpoint()
-    }
-
-    fn period_s(&self) -> f64 {
-        self.rtc.period_s()
-    }
-
-    fn in_safe_mode(&self) -> bool {
-        self.rtc.in_safe_mode()
-    }
-
-    fn last_measurement_ms(&self) -> Option<f64> {
-        self.rtc.last_measurement_ms()
-    }
-
-    fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.rtc.set_telemetry(telemetry);
-    }
-
-    fn observe_pue(&mut self, pue: f64) {
-        self.rtc.mpc_mut().set_pue(pue);
-    }
-}
-
 /// Default energy weight for [`ControllerSpec::cooling`], in the MPC's
 /// cost units (the tracking error is in ms², so allocation-level pressure
-/// needs comparable scale — see `crates/control/src/cooling.rs`). Tuned
+/// needs comparable scale — see `MpcController::set_energy_weight`). Tuned
 /// against the `controllers` ablation: a visible energy saving at PUE ≈
 /// 1.3–1.6 while the week trace still completes within its SLO budget.
 pub const DEFAULT_COOLING_WEIGHT: f64 = 1.5e4;
@@ -399,13 +338,14 @@ impl ControllerSpec {
             ControllerSpec::Robust => {
                 Box::new(RobustTierController::new(setpoint_ms, period_s, c0)?)
             }
-            ControllerSpec::CoolingMpc { energy_weight } => Box::new(CoolingTierController::new(
-                model.clone(),
-                setpoint_ms,
-                period_s,
-                c0,
-                energy_weight,
-            )?),
+            ControllerSpec::CoolingMpc { energy_weight } => {
+                let mut rtc =
+                    ResponseTimeController::new(model.clone(), setpoint_ms, period_s, c0)?;
+                rtc.mpc_mut()
+                    .set_energy_weight(energy_weight)
+                    .map_err(CoreError::Control)?;
+                Box::new(rtc)
+            }
         })
     }
 }
@@ -489,16 +429,19 @@ mod tests {
     }
 
     #[test]
-    fn observe_pue_is_a_noop_for_non_cooling_controllers() {
-        let mut mpc = ControllerSpec::Mpc
+    fn observe_pue_is_recorded_and_inert_at_zero_weight() {
+        // The paper MPC records the PUE; its zero energy weight keeps the
+        // observation out of the control law.
+        let mut mpc = ResponseTimeController::new(model(), 1000.0, 4.0, &[1.0, 1.0]).unwrap();
+        assert_eq!(mpc.mpc_mut().pue(), 1.0);
+        TierController::observe_pue(&mut mpc, 2.5);
+        assert_eq!(mpc.mpc_mut().pue(), 2.5);
+        assert_eq!(mpc.mpc_mut().energy_weight(), 0.0);
+        // The robust law ignores it (the default no-op).
+        let mut robust = ControllerSpec::Robust
             .build(&model(), 1000.0, 4.0, &[1.0, 1.0])
             .unwrap();
-        mpc.observe_pue(2.5); // must be accepted and ignored
-        let mut cooling =
-            CoolingTierController::new(model(), 1000.0, 4.0, &[1.0, 1.0], 10.0).unwrap();
-        assert_eq!(cooling.rtc.mpc_mut().pue(), 1.0);
-        TierController::observe_pue(&mut cooling, 1.6);
-        assert_eq!(cooling.rtc.mpc_mut().pue(), 1.6);
-        assert_eq!(cooling.rtc.mpc_mut().energy_weight(), 10.0);
+        robust.observe_pue(2.5);
+        assert_eq!(robust.allocation(), &[1.0, 1.0]);
     }
 }
