@@ -26,7 +26,7 @@
 //!   lands in the `churn.wake_wait_ns` histogram — and a miss falls back
 //!   to rejection.
 //!
-//! Every decision is sequential and derived from index-ordered sharded
+//! Every decision is sequential and derived from index-ordered
 //! snapshots, so churn runs stay bit-identical at every shard count; a
 //! workload with zero events leaves the run loop byte-identical to
 //! [`crate::run_large_scale`].
@@ -188,18 +188,20 @@ impl<'a> ChurnCtx<'a> {
     }
 
     /// Write the churn region of the demand table (slots `base_vms..`),
-    /// sharded per slot exactly like the base region: live owners whose
+    /// one write per slot like the base region: live owners whose
     /// activation sample has passed read their workload demand, everything
     /// else (vacant, queued, still waking) reads 0.
-    pub(crate) fn write_demands(&self, dc: &mut DataCenter, t: usize, shards: usize) {
+    pub(crate) fn write_demands(&self, dc: &mut DataCenter, t: usize) {
         debug_assert_eq!(self.owner.len(), dc.vm_slots() - self.base_vms);
-        let (workload, owner) = (self.workload, &self.owner);
-        crate::shard::map_slice_mut(&mut dc.demands_mut()[self.base_vms..], shards, |i, d| {
-            *d = match owner[i] {
-                Some((k, active_from)) if t >= active_from => workload.demand_ghz(k, t).max(0.0),
+        let region = &mut dc.demands_mut()[self.base_vms..];
+        for (d, owner) in region.iter_mut().zip(&self.owner) {
+            *d = match *owner {
+                Some((k, active_from)) if t >= active_from => {
+                    self.workload.demand_ghz(k, t).max(0.0)
+                }
                 _ => 0.0,
             };
-        });
+        }
     }
 
     /// Replay every lifecycle event due at sample `t`: departures first,

@@ -109,18 +109,13 @@ pub struct LargeScaleResult {
 
 /// Auto-size the fleet so capacity comfortably exceeds peak demand.
 ///
-/// The per-sample aggregate demand is a pure function of the trace, so the
-/// scan over samples fans out across shards; each sample's inner sum stays
-/// a sequential VM-order fold and the max-reduction runs on the caller in
-/// sample order — bit-identical for every shard count. Requires a
-/// random-access source (the caller rejects streaming sources up front).
-fn auto_servers<S: DemandSource + Sync>(trace: &S, n_vms: usize, shards: usize) -> usize {
+/// Requires a random-access source (the caller rejects streaming sources
+/// up front).
+fn auto_servers<S: DemandSource>(trace: &S, n_vms: usize) -> usize {
     // Peak aggregate demand across the trace.
-    let peak = crate::shard::map_indices(trace.n_samples(), shards, |t| {
-        (0..n_vms).map(|vm| trace.demand_ghz(vm, t)).sum::<f64>()
-    })
-    .into_iter()
-    .fold(0.0_f64, f64::max);
+    let peak = (0..trace.n_samples())
+        .map(|t| (0..n_vms).map(|vm| trace.demand_ghz(vm, t)).sum::<f64>())
+        .fold(0.0_f64, f64::max);
     // Mean fleet capacity under the 15/35/50 type mix; 2× headroom + floor.
     ((peak * 2.0 / PAPER_MEAN_CAPACITY_GHZ).ceil() as usize).max(4) + 2
 }
@@ -183,7 +178,7 @@ pub fn run_large_scale_streaming(
 /// streaming source can honor. Each sample runs the replay's demand stage
 /// (trace demands, site PUE, lifecycle events), then the shared stages of
 /// [`crate::pipeline`].
-pub(crate) fn run_large_scale_impl<S: DemandSource + Sync>(
+pub(crate) fn run_large_scale_impl<S: DemandSource>(
     source: &mut S,
     cfg: &LargeScaleConfig,
     opts: &RunOptions<'_>,
@@ -204,14 +199,13 @@ pub(crate) fn run_large_scale_impl<S: DemandSource + Sync>(
     let telemetry = &opts.telemetry();
     let n_samples = source.n_samples();
     let interval_s = source.interval_s();
-    let shards = opts.shards();
     let paper_fleet;
     let fleet = match &cfg.fleet {
         Some(spec) => spec,
         None => {
             let n_servers = match cfg.n_servers {
                 Some(n) => n,
-                None if source.random_access() => auto_servers(&*source, cfg.n_vms, shards),
+                None if source.random_access() => auto_servers(&*source, cfg.n_vms),
                 None => {
                     return Err(CoreError::BadConfig(
                         "auto-sizing scans every sample up front; a streaming trace \
@@ -230,7 +224,7 @@ pub(crate) fn run_large_scale_impl<S: DemandSource + Sync>(
         relief: cfg.overload_relief,
         dvfs: cfg.optimizer == OptimizerKind::Ipac,
         interval_s,
-        shards,
+        shards: opts.shards(),
     };
     let optimizer = match cfg.optimizer {
         OptimizerKind::Ipac | OptimizerKind::IpacNoDvfs => OptimizerConfig::ipac_default(),
@@ -265,27 +259,25 @@ pub(crate) fn run_large_scale_impl<S: DemandSource + Sync>(
         // Advance the demand source to this sample (no-op for materialized
         // traces; one generator step for streaming sources).
         source.advance_to(t);
-        let src: &S = source;
         // Advance each site's PUE to this sample *before* any consolidation
         // or admission decision, so the efficiency ordering sees the same
-        // facility cost the power charge uses. A no-op (and no
-        // copy-on-write fork) while the value is unchanged.
+        // facility cost the power charge uses.
         if let Some(spec) = &cfg.fleet {
             for (site, s) in spec.sites.iter().enumerate() {
                 sim.dc.set_site_pue(site, s.pue.at(t))?;
             }
         }
         // Update demands from the trace: slot i is trace row i, so this is
-        // a pure per-element write over a dense slice — sharded. The
-        // `.max(0.0)` clamp matches `set_vm_demand`.
+        // one write per slot of the dense demand table. The `.max(0.0)`
+        // clamp matches `set_vm_demand`.
         let demand_span = sim.timer("demand_ns");
-        crate::shard::map_slice_mut(&mut sim.dc.demands_mut()[..cfg.n_vms], shards, |vm, d| {
-            *d = src.demand_ghz(vm, t).max(0.0);
-        });
+        for (vm, d) in sim.dc.demands_mut()[..cfg.n_vms].iter_mut().enumerate() {
+            *d = source.demand_ghz(vm, t).max(0.0);
+        }
         if let Some(ctx) = churn.as_deref() {
             // Churn slots (arena region past the base population): live
             // owners read their workload demand, vacant/queued slots 0.
-            ctx.write_demands(&mut sim.dc, t, shards);
+            ctx.write_demands(&mut sim.dc, t);
         }
         demand_span.finish();
         // Lifecycle events due at this sample: departures free their arena

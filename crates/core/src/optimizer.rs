@@ -15,26 +15,10 @@ use vdc_consolidate::pac::pac_pack;
 use vdc_consolidate::plan::{ConsolidationPlan, Move};
 use vdc_consolidate::pmapper::pmapper_plan;
 use vdc_consolidate::policy::{AlwaysAllow, MigrationPolicy};
-use vdc_consolidate::view::{apply_plan, apply_plan_fallible, ApplyStats};
+use vdc_consolidate::view::{apply_plan, apply_plan_fallible, snapshot, ApplyStats};
 use vdc_dcsim::{DataCenter, ServerHandle, VmId};
 use vdc_faults::FaultSession;
 use vdc_telemetry::Telemetry;
-
-/// Build the consolidation snapshot with per-server view construction
-/// fanned out over `shards` workers ([`crate::shard`]).
-///
-/// Produces exactly the vector [`vdc_consolidate::view::snapshot`] builds —
-/// server order is index-stable and each [`PackServer`] depends only on its
-/// own server's state — so planning decisions are unchanged by the shard
-/// count. The workers walk a copy-on-write [`vdc_dcsim::Snapshot`] (dense
-/// arena reads, no tree lookups), so each server's resident list is pure
-/// per-element work.
-pub(crate) fn snapshot_sharded(dc: &DataCenter, shards: usize) -> Vec<PackServer> {
-    let view = dc.snapshot();
-    crate::shard::map_indices(view.n_servers(), shards, |i| {
-        vdc_consolidate::view::pack_server(&view, ServerHandle::from_index(i))
-    })
-}
 
 /// Partition a fleet into contiguous, site-aligned pods.
 ///
@@ -101,7 +85,7 @@ struct RouteSlot {
 }
 
 /// Replay a plan onto a fleet view whose position equals the global server
-/// index (the shape [`snapshot_sharded`] produces), so the hierarchical
+/// index (the shape [`snapshot`] produces), so the hierarchical
 /// spill and rebalance passes can reason about the post-plan placement
 /// without touching the data center.
 fn apply_plan_to_view(view: &mut [PackServer], plan: &ConsolidationPlan) {
@@ -214,13 +198,12 @@ impl PowerOptimizer {
         }
     }
 
-    /// Fan the shardable phases of an invocation out over `shards` workers
-    /// (`0` = host parallelism): snapshot construction and the Minimum
-    /// Slack root sweeps inside IPAC's packing. The commit phases stay
-    /// sequential — an optimizer invocation is the serial barrier of the
-    /// sharded replay loop — and the consolidation decisions are
-    /// bit-identical at every shard count (see
-    /// [`vdc_consolidate::minimum_slack`]).
+    /// Fan the coarse phases of an invocation out over `shards` workers
+    /// (`0` = host parallelism): the Minimum Slack root sweeps inside
+    /// IPAC's packing, and the per-pod plans of a hierarchical invocation.
+    /// The snapshot and the commit phases run on the calling thread, and
+    /// the consolidation decisions are bit-identical at every shard count
+    /// (see [`vdc_consolidate::minimum_slack`]).
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = crate::shard::resolve(shards);
         self.cfg.ipac.minslack.shards = self.shards;
@@ -248,7 +231,7 @@ impl PowerOptimizer {
     /// Plan without applying (inspection / dry runs).
     pub fn plan(&self, dc: &DataCenter, new_items: &[PackItem]) -> ConsolidationPlan {
         let span = self.telemetry.timer("optimizer.snapshot_ns");
-        let snap = snapshot_sharded(dc, self.shards);
+        let snap = snapshot(dc);
         span.finish();
         if let Some(pod_size) = self.pods {
             let sites: Vec<usize> = (0..snap.len())
@@ -858,7 +841,6 @@ fn active_slack_ghz(dc: &DataCenter) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdc_consolidate::view::snapshot;
     use vdc_dcsim::{Server, ServerSpec, VmId, VmSpec};
 
     fn srv(i: usize) -> ServerHandle {
@@ -935,28 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_snapshot_equals_sequential_snapshot() {
-        let dc = spread_dc();
-        let sequential = snapshot(&dc);
-        for shards in [1usize, 2, 3, 16] {
-            let sharded = snapshot_sharded(&dc, shards);
-            assert_eq!(sharded.len(), sequential.len());
-            for (a, b) in sharded.iter().zip(&sequential) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.cpu_capacity_ghz.to_bits(), b.cpu_capacity_ghz.to_bits());
-                assert_eq!(a.mem_capacity_mib.to_bits(), b.mem_capacity_mib.to_bits());
-                assert_eq!(a.active, b.active);
-                assert_eq!(a.resident.len(), b.resident.len());
-                for (x, y) in a.resident.iter().zip(&b.resident) {
-                    assert_eq!(x.vm, y.vm);
-                    assert_eq!(x.cpu_ghz.to_bits(), y.cpu_ghz.to_bits());
-                    assert_eq!(x.mem_mib.to_bits(), y.mem_mib.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_datacenter_invocation_is_a_safe_noop() {
         // 0 VMs, 0 servers: the optimizer/largescale boundary must not
         // panic or fabricate work.
@@ -965,7 +925,6 @@ mod tests {
         let stats = opt.optimize(&mut dc, &[]).unwrap();
         assert_eq!(stats, ApplyStats::default());
         assert_eq!(opt.invocations(), 1);
-        assert!(snapshot_sharded(&dc, 8).is_empty());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! `cosim.*`); the layer families they feed (`dcsim.*`, `fault.*`,
 //! `optimizer.*`) do not.
 
-use crate::optimizer::{snapshot_sharded, OptimizerConfig, PowerOptimizer};
+use crate::optimizer::{OptimizerConfig, PowerOptimizer};
 use crate::run::RunOptions;
 use crate::Result;
 use vdc_apptier::rng::SimRng;
@@ -27,7 +27,7 @@ use vdc_consolidate::item::{PackItem, PackServer};
 use vdc_consolidate::minslack::MinSlackConfig;
 use vdc_consolidate::pac::pac_pack;
 use vdc_consolidate::relief::{relieve_overloads, ReliefConfig};
-use vdc_consolidate::view::{apply_plan, apply_plan_fallible};
+use vdc_consolidate::view::{apply_plan, apply_plan_fallible, snapshot};
 use vdc_dcsim::{DataCenter, FleetSpec, ServerHandle, VmHandle, VmId};
 use vdc_faults::{FaultSession, HostFaultKind};
 use vdc_telemetry::{SpanTimer, Telemetry};
@@ -52,7 +52,9 @@ pub(crate) struct Stages {
     pub(crate) dvfs: bool,
     /// Length of one sample (seconds).
     pub(crate) interval_s: f64,
-    /// Resolved worker count of the fan-out stages.
+    /// Resolved worker count of the coarse fan-outs: the Minimum Slack
+    /// roots and pod plans of the optimizer, evacuation and admission. The
+    /// stages themselves run on the calling thread.
     pub(crate) shards: usize,
 }
 
@@ -223,7 +225,7 @@ impl<'a> SimState<'a> {
             self.optimize(&[])
         } else if self.stages.relief {
             let span = self.timer("relief_snapshot_ns");
-            let snap = snapshot_sharded(&self.dc, self.stages.shards);
+            let snap = snapshot(&self.dc);
             span.finish();
             self.relieve(&snap)
         } else {
@@ -263,11 +265,9 @@ impl<'a> SimState<'a> {
         Ok(())
     }
 
-    /// Stage 3: the server-level arbitrator. Each server's DVFS decision
-    /// is a pure read, so the decisions fan out across shards; the commit
-    /// (state writes and transition counters) stays a sequential
-    /// index-order pass. Without DVFS, active servers run at maximum
-    /// frequency and idle ones still sleep (both schemes consolidate).
+    /// Stage 3: the server-level arbitrator, one index-order pass over the
+    /// servers. Without DVFS, active servers run at maximum frequency and
+    /// idle ones still sleep (both schemes consolidate).
     pub(crate) fn dvfs(&mut self) -> Result<()> {
         if !self.stages.dvfs {
             for i in 0..self.dc.n_servers() {
@@ -283,14 +283,8 @@ impl<'a> SimState<'a> {
             return Ok(());
         }
         let span = self.timer("dvfs_ns");
-        let dc = &self.dc;
-        let decisions = crate::shard::map_indices(dc.n_servers(), self.stages.shards, |s| {
-            dc.dvfs_decision(ServerHandle::from_index(s), true)
-        })
-        .into_iter()
-        .collect::<vdc_dcsim::Result<Vec<_>>>();
+        self.dc.apply_dvfs(true)?;
         span.finish();
-        self.dc.apply_dvfs_decisions(&decisions?)?;
         Ok(())
     }
 
@@ -300,25 +294,11 @@ impl<'a> SimState<'a> {
     /// The IT sum, the facility sum and the per-site sums all come out of
     /// this one fold. Only active servers are charged: the paper's
     /// inactive pool is powered off, not suspended. Demand beyond a host's
-    /// maximum capacity goes unserved (the SLA proxy).
-    ///
-    /// The per-server reads fan out across shards; every sum stays a
-    /// sequential fold in active-list order, matching the single-threaded
-    /// fold bit for bit.
+    /// maximum capacity goes unserved (the SLA proxy). Every sum is a fold
+    /// in active-list order.
     pub(crate) fn account(&mut self, factor: f64) -> Result<Charge> {
         let active = self.dc.active_servers();
         let span = self.timer("power_map_ns");
-        let dc = &self.dc;
-        let per_server =
-            crate::shard::map_indices(active.len(), self.stages.shards, |i| -> Result<_> {
-                let s = active[i];
-                let it = dc.server_power_watts(s)?;
-                let demand = dc.server_demand_ghz(s)?;
-                let cap = dc.server(s)?.spec.max_capacity_ghz();
-                let w = it * dc.server_pue(s) * factor;
-                Ok((it, w, demand, cap, dc.server_site(s)))
-            });
-        span.finish();
         let mut charge = Charge {
             watts: 0.0,
             active: active.len(),
@@ -327,18 +307,22 @@ impl<'a> SimState<'a> {
         };
         let mut it_watts = 0.0_f64;
         let mut site_watts = vec![0.0_f64; self.site_energy_wh.len()];
-        for r in per_server {
-            let (it, w, demand, cap, site) = r?;
+        for &s in &active {
+            let it = self.dc.server_power_watts(s)?;
+            let demand = self.dc.server_demand_ghz(s)?;
+            let cap = self.dc.server(s)?.spec.max_capacity_ghz();
+            let w = it * self.dc.server_pue(s) * factor;
             let unmet = (demand - cap).max(0.0);
             self.telemetry.record("dcsim.server_power_w", w);
             it_watts += it;
             charge.watts += w;
-            site_watts[site] += w;
+            site_watts[self.dc.server_site(s)] += w;
             self.demand_ghz += demand;
             self.unmet_ghz += unmet;
             charge.demand_ghz += demand;
             charge.unmet_ghz += unmet;
         }
+        span.finish();
         let interval_s = self.stages.interval_s;
         self.energy_wh += charge.watts * interval_s / 3600.0;
         self.it_energy_wh += it_watts * interval_s / 3600.0;
@@ -371,7 +355,7 @@ impl<'a> SimState<'a> {
         self.violation_streak = 0;
         f.watchdog_reliefs += 1;
         self.telemetry.incr("fault.watchdog_reliefs", 1);
-        let snap = snapshot_sharded(&self.dc, self.stages.shards);
+        let snap = snapshot(&self.dc);
         self.relieve(&snap)
     }
 
@@ -456,10 +440,11 @@ pub(crate) struct Packed {
 /// Pack registered, unplaced VMs the way evacuation and admission both
 /// do: Minimum Slack onto the active servers, then, with `spill`, what fit
 /// nowhere active onto the sleeping pool. Both passes pack one
-/// index-ordered sharded snapshot (bit-identical at every shard count);
-/// `dc` itself is not touched. Failed hosts land in the inactive partition
-/// advertising zero capacity; they are dropped from the pool, so the spill
-/// pass cannot select one (a zero-demand item would otherwise "fit").
+/// index-ordered snapshot; `shards` fans out only their Minimum Slack
+/// roots (bit-identical at every shard count), and `dc` itself is not
+/// touched. Failed hosts land in the inactive partition advertising zero
+/// capacity; they are dropped from the pool, so the spill pass cannot
+/// select one (a zero-demand item would otherwise "fit").
 pub(crate) fn pack_onto_fleet(
     dc: &DataCenter,
     items: &[PackItem],
@@ -467,9 +452,7 @@ pub(crate) fn pack_onto_fleet(
     spill: bool,
 ) -> Packed {
     let (mut active, mut sleeping): (Vec<PackServer>, Vec<PackServer>) =
-        snapshot_sharded(dc, shards)
-            .into_iter()
-            .partition(|s| s.active);
+        snapshot(dc).into_iter().partition(|s| s.active);
     sleeping.retain(|s| s.cpu_capacity_ghz > 0.0);
     let constraint = AndConstraint::cpu_and_memory();
     let minslack = MinSlackConfig {

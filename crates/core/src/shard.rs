@@ -1,14 +1,21 @@
-//! Deterministic fork–join sharding for the replay and co-simulation loops.
+//! Deterministic fork–join sharding for the coarse units of work.
 //!
-//! The large-scale runs spend their time in per-element work that is
-//! independent across elements — one application's MPC step, one server's
-//! power draw — while every *reduction* over those elements (energy sums,
-//! SLO accounting, trajectory rows) is a left fold whose f64 result depends
-//! on evaluation order. This module parallelizes only the per-element map
-//! and leaves every fold sequential in index order, which yields the
-//! guarantee the shard-equivalence suite (`tests/sharding.rs`) enforces:
-//! **a run with N shards is bit-identical to the single-threaded run for
-//! every N**, not merely statistically equivalent.
+//! Three kinds of work fan out here: the per-pod plans of a hierarchical
+//! optimizer invocation, one application's control period in the
+//! co-simulation, and the fleet sizes of Fig. 6. (The Minimum Slack root
+//! sweeps fan out inside `vdc-consolidate`, over the same shard count.)
+//! Each unit is independent of the others and costs far more than a
+//! fork-join. The per-sample, per-server passes (demand writes, DVFS, the
+//! power charge, the packing snapshot) cost microseconds each and run
+//! inline on the calling thread.
+//!
+//! Every *reduction* (energy sums, SLO accounting, trajectory rows) is a
+//! left fold whose f64 result depends on evaluation order. This module
+//! parallelizes only the per-element map and leaves every fold sequential
+//! in index order, which yields the guarantee the shard-equivalence suite
+//! (`tests/sharding.rs`) enforces: **a run with N shards is bit-identical
+//! to the single-threaded run for every N**, not merely statistically
+//! equivalent.
 //!
 //! Mechanics:
 //!

@@ -31,7 +31,7 @@ pub mod profile;
 pub mod server;
 pub mod vm;
 
-pub use datacenter::{DataCenter, DvfsDecision, MigrationRecord, Snapshot};
+pub use datacenter::{DataCenter, DvfsDecision};
 pub use fleet::{FleetSpec, PueSeries, SiteSpec};
 pub use power::PowerModel;
 pub use profile::{HostCatalog, HostProfile, ProfileId};

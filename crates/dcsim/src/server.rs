@@ -24,7 +24,7 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Handle for a server slot index. Intended for fan-out loops that
+    /// Handle for a server slot index. Intended for loops that
     /// enumerate servers (`0..n_servers`) and for converting the raw
     /// indices carried by consolidation plans back into handles.
     pub fn from_index(slot: usize) -> ServerHandle {

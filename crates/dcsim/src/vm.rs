@@ -46,8 +46,8 @@ impl VmHandle {
         VmHandle { index, generation }
     }
 
-    /// Generation-0 handle for an arena slot index. Intended for fan-out
-    /// loops that enumerate slots (`0..arena_len`) of a churn-free arena
+    /// Generation-0 handle for an arena slot index. Intended for loops
+    /// that enumerate slots (`0..arena_len`) of a churn-free arena
     /// (no removal ever bumps a generation there); an out-of-range, vacant,
     /// or recycled slot yields [`crate::DcError::StaleHandle`] at the use
     /// site, never UB.

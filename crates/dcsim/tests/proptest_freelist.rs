@@ -156,9 +156,9 @@ fn mix_script() -> impl Gen<Value = MixScript> {
 /// Rebalance-style migrations interleaved with slot recycling: under
 /// arbitrary add/remove/migrate scripts over a memory-tight fleet,
 ///
-/// 1. a committed migration moves exactly the named VM and logs exactly
-///    one migration record; a refused one (same host, memory overflow)
-///    rolls back to the pre-call placement;
+/// 1. a committed migration moves exactly the named VM to the target; a
+///    refused one (same host, memory overflow) rolls back to the pre-call
+///    placement;
 /// 2. dead handles fail `migrate_vm` with `DcError::StaleHandle` forever,
 ///    even after their slot is recycled for a new tenant — a stale
 ///    rebalance move can never drag the new occupant anywhere;
@@ -180,7 +180,6 @@ fn rebalance_migrations_interleaved_with_recycling_stay_consistent() {
             std::collections::BTreeMap::new();
         let mut dead_handles: Vec<vdc_dcsim::VmHandle> = Vec::new();
         let mut high_water = 0usize;
-        let mut expected_migrations = 0usize;
 
         for op in &s.ops {
             match *op {
@@ -229,20 +228,14 @@ fn rebalance_migrations_interleaved_with_recycling_stay_consistent() {
                     let handle = live[&id];
                     let before = placed_on[&id];
                     match dc.migrate_vm(handle, servers[target]) {
-                        Ok(record) => {
-                            prop_assert_eq!(record.vm, id, "migrated the VM the handle named");
+                        Ok(()) => {
+                            prop_assert!(before.is_some(), "migrated an unplaced VM");
                             prop_assert_eq!(
-                                record.from,
-                                before.map(|i| servers[i].index()),
-                                "migration record origin"
-                            );
-                            prop_assert_eq!(
-                                record.to,
-                                servers[target].index(),
-                                "migration record target"
+                                dc.placement_of(handle),
+                                Some(servers[target]),
+                                "migrated VM is on the target"
                             );
                             placed_on.insert(id, Some(target));
-                            expected_migrations += 1;
                         }
                         Err(_) => {
                             // Unplaced VM, same-host move, or memory
@@ -274,11 +267,6 @@ fn rebalance_migrations_interleaved_with_recycling_stay_consistent() {
                 "arena grew to {} slots with high-water population {}",
                 dc.vm_slots(),
                 high_water
-            );
-            prop_assert_eq!(
-                dc.migrations().len(),
-                expected_migrations,
-                "migration log drifted from committed moves"
             );
             // Hosted lists stay exact: placed VMs on exactly their host,
             // nobody else anywhere.
