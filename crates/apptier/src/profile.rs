@@ -38,8 +38,6 @@ impl TierDemand {
 /// "post"): its relative frequency and per-tier demands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestClass {
-    /// Short label ("browse", "post", …).
-    pub(crate) name: String,
     /// Relative frequency weight (need not be normalized).
     pub(crate) weight: f64,
     /// Per-tier service demands for requests of this class.
@@ -66,11 +64,7 @@ pub struct WorkloadProfile {
 impl WorkloadProfile {
     /// Construct a validated single-class profile.
     pub fn new(tiers: Vec<TierDemand>, think_time: f64) -> Result<WorkloadProfile> {
-        let class = RequestClass {
-            name: "default".into(),
-            weight: 1.0,
-            tiers,
-        };
+        let class = RequestClass { weight: 1.0, tiers };
         WorkloadProfile::with_classes(vec![class], think_time)
     }
 
@@ -186,8 +180,8 @@ impl WorkloadProfile {
     pub fn rubbos_mixed() -> WorkloadProfile {
         WorkloadProfile::with_classes(
             vec![
+                // browse
                 RequestClass {
-                    name: "browse".into(),
                     weight: 0.85,
                     tiers: vec![
                         TierDemand {
@@ -200,8 +194,8 @@ impl WorkloadProfile {
                         },
                     ],
                 },
+                // post
                 RequestClass {
-                    name: "post".into(),
                     weight: 0.15,
                     tiers: vec![
                         TierDemand {

@@ -37,10 +37,6 @@ struct Tier {
     jobs: Vec<Job>,
     /// Accumulated busy time (seconds with ≥ 1 job in service).
     busy_time: f64,
-    /// Total cycles executed.
-    cycles_done: f64,
-    /// Requests completed at this tier.
-    completions: u64,
 }
 
 impl Tier {
@@ -70,7 +66,6 @@ impl Tier {
         for j in &mut self.jobs {
             j.remaining_cycles -= work;
         }
-        self.cycles_done += dt * self.capacity.min(self.capacity);
     }
 }
 
@@ -147,8 +142,6 @@ impl AppSim {
                 capacity: g * 1e9,
                 jobs: Vec::new(),
                 busy_time: 0.0,
-                cycles_done: 0.0,
-                completions: 0,
             })
             .collect();
         let mut sim = AppSim {
@@ -408,7 +401,6 @@ impl AppSim {
                 while idx < self.tiers[ti].jobs.len() {
                     if self.tiers[ti].jobs[idx].remaining_cycles <= FINISH_EPS_CYCLES {
                         let job = self.tiers[ti].jobs.swap_remove(idx);
-                        self.tiers[ti].completions += 1;
                         self.job_finished_tier(job, ti);
                         fired = true;
                     } else {
@@ -660,11 +652,9 @@ mod tests {
         let mut sim = AppSim::new(p, 10, &[1.0, 1.0, 1.0], 37).unwrap();
         sim.run_for(10.0);
         assert!(sim.total_completed() > 0);
-        // Per-tier completion counts are equal (every request visits all
-        // tiers) up to in-flight residue.
-        let c: Vec<u64> = sim.tiers.iter().map(|t| t.completions).collect();
-        assert!(c[0] >= c[1] && c[1] >= c[2]);
-        assert!(c[0] - c[2] <= 10);
+        // Every client has at most one request in flight, on some tier.
+        let in_flight: usize = sim.tiers.iter().map(|t| t.jobs.len()).sum();
+        assert!(in_flight <= 10, "{in_flight} jobs in flight");
     }
 }
 
@@ -839,12 +829,10 @@ mod multiclass_tests {
         let bad = WorkloadProfile::with_classes(
             vec![
                 RequestClass {
-                    name: "a".into(),
                     weight: 1.0,
                     tiers: vec![TierDemand::new(1e6, 0.5).unwrap()],
                 },
                 RequestClass {
-                    name: "b".into(),
                     weight: 1.0,
                     tiers: vec![
                         TierDemand::new(1e6, 0.5).unwrap(),
@@ -858,7 +846,6 @@ mod multiclass_tests {
         // Non-positive weights rejected.
         let bad_w = WorkloadProfile::with_classes(
             vec![RequestClass {
-                name: "a".into(),
                 weight: 0.0,
                 tiers: vec![TierDemand::new(1e6, 0.5).unwrap()],
             }],

@@ -20,8 +20,6 @@ pub struct ExactPacking {
     pub(crate) assignment: Vec<usize>,
     /// Total idle watts of occupied servers — the minimized objective.
     pub(crate) idle_watts: f64,
-    /// Number of occupied servers.
-    pub(crate) occupied: usize,
     /// Assignments explored (cost guard for callers).
     pub(crate) nodes: u64,
 }
@@ -106,22 +104,10 @@ pub fn exact_pack(
     };
     search.dfs(0);
     let nodes = search.nodes;
-    search.best.map(|(idle_watts, assignment)| {
-        // Count occupied servers under the winning assignment.
-        let mut occupied: Vec<bool> = search
-            .servers
-            .iter()
-            .map(|s| !s.resident.is_empty())
-            .collect();
-        for &s in &assignment {
-            occupied[s] = true;
-        }
-        ExactPacking {
-            assignment,
-            idle_watts,
-            occupied: occupied.iter().filter(|&&o| o).count(),
-            nodes,
-        }
+    search.best.map(|(idle_watts, assignment)| ExactPacking {
+        assignment,
+        idle_watts,
+        nodes,
     })
 }
 
@@ -162,7 +148,6 @@ mod tests {
         // Everything fits on the cheaper server 1.
         assert_eq!(best.assignment, vec![1, 1, 1]);
         assert_eq!(best.idle_watts, 50.0);
-        assert_eq!(best.occupied, 1);
     }
 
     #[test]
@@ -171,7 +156,7 @@ mod tests {
         let q = items(&[1.5, 1.5]);
         let c = CpuConstraint::default();
         let best = exact_pack(&servers, &q, &c, 1_000_000).unwrap();
-        assert_eq!(best.occupied, 2);
+        assert_ne!(best.assignment[0], best.assignment[1]);
         assert_eq!(best.idle_watts, 160.0);
     }
 

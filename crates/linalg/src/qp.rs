@@ -58,8 +58,6 @@ pub struct QpSolution {
     pub objective: f64,
     /// Number of active-set iterations used.
     pub iterations: usize,
-    /// Indices of bounds active at the solution.
-    pub(crate) active: Vec<usize>,
 }
 
 /// Bound status of a variable in the working set.
@@ -246,24 +244,20 @@ impl BoxQp {
                     match worst {
                         Some((i, _)) => w[i] = BoundSide::Free,
                         None => {
-                            let active = (0..n).filter(|&i| w[i] != BoundSide::Free).collect();
                             return Ok(QpSolution {
                                 objective: self.objective(&x),
                                 x,
                                 iterations: iter + 1,
-                                active,
                             });
                         }
                     }
                 }
             }
         }
-        let active = (0..n).filter(|&i| w[i] != BoundSide::Free).collect();
         Err(QpError::IterationLimit(QpSolution {
             objective: self.objective(&x),
             x,
             iterations: max_iter,
-            active,
         }))
     }
 
@@ -291,7 +285,6 @@ mod tests {
         let sol = BoxQp::new(h, f, lb, ub).unwrap().solve().unwrap();
         assert!((sol.x[0] - 1.0).abs() < 1e-9);
         assert!((sol.x[1] - 2.0).abs() < 1e-9);
-        assert!(sol.active.is_empty());
     }
 
     #[test]
@@ -306,7 +299,6 @@ mod tests {
             .unwrap();
         assert!((sol.x[0] - 0.5).abs() < 1e-9);
         assert!((sol.x[1] - 2.0).abs() < 1e-9);
-        assert_eq!(sol.active, vec![0]);
     }
 
     #[test]
