@@ -61,12 +61,14 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --l
 # ratio reflects real relative cost, not debug-build noise).
 run cargo test -q --release --offline --test telemetry_overhead
 
-# Shard-equivalence gate: the sharded replay/co-sim must be bit-identical
-# to the single-threaded run. tests/sharding.rs reads VDC_SHARDS in both
-# its co-sim gate and its trace-replay twin (demand update + DVFS pass +
-# power series), so each entry covers the full replay path. When the
-# workflow matrix pins VDC_SHARDS we run just that count; a bare local
-# invocation sweeps both ends of the shard range.
+# Shard-equivalence gate: every runner must be bit-identical to the
+# single-threaded run at every shard count. What fans out is coarse work
+# (Minimum Slack roots, the optimizer's pod plans, cosim's per-app control
+# periods); the per-sample data-center passes run inline. One run of
+# tests/sharding.rs per count covers the whole suite, including the co-sim
+# gate and its trace-replay twin, which read VDC_SHARDS. When the workflow
+# matrix pins VDC_SHARDS we run just that count; a bare local invocation
+# sweeps both ends of the shard range.
 if [ -n "${VDC_SHARDS:-}" ]; then
     shard_counts=("$VDC_SHARDS")
 else
@@ -74,8 +76,6 @@ else
 fi
 for n in "${shard_counts[@]}"; do
     run env VDC_SHARDS="$n" cargo test -q --offline --test sharding
-    run env VDC_SHARDS="$n" cargo test -q --offline --test sharding \
-        env_selected_shard_count_matches_replay_baseline
 done
 
 # Results-regression gate: re-run the cheap experiment bins from a scratch

@@ -3,16 +3,18 @@
 //! count — trajectories, telemetry counters, SLO accounting, and final VM
 //! placements.
 //!
-//! The guarantee holds because sharding only fans out per-element work
-//! (one application's control periods, one server's power read) while
-//! every f64 reduction stays a sequential index-order fold (see
-//! `vdc_core::shard`). These tests are the enforcement: any change that
+//! The guarantee holds because sharding only fans out coarse, independent
+//! work (Minimum Slack roots, the optimizer's pod plans, one application's
+//! control periods) while every f64 reduction stays a sequential
+//! index-order fold (see `vdc_core::shard`); the per-sample data-center
+//! passes run inline. These tests are the enforcement: every runner must
+//! come out bit-identical at every shard count, and any change that
 //! lets the shard count leak into an f64 — a parallel sum, a
 //! HashMap-ordered fold, a per-shard RNG reseed — fails here, not in a
 //! figure three PRs later.
 //!
 //! `ci.sh` additionally runs this suite with `VDC_SHARDS=1` and
-//! `VDC_SHARDS=8`, which the env-driven test below picks up.
+//! `VDC_SHARDS=8`, which the two env-driven tests below pick up.
 
 use vdc_churn::{AdmissionPolicy, ChurnConfig, ChurnWorkload};
 use vdc_core::churn::{run_churn, ChurnResult};
@@ -514,9 +516,9 @@ fn env_selected_shard_count_matches_baseline() {
 }
 
 /// Trace-replay twin of the env-driven gate: the same `VDC_SHARDS` matrix
-/// must also leave the week replay — per-sample demand updates, DVFS
-/// passes, and the power series — bit-identical to the single-threaded
-/// baseline.
+/// must also leave the replay, whose optimizer fans its Minimum Slack roots
+/// out over the shards, bit-identical to the single-threaded baseline:
+/// the result, the final placement and the power series.
 #[test]
 fn env_selected_shard_count_matches_replay_baseline() {
     let shards = env_shards();
