@@ -256,9 +256,6 @@ pub(crate) fn run_large_scale_impl<S: DemandSource>(
     };
     for t in 0..n_samples {
         let sample_span = sim.timer("sample_ns");
-        // Advance the demand source to this sample (no-op for materialized
-        // traces; one generator step for streaming sources).
-        source.advance_to(t);
         // Advance each site's PUE to this sample *before* any consolidation
         // or admission decision, so the efficiency ordering sees the same
         // facility cost the power charge uses.
@@ -271,6 +268,9 @@ pub(crate) fn run_large_scale_impl<S: DemandSource>(
         // one write per slot of the dense demand table. The `.max(0.0)`
         // clamp matches `set_vm_demand`.
         let demand_span = sim.timer("demand_ns");
+        // Advance the demand source to this sample (no-op for materialized
+        // traces; one generator step for streaming sources).
+        source.advance_to(t);
         for (vm, d) in sim.dc.demands_mut()[..cfg.n_vms].iter_mut().enumerate() {
             *d = source.demand_ghz(vm, t).max(0.0);
         }
