@@ -1,13 +1,10 @@
-//! Benches for the large-scale machinery: trace generation, overload
-//! relief, and one full optimizer invocation against a populated data
-//! center (the cost paid every 4 simulated hours in Fig. 6).
+//! Benches for the large-scale machinery: trace generation and one full
+//! optimizer invocation against a populated data center (the cost paid
+//! every 4 simulated hours in Fig. 6).
 
 use std::hint::black_box;
 use vdc_apptier::rng::SimRng;
 use vdc_bench::harness::BenchHarness;
-use vdc_consolidate::constraint::AndConstraint;
-use vdc_consolidate::relief::{relieve_overloads, ReliefConfig};
-use vdc_consolidate::view::snapshot;
 use vdc_core::optimizer::{OptimizerConfig, PowerOptimizer};
 use vdc_dcsim::{DataCenter, Server, ServerHandle, ServerSpec, VmSpec};
 use vdc_trace::{generate_trace, TraceConfig};
@@ -57,17 +54,6 @@ fn pressured_dc(n_servers: usize, n_vms: usize, seed: u64) -> DataCenter {
     dc
 }
 
-fn bench_relief(h: &mut BenchHarness) {
-    let constraint = AndConstraint::cpu_and_memory();
-    for (servers, vms) in [(50usize, 150usize), (200, 600)] {
-        let dc = pressured_dc(servers, vms, 3);
-        let snap = snapshot(&dc);
-        h.bench("overload_relief", &format!("{vms}vms_{servers}srv"), || {
-            relieve_overloads(black_box(&snap), &constraint, &ReliefConfig::default())
-        });
-    }
-}
-
 fn bench_optimizer_invocation(h: &mut BenchHarness) {
     for (servers, vms) in [(100usize, 300usize), (400, 1200)] {
         let dc = pressured_dc(servers, vms, 5);
@@ -89,7 +75,6 @@ fn bench_optimizer_invocation(h: &mut BenchHarness) {
 fn main() {
     let mut h = BenchHarness::from_env("largescale");
     bench_trace_generation(&mut h);
-    bench_relief(&mut h);
     bench_optimizer_invocation(&mut h);
     h.finish();
 }
