@@ -27,15 +27,19 @@ pub trait Constraint {
     /// ```
     ///
     /// with each Σ taken over `candidates` left to right, as
-    /// [`Iterator::sum`] takes it. [`minimum_slack`] then keeps running
-    /// sums along its search instead of calling `admits` on every step,
-    /// and its result is bit-identical either way.
+    /// [`Iterator::sum`] takes it. The ceilings bound totals, so they may
+    /// read the server's own fields but not which items it holds.
+    /// [`minimum_slack`] then keeps running sums along its search instead
+    /// of calling `admits` on every step, and [`relieve_overloads`] keeps
+    /// each server's resident sums; both results are bit-identical either
+    /// way.
     ///
     /// The default, `None`, keeps the search on `admits`. That is the
     /// right answer for any rule that is not a pair of sum bounds, such as
     /// an [`FnConstraint`].
     ///
     /// [`minimum_slack`]: crate::minslack::minimum_slack
+    /// [`relieve_overloads`]: crate::relief::relieve_overloads
     fn ceilings(&self, _server: &PackServer) -> Option<Ceilings> {
         None
     }

@@ -298,7 +298,7 @@ mod overloaded_starts {
             prop_assume!(mem_feasible(&start));
             let before = vm_multiset(&start);
             // Relief first (the between-invocations pass)…
-            let relief = relieve_overloads(&start, &constraint, &ReliefConfig::default());
+            let relief = relieve_overloads(start.clone(), &constraint, &ReliefConfig::default());
             let mid = apply(&start, &relief);
             prop_assert!(mem_feasible(&mid));
             // …then a full IPAC invocation.
@@ -355,6 +355,7 @@ mod convergence {
 mod additive_admission {
     use super::*;
     use vdc_consolidate::constraint::{CpuConstraint, FnConstraint, MemoryConstraint};
+    use vdc_consolidate::relief::{relieve_overloads, ReliefConfig};
 
     /// The additive rule a case packs under (CPU rules with their cap).
     #[derive(Debug, Clone, Copy)]
@@ -495,5 +496,35 @@ mod additive_admission {
             }
             Ok(())
         });
+    }
+
+    #[test]
+    fn relieve_overloads_matches_the_reference_path() {
+        // Passes that planned a move, and those that evicted twice from
+        // one source (where the source's sums were re-derived mid-pass).
+        // A case has at most three servers and is cheap, and at `CASES`
+        // a double eviction is rare, so this runs four times as many.
+        let (moved, evicted_twice) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        check(4 * CASES, &case(), |c| {
+            let rule = c.rule.build();
+            let reference = FnConstraint(|s: &PackServer, q: &[PackItem]| rule.admits(s, q));
+            let cfg = ReliefConfig::default();
+            let fast = relieve_overloads(c.servers.clone(), rule.as_ref(), &cfg);
+            let slow = relieve_overloads(c.servers.clone(), &reference, &cfg);
+            moved.set(moved.get() + usize::from(!fast.moves.is_empty()));
+            let twice = fast
+                .moves
+                .iter()
+                .enumerate()
+                .any(|(k, m)| fast.moves[..k].iter().any(|p| p.from == m.from));
+            evicted_twice.set(evicted_twice.get() + usize::from(twice));
+            prop_assert_eq!(fast, slow);
+            Ok(())
+        });
+        assert!(moved.get() > 0, "no pass planned a move");
+        assert!(
+            evicted_twice.get() > 0,
+            "no pass evicted twice from one source"
+        );
     }
 }
