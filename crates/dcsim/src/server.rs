@@ -193,7 +193,7 @@ impl Server {
 
     /// Power draw (watts) given the total CPU demand currently hosted
     /// (GHz). Demand above capacity saturates at 100 % utilization.
-    pub(crate) fn power_watts(&self, demand_ghz: f64) -> f64 {
+    pub fn power_watts(&self, demand_ghz: f64) -> f64 {
         match self.state {
             ServerState::Sleeping => self.spec.power.sleep_power(),
             ServerState::Failed => 0.0,
