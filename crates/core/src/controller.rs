@@ -134,7 +134,7 @@ impl ResponseTimeController {
         period_s: f64,
         c0: &[f64],
     ) -> Result<ResponseTimeController> {
-        if setpoint_ms <= 0.0 {
+        if !(setpoint_ms.is_finite() && setpoint_ms > 0.0) {
             return Err(CoreError::BadConfig(format!(
                 "setpoint {setpoint_ms} ms must be positive"
             )));
@@ -391,7 +391,10 @@ mod tests {
     #[test]
     fn controller_validates_setpoint() {
         let model = ArxModel::new(vec![0.4], vec![vec![-100.0, -80.0]], 1200.0).unwrap();
-        assert!(ResponseTimeController::new(model, 0.0, 4.0, &[1.0, 1.0]).is_err());
+        for setpoint in [0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let c = ResponseTimeController::new(model.clone(), setpoint, 4.0, &[1.0, 1.0]);
+            assert!(c.is_err(), "setpoint {setpoint} accepted");
+        }
     }
 
     #[test]

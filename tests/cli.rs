@@ -46,6 +46,21 @@ fn testbed_rejects_zero_periods() {
 }
 
 #[test]
+fn testbed_rejects_a_set_point_that_is_not_a_number() {
+    let args = [
+        "testbed",
+        "-q",
+        "--apps",
+        "1",
+        "--periods",
+        "1",
+        "--setpoint",
+        "nan",
+    ];
+    assert_rejected(&args, "setpoint");
+}
+
+#[test]
 fn trace_gen_rejects_zero_vms() {
     assert_rejected(&["trace-gen", "--vms", "0"], "--vms");
 }
