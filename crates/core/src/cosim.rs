@@ -26,7 +26,7 @@ use vdc_apptier::monitor::SlaMetric;
 use vdc_apptier::rng::{seed_stream, SimRng};
 use vdc_apptier::{AnalyticPlant, Plant, WorkloadProfile};
 use vdc_consolidate::item::PackItem;
-use vdc_dcsim::{FleetSpec, VmHandle, VmSpec};
+use vdc_dcsim::{DataCenter, FleetSpec, VmHandle, VmSpec};
 use vdc_trace::UtilizationTrace;
 
 /// Configuration of a co-simulation run.
@@ -224,13 +224,9 @@ pub fn run_cosim(
         interval_s: trace.interval_s(),
         shards,
     };
-    let mut sim = SimState::new(
-        stages,
-        &FleetSpec::paper_default(n_servers),
-        &mut rng,
-        OptimizerConfig::ipac_default(),
-        opts,
-    )?;
+    let mut dc = DataCenter::new();
+    FleetSpec::paper_default(n_servers).build_with(&mut dc, &mut |n| rng.index(n))?;
+    let mut sim = SimState::new(stages, dc, OptimizerConfig::ipac_default(), opts);
     if sim.faults.is_some() {
         telemetry.incr("control.safe_mode_samples", 0);
     }

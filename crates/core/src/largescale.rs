@@ -13,7 +13,7 @@ use crate::run::RunOptions;
 use crate::{CoreError, Result};
 use vdc_apptier::rng::SimRng;
 use vdc_consolidate::item::PackItem;
-use vdc_dcsim::{FleetSpec, VmSpec};
+use vdc_dcsim::{DataCenter, FleetSpec, VmSpec};
 use vdc_trace::{DemandSource, StreamingTrace, UtilizationTrace};
 
 /// Which optimizer drives the large-scale run.
@@ -231,7 +231,9 @@ pub(crate) fn run_large_scale_impl<S: DemandSource>(
         OptimizerKind::Pmapper => OptimizerConfig::pmapper_default(),
     };
     let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let mut sim = SimState::new(stages, fleet, &mut rng, optimizer, opts)?;
+    let mut dc = DataCenter::new();
+    fleet.build_with(&mut dc, &mut |n| rng.index(n))?;
+    let mut sim = SimState::new(stages, dc, optimizer, opts);
 
     // Register the VMs with their t = 0 demands. Registration order makes
     // arena slot i the trace row i, which is what lets the per-sample

@@ -13,22 +13,24 @@
 //! 4. [`SimState::account`]: the one power charge;
 //! 5. [`SimState::watchdog`]: the SLO watchdog of faulted runs.
 //!
+//! The testbed ([`crate::testbed`]) runs only stages 3 and 4 after its
+//! demand stage, and throttles oversubscribed servers between them.
+//!
 //! [`SimState::finish`] rolls the run up after the last sample. The shared
-//! stages' own telemetry keys carry the runner's prefix (`largescale.*` or
-//! `cosim.*`); the layer families they feed (`dcsim.*`, `fault.*`,
-//! `optimizer.*`) do not.
+//! stages' own telemetry keys carry the runner's prefix (`largescale.*`,
+//! `cosim.*` or `testbed.*`); the layer families they feed (`dcsim.*`,
+//! `fault.*`, `optimizer.*`) do not.
 
 use crate::optimizer::{OptimizerConfig, PowerOptimizer};
 use crate::run::RunOptions;
 use crate::Result;
-use vdc_apptier::rng::SimRng;
 use vdc_consolidate::constraint::AndConstraint;
 use vdc_consolidate::item::{PackItem, PackServer};
 use vdc_consolidate::minslack::MinSlackConfig;
 use vdc_consolidate::pac::pac_pack;
 use vdc_consolidate::relief::{relieve_overloads, ReliefConfig};
-use vdc_consolidate::view::{apply_plan, apply_plan_fallible, snapshot};
-use vdc_dcsim::{DataCenter, FleetSpec, ServerHandle, VmHandle, VmId};
+use vdc_consolidate::view::{apply_plan, apply_plan_fallible, snapshot, ApplyStats};
+use vdc_dcsim::{DataCenter, ServerHandle, VmHandle, VmId};
 use vdc_faults::{FaultSession, HostFaultKind};
 use vdc_telemetry::{SpanTimer, Telemetry};
 
@@ -42,7 +44,7 @@ const WATCHDOG_STREAK: usize = 3;
 
 /// How a runner drives the shared stages.
 pub(crate) struct Stages {
-    /// Prefix of the runner's telemetry keys: `largescale` or `cosim`.
+    /// Prefix of the runner's telemetry keys: `largescale`, `cosim` or `testbed`.
     pub(crate) prefix: &'static str,
     /// Optimizer invocation period, in samples.
     pub(crate) optimizer_period: usize,
@@ -123,18 +125,15 @@ pub(crate) struct SimState<'a> {
 }
 
 impl<'a> SimState<'a> {
-    /// Stamp `fleet` into a new data center, drawing each server's type
-    /// from `rng`, and set up the optimizer and the fault session.
+    /// Take over the data center the runner built, and set up the
+    /// optimizer, the fault session and one energy sum per site.
     pub(crate) fn new(
         stages: Stages,
-        fleet: &FleetSpec,
-        rng: &mut SimRng,
+        dc: DataCenter,
         optimizer: OptimizerConfig,
         opts: &RunOptions<'a>,
-    ) -> Result<SimState<'a>> {
+    ) -> SimState<'a> {
         let telemetry = opts.telemetry();
-        let mut dc = DataCenter::new();
-        fleet.build_with(&mut dc, &mut |n| rng.index(n))?;
         let mut optimizer = PowerOptimizer::new(optimizer);
         optimizer.set_telemetry(telemetry.clone());
         optimizer.set_shards(stages.shards);
@@ -143,7 +142,8 @@ impl<'a> SimState<'a> {
             register_fault_keys(&telemetry);
             FaultSession::new(plan)
         });
-        Ok(SimState {
+        SimState {
+            site_energy_wh: vec![0.0; dc.n_sites()],
             dc,
             faults,
             optimizer,
@@ -156,10 +156,9 @@ impl<'a> SimState<'a> {
             relief_migrations: 0,
             energy_wh: 0.0,
             it_energy_wh: 0.0,
-            site_energy_wh: vec![0.0; fleet.sites.len()],
             demand_ghz: 0.0,
             unmet_ghz: 0.0,
-        })
+        }
     }
 
     /// The runner-prefixed telemetry key of `stat`.
@@ -178,13 +177,13 @@ impl<'a> SimState<'a> {
     }
 
     /// One optimizer invocation over the fleet plus `items`, registered VMs
-    /// not yet placed: the initial placement, and stage 2's long period.
-    pub(crate) fn optimize(&mut self, items: &[PackItem]) -> Result<()> {
+    /// not yet placed: the initial placement, stage 2 and
+    /// `Testbed::run_optimizer`.
+    pub(crate) fn optimize(&mut self, items: &[PackItem]) -> Result<ApplyStats> {
         match self.faults.as_mut() {
-            Some(f) => self.optimizer.optimize_faulted(&mut self.dc, items, f)?,
-            None => self.optimizer.optimize(&mut self.dc, items)?,
-        };
-        Ok(())
+            Some(f) => self.optimizer.optimize_faulted(&mut self.dc, items, f),
+            None => self.optimizer.optimize(&mut self.dc, items),
+        }
     }
 
     /// Stage 1: replay every host crash/recover event due at sample `t`.
@@ -229,15 +228,14 @@ impl<'a> SimState<'a> {
     /// runner enables it.
     pub(crate) fn consolidate_or_relieve(&mut self, t: usize) -> Result<()> {
         if t > 0 && t.is_multiple_of(self.stages.optimizer_period) {
-            self.optimize(&[])
+            self.optimize(&[])?;
         } else if self.stages.relief {
             let span = self.timer("relief_snapshot_ns");
             let snap = snapshot(&self.dc);
             span.finish();
-            self.relieve(snap)
-        } else {
-            Ok(())
+            self.relieve(snap)?;
         }
+        Ok(())
     }
 
     /// Plan and apply one overload-relief pass over `snap`, which the

@@ -8,10 +8,14 @@
 //! controllers"), which is the default here too.
 
 use crate::controller::{identify_plant, IdentificationConfig};
+use crate::optimizer::OptimizerConfig;
+use crate::pipeline::{SimState, Stages};
+use crate::run::RunOptions;
 use crate::tier::{ControllerSpec, TierController};
 use crate::{CoreError, Result};
 use vdc_apptier::{AppSim, WorkloadProfile};
-use vdc_dcsim::{CpuArbitrator, DataCenter, Server, ServerHandle, ServerSpec, VmHandle, VmSpec};
+use vdc_consolidate::view::ApplyStats;
+use vdc_dcsim::{DataCenter, Server, ServerHandle, ServerSpec, VmHandle, VmSpec};
 
 /// Configuration of the testbed scenario.
 #[derive(Debug, Clone)]
@@ -51,7 +55,7 @@ pub struct TestbedSample {
     /// Measured 90-percentile response time per application (ms); `None`
     /// if no requests completed that period.
     pub response_ms: Vec<Option<f64>>,
-    /// Total cluster power (watts).
+    /// Cluster power (watts): the shared charge over the active servers.
     pub power_w: f64,
     /// Per-server DVFS frequency (GHz; 0 = sleeping).
     pub freq_ghz: Vec<f64>,
@@ -59,7 +63,7 @@ pub struct TestbedSample {
 
 /// The simulated testbed.
 pub struct Testbed {
-    dc: DataCenter,
+    sim: SimState<'static>,
     apps: Vec<AppSim>,
     controllers: Vec<Box<dyn TierController>>,
     /// `vm_handles[app][tier]`.
@@ -80,7 +84,6 @@ impl Testbed {
 
         // Four servers as in §VI-A (two larger, two smaller boxes).
         let mut dc = DataCenter::new();
-        dc.set_arbitrator(CpuArbitrator::new(0.05));
         let specs = [
             ServerSpec::type_quad_3ghz(),
             ServerSpec::type_dual_2ghz(),
@@ -137,8 +140,18 @@ impl Testbed {
             vm_handles.push(handles);
         }
 
+        let stages = Stages {
+            prefix: "testbed",
+            // Unread: the optimizer runs only through `run_optimizer`.
+            optimizer_period: usize::MAX,
+            relief: false,
+            dvfs: true,
+            interval_s: cfg.period_s,
+            shards: 1,
+        };
+        let opts = RunOptions::default();
         Ok(Testbed {
-            dc,
+            sim: SimState::new(stages, dc, OptimizerConfig::ipac_default(), &opts),
             apps,
             controllers,
             vm_handles,
@@ -156,11 +169,6 @@ impl Testbed {
         self.apps.len()
     }
 
-    /// Borrow the data center (e.g. for energy queries).
-    pub fn datacenter(&self) -> &DataCenter {
-        &self.dc
-    }
-
     /// Borrow one application's controller (through the
     /// [`TierController`] seam).
     pub fn controller(&self, app: usize) -> &dyn TierController {
@@ -173,11 +181,10 @@ impl Testbed {
         self.apps[app].set_concurrency(concurrency);
     }
 
-    /// Run one control period for every application, then arbitrate CPU on
-    /// every server (DVFS) and account power.
+    /// Run one control period for every application (the testbed's demand
+    /// stage), then the shared DVFS stage, the throttling of oversubscribed
+    /// servers, and the shared power charge ([`crate::pipeline`]).
     pub(crate) fn step(&mut self) -> Result<TestbedSample> {
-        let period = self.controllers[0].period_s();
-
         // 1. Application-level control.
         let mut response_ms = Vec::with_capacity(self.apps.len());
         for (ctrl, plant) in self.controllers.iter_mut().zip(&mut self.apps) {
@@ -185,37 +192,39 @@ impl Testbed {
         }
 
         // 2. Propagate the VM demands to the data center.
+        let dc = &mut self.sim.dc;
         for (app, handles) in self.vm_handles.iter().enumerate() {
             let alloc = self.controllers[app].allocation();
             for (tier, &vm) in handles.iter().enumerate() {
-                self.dc.set_vm_demand(vm, alloc[tier])?;
+                dc.set_vm_demand(vm, alloc[tier])?;
             }
         }
 
-        // 3. Server-level arbitration: DVFS to the lowest sufficient level;
-        //    when a server is oversubscribed, scale the hosted allocations
-        //    proportionally and apply the throttled values to the plants.
-        self.dc.apply_dvfs(false)?;
-        for i in 0..self.dc.n_servers() {
+        // 3. Server-level arbitration: DVFS to the lowest sufficient level,
+        //    sleeping servers that host no VM; when a server is
+        //    oversubscribed, scale the hosted allocations proportionally and
+        //    apply the throttled values to the plants.
+        self.sim.dvfs()?;
+        let dc = &self.sim.dc;
+        for i in 0..dc.n_servers() {
             let s = ServerHandle::from_index(i);
-            let demand = self.dc.server_demand_ghz(s)?;
-            let cap = self.dc.server(s)?.spec.max_capacity_ghz();
+            let demand = dc.server_demand_ghz(s)?;
+            let cap = dc.server(s)?.spec.max_capacity_ghz();
             if demand > cap {
                 let scale = cap / demand;
-                let hosted: Vec<VmHandle> = self.dc.hosted_vms(s)?.to_vec();
-                for vm in hosted {
-                    let (app, tier) = self.dc.vm(vm)?.app.expect("testbed VMs carry app tags");
-                    let granted = self.dc.vm_demand(vm)? * scale;
+                for &vm in dc.hosted_vms(s)? {
+                    let (app, tier) = dc.vm(vm)?.app.expect("testbed VMs carry app tags");
+                    let granted = dc.vm_demand(vm)? * scale;
                     self.apps[app as usize].set_allocation(tier as usize, granted)?;
                 }
             }
         }
 
-        // 4. Power accounting.
-        self.dc.accumulate_energy(period);
-        self.time_s += period;
-        let freq_ghz = (0..self.dc.n_servers())
-            .map(|i| match self.dc.servers()[i].state {
+        // 4. The one power charge.
+        let charge = self.sim.account(1.0)?;
+        self.time_s += self.sim.stages.interval_s;
+        let freq_ghz = (0..self.sim.dc.n_servers())
+            .map(|i| match self.sim.dc.servers()[i].state {
                 vdc_dcsim::ServerState::Active { freq_ghz } => freq_ghz,
                 vdc_dcsim::ServerState::Sleeping | vdc_dcsim::ServerState::Failed => 0.0,
             })
@@ -224,7 +233,7 @@ impl Testbed {
         Ok(TestbedSample {
             time_s: self.time_s,
             response_ms,
-            power_w: self.dc.total_power_watts(),
+            power_w: charge.watts,
             freq_ghz,
         })
     }
@@ -245,11 +254,8 @@ impl Testbed {
     /// Placement changes do not disturb the application plants — live
     /// migration is transparent to the workload — but they change which
     /// server arbitrates each VM's demand and therefore the cluster power.
-    pub fn run_optimizer(
-        &mut self,
-        optimizer: &mut crate::optimizer::PowerOptimizer,
-    ) -> Result<vdc_consolidate::view::ApplyStats> {
-        optimizer.optimize(&mut self.dc, &[])
+    pub fn run_optimizer(&mut self) -> Result<ApplyStats> {
+        self.sim.optimize(&[])
     }
 }
 
@@ -279,6 +285,9 @@ mod tests {
         assert_eq!(s.response_ms.len(), 2);
         assert!(s.power_w > 0.0);
         assert_eq!(s.freq_ghz.len(), 4);
+        // Two apps use servers 0–2; server 3 hosts no VM, so it sleeps.
+        assert!(s.freq_ghz[..3].iter().all(|&f| f > 0.0), "{:?}", s.freq_ghz);
+        assert_eq!(s.freq_ghz[3], 0.0);
         assert!((tb.time_s() - 4.0).abs() < 1e-9);
     }
 
@@ -341,8 +350,6 @@ mod tests {
         let samples = tb.run(60).unwrap();
         let late = samples.last().unwrap().power_w;
         assert!(late >= early - 30.0, "power {late} vs {early}");
-        // Energy accrued.
-        assert!(tb.datacenter().energy_wh() > 0.0);
     }
 }
 

@@ -1,10 +1,11 @@
-//! Data-center state: servers, VM placement, migration, energy accounting.
+//! Data-center state: servers, VM placement, migration, power.
 //!
 //! This is the bookkeeping substrate under both the testbed scenario (4
 //! servers, 8 two-tier applications) and the large-scale simulation (3,000
 //! servers hosting up to 5,415 trace-driven VMs). The consolidation
 //! algorithms in `vdc-consolidate` compute *plans*; this module executes
-//! them (migrations, sleep/wake) and integrates power into energy.
+//! them (migrations, sleep/wake) and prices each server's power. The
+//! runners' one power charge integrates that price into energy.
 //!
 //! # Arena layout
 //!
@@ -91,7 +92,6 @@ pub struct DataCenter {
     /// power == IT power) until [`DataCenter::set_site_pue`].
     site_pue: Vec<f64>,
     arbitrator: CpuArbitrator,
-    energy_wh: f64,
     wake_count: u64,
     sleep_count: u64,
     /// DVFS frequency changes applied by the arbitrator (a server moving to
@@ -176,6 +176,12 @@ impl DataCenter {
             .get(self.server_site(server))
             .copied()
             .unwrap_or(1.0)
+    }
+
+    /// Number of sites: one past the highest site any server was added
+    /// to, so every [`DataCenter::server_site`] indexes below it.
+    pub fn n_sites(&self) -> usize {
+        self.site_pue.len()
     }
 
     /// Number of servers.
@@ -602,16 +608,6 @@ impl DataCenter {
     pub fn server_facility_power_watts(&self, server: ServerHandle) -> Result<f64> {
         Ok(self.server_power_watts(server)? * self.server_pue(server))
     }
-
-    /// Advance accounting time by `dt_s` seconds at the current power draw.
-    pub fn accumulate_energy(&mut self, dt_s: f64) {
-        self.energy_wh += self.total_power_watts() * dt_s.max(0.0) / 3600.0;
-    }
-
-    /// Total energy consumed so far (watt-hours).
-    pub fn energy_wh(&self) -> f64 {
-        self.energy_wh
-    }
 }
 
 #[cfg(test)]
@@ -770,17 +766,12 @@ mod tests {
     }
 
     #[test]
-    fn power_and_energy_accounting() {
+    fn power_accounting() {
         let mut dc = dc_with(1);
         let h = dc.add_vm(VmSpec::new(1, 6.0, 1024.0)).unwrap();
         dc.place_vm(h, srv(0)).unwrap();
         // Active at 3 GHz, u = 0.5: P = 190 + 130*0.5 = 255 W.
         assert!((dc.total_power_watts() - 255.0).abs() < 1e-9);
-        dc.accumulate_energy(3600.0);
-        assert!((dc.energy_wh() - 255.0).abs() < 1e-9);
-        // Negative dt ignored.
-        dc.accumulate_energy(-5.0);
-        assert!((dc.energy_wh() - 255.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1002,7 +993,7 @@ mod site_tests {
     #[test]
     fn default_site_is_zero_with_unit_pue() {
         let mut dc = DataCenter::new();
-        assert_eq!(dc.site_pue.len(), 0);
+        assert_eq!(dc.n_sites(), 0);
         dc.add_server(Server::active(ServerSpec::type_quad_3ghz()));
         assert_eq!(dc.site_pue, [1.0]);
         assert_eq!(dc.server_site(srv(0)), 0);
@@ -1024,7 +1015,7 @@ mod site_tests {
             .unwrap();
         dc.add_server_in_site(Server::active(ServerSpec::type_quad_3ghz()), 1)
             .unwrap();
-        assert_eq!(dc.site_pue.len(), 2);
+        assert_eq!(dc.n_sites(), 2);
         dc.set_site_pue(1, 1.5).unwrap();
         let it0 = dc.server_power_watts(srv(0)).unwrap();
         let it1 = dc.server_power_watts(srv(1)).unwrap();

@@ -492,6 +492,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(sites, vec![0, 0, 0, 1, 1, 1]);
+        assert_eq!(dc.n_sites(), spec.sites.len());
         for (i, srv) in dc.servers().iter().enumerate() {
             assert!(!srv.is_active(), "servers start asleep");
             assert_eq!(dc.server_site(crate::ServerHandle::from_index(i)), sites[i]);

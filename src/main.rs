@@ -176,11 +176,8 @@ fn cmd_testbed(args: &[String], reporter: &Reporter) -> ExitCode {
         );
     }
     let power = tail.iter().map(|s| s.power_w).sum::<f64>() / tail.len() as f64;
-    println!(
-        "  mean cluster power {:.1} W | energy so far {:.1} Wh",
-        power,
-        tb.datacenter().energy_wh()
-    );
+    let energy_wh = samples.iter().map(|s| s.power_w).sum::<f64>() * cfg.period_s / 3600.0;
+    println!("  mean cluster power {power:.1} W | energy so far {energy_wh:.1} Wh");
     ExitCode::SUCCESS
 }
 

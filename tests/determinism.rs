@@ -598,7 +598,7 @@ fn testbed_digest(cfg: &TestbedConfig, periods: usize) -> u64 {
 
 /// Golden pin: the DES testbed (two apps, shared identified model, paper
 /// MPC, DVFS arbitration) over 40 periods. Two apps leave server 3 with
-/// no VM.
+/// no VM, so it sleeps and draws no charged power.
 #[test]
 fn golden_testbed_des_with_mpc() {
     let cfg = TestbedConfig {
@@ -696,6 +696,6 @@ const GOLDEN_COSIM: u64 = 0x564e_b582_e317_2d77;
 const GOLDEN_LARGE_SCALE_IPAC: u64 = 0x6286_7530_b359_3a7b;
 const GOLDEN_LARGE_SCALE_PMAPPER: u64 = 0x911b_85de_591f_d5e6;
 const GOLDEN_CHURN: u64 = 0x0ded_9de1_9ba3_fe77;
-const GOLDEN_TESTBED: u64 = 0x1788_dbf5_8b47_fbb4;
+const GOLDEN_TESTBED: u64 = 0xc726_da30_0475_5b25;
 const GOLDEN_TESTBED_EIGHT_APPS: u64 = 0x82bc_f5e2_7f5b_3d27;
 const GOLDEN_SINGLE_APP: u64 = 0x2616_ee9d_3981_4a6f;
