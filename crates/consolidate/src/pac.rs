@@ -68,11 +68,12 @@ pub fn pac_pack(
     cfg: &MinSlackConfig,
 ) -> PacResult {
     // Total comparator (ties break on index): unstable sorting is exact.
+    // Each server's efficiency is computed once, not twice per comparison.
+    let efficiency: Vec<f64> = servers.iter().map(PackServer::power_efficiency).collect();
     let mut order: Vec<usize> = (0..servers.len()).collect();
     order.sort_unstable_by(|&a, &b| {
-        servers[b]
-            .power_efficiency()
-            .partial_cmp(&servers[a].power_efficiency())
+        efficiency[b]
+            .partial_cmp(&efficiency[a])
             .expect("finite efficiency")
             .then(a.cmp(&b))
     });

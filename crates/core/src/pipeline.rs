@@ -29,7 +29,7 @@ use vdc_consolidate::item::{PackItem, PackServer};
 use vdc_consolidate::minslack::MinSlackConfig;
 use vdc_consolidate::pac::pac_pack;
 use vdc_consolidate::relief::{relieve_overloads, ReliefConfig};
-use vdc_consolidate::view::{apply_plan, apply_plan_fallible, snapshot, ApplyStats};
+use vdc_consolidate::view::{apply_plan, apply_plan_fallible, candidates, snapshot, ApplyStats};
 use vdc_dcsim::{DataCenter, ServerHandle, VmHandle, VmId};
 use vdc_faults::{FaultSession, HostFaultKind};
 use vdc_telemetry::{SpanTimer, Telemetry};
@@ -448,51 +448,50 @@ pub(crate) struct Packed {
 }
 
 /// Pack registered, unplaced VMs the way evacuation and admission both
-/// do: Minimum Slack onto the active servers, then, with `spill`, what fit
-/// nowhere active onto the sleeping pool. Both passes pack one
-/// index-ordered snapshot; `shards` fans out only their Minimum Slack
-/// roots (bit-identical at every shard count), and `dc` itself is not
-/// touched. Failed hosts land in the inactive partition advertising zero
-/// capacity; they are dropped from the pool, so the spill pass cannot
-/// select one (a zero-demand item would otherwise "fit").
+/// do: PAC with Minimum Slack onto the active servers, then, with `spill`,
+/// what fit nowhere active onto the sleeping pool. Each pass packs only
+/// its side's [`candidates`], the servers that can take at least one of
+/// its VMs alone, so a small batch does not walk the whole fleet; the
+/// placements are the ones packing the whole side would make. The spill
+/// pass builds its side only when it runs, and never offers a failed
+/// host. `shards` fans out only the Minimum Slack roots (bit-identical at
+/// every shard count), and `dc` itself is not touched.
 pub(crate) fn pack_onto_fleet(
     dc: &DataCenter,
     items: &[PackItem],
     shards: usize,
     spill: bool,
 ) -> Packed {
-    let (mut active, mut sleeping): (Vec<PackServer>, Vec<PackServer>) =
-        snapshot(dc).into_iter().partition(|s| s.active);
-    sleeping.retain(|s| s.cpu_capacity_ghz > 0.0);
     let constraint = AndConstraint::cpu_and_memory();
     let minslack = MinSlackConfig {
         shards,
         ..MinSlackConfig::default()
     };
-    let on = |view: &[PackServer], assignments: Vec<(VmId, usize)>| {
-        let server = |si: usize| ServerHandle::from_index(view[si].index);
-        assignments
+    let pack = |active: bool, items: &[PackItem]| {
+        let mut servers = candidates(dc, active, items, &constraint);
+        let result = pac_pack(&mut servers, items, &constraint, &minslack);
+        let placed = result
+            .assignments
             .into_iter()
-            .map(|(id, si)| (id, server(si)))
-            .collect()
+            .map(|(id, si)| (id, ServerHandle::from_index(servers[si].index)))
+            .collect();
+        (placed, result.unplaced)
     };
-    let first = pac_pack(&mut active, items, &constraint, &minslack);
-    let mut packed = Packed {
-        active: on(&active, first.assignments),
-        woken: Vec::new(),
-        unplaced: first.unplaced,
-    };
-    if spill && !packed.unplaced.is_empty() {
+    let (active, mut unplaced) = pack(true, items);
+    let mut woken = Vec::new();
+    if spill && !unplaced.is_empty() {
         let rest: Vec<PackItem> = items
             .iter()
-            .filter(|i| packed.unplaced.contains(&i.vm))
+            .filter(|i| unplaced.contains(&i.vm))
             .cloned()
             .collect();
-        let second = pac_pack(&mut sleeping, &rest, &constraint, &minslack);
-        packed.woken = on(&sleeping, second.assignments);
-        packed.unplaced = second.unplaced;
+        (woken, unplaced) = pack(false, &rest);
     }
-    packed
+    Packed {
+        active,
+        woken,
+        unplaced,
+    }
 }
 
 /// Re-place the VMs evacuated from a crashed host: onto the active fleet
@@ -526,4 +525,255 @@ fn evacuate(
     telemetry.incr("fault.evacuated_vms", evacuated as u64);
     faults.stranded_vms += packed.unplaced.len() as u64;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+    use vdc_check::{check, from_fn, prop_assert_eq, TestRng};
+    use vdc_consolidate::constraint::Constraint;
+    use vdc_dcsim::{Server, ServerSpec, VmSpec};
+
+    /// [`pack_onto_fleet`] as it packed before candidates: a snapshot of
+    /// the whole fleet, partitioned into its active and its sleeping
+    /// servers, the sleeping side without zero-capacity (failed) hosts,
+    /// and PAC over each side.
+    fn pack_onto_snapshot(
+        dc: &DataCenter,
+        items: &[PackItem],
+        shards: usize,
+        spill: bool,
+    ) -> Packed {
+        let (mut active, mut sleeping): (Vec<PackServer>, Vec<PackServer>) =
+            snapshot(dc).into_iter().partition(|s| s.active);
+        sleeping.retain(|s| s.cpu_capacity_ghz > 0.0);
+        let constraint = AndConstraint::cpu_and_memory();
+        let minslack = MinSlackConfig {
+            shards,
+            ..MinSlackConfig::default()
+        };
+        let on = |view: &[PackServer], assignments: Vec<(VmId, usize)>| {
+            assignments
+                .into_iter()
+                .map(|(id, si)| (id, ServerHandle::from_index(view[si].index)))
+                .collect()
+        };
+        let first = pac_pack(&mut active, items, &constraint, &minslack);
+        let mut packed = Packed {
+            active: on(&active, first.assignments),
+            woken: Vec::new(),
+            unplaced: first.unplaced,
+        };
+        if spill && !packed.unplaced.is_empty() {
+            let rest: Vec<PackItem> = items
+                .iter()
+                .filter(|i| packed.unplaced.contains(&i.vm))
+                .cloned()
+                .collect();
+            let second = pac_pack(&mut sleeping, &rest, &constraint, &minslack);
+            packed.woken = on(&sleeping, second.assignments);
+            packed.unplaced = second.unplaced;
+        }
+        packed
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum HostState {
+        Active,
+        Asleep,
+        /// Hosts its VMs, then crashes, which unplaces them.
+        Failed,
+    }
+
+    /// One generated host: its model (an index into
+    /// [`ServerSpec::catalog`]), its site, its state, and the VMs placed on
+    /// it as `(CPU GHz, memory MiB)`.
+    #[derive(Debug, Clone)]
+    struct Host {
+        model: usize,
+        site: usize,
+        state: HostState,
+        vms: Vec<(f64, f64)>,
+    }
+
+    /// A small data center and a batch of `(CPU GHz, memory MiB)` items.
+    #[derive(Debug, Clone)]
+    struct Case {
+        hosts: Vec<Host>,
+        batch: Vec<(f64, f64)>,
+    }
+
+    /// A demand against `cap` GHz: zero, large or small.
+    fn cpu(rng: &mut TestRng, cap: f64) -> f64 {
+        match rng.usize_in(0, 6) {
+            0 => 0.0,
+            1 => rng.f64_in(0.5 * cap, 1.1 * cap),
+            _ => rng.f64_in(0.0, 0.25 * cap),
+        }
+    }
+
+    /// A footprint against `mem` MiB: none (with zero CPU, such an item
+    /// passes even a failed host's zero ceilings), memory-heavy or
+    /// ordinary.
+    fn memory(rng: &mut TestRng, mem: f64) -> f64 {
+        match rng.usize_in(0, 8) {
+            0 => 0.0,
+            1 | 2 => rng.f64_in(0.5 * mem, 1.05 * mem),
+            _ => rng.f64_in(64.0, 2048.0),
+        }
+    }
+
+    fn case(rng: &mut TestRng) -> Case {
+        let catalog = ServerSpec::catalog();
+        let hosts = (0..rng.usize_in(1, 13))
+            .map(|_| {
+                let model = rng.usize_in(0, catalog.len());
+                let (cap, mem) = (catalog[model].max_capacity_ghz(), catalog[model].memory_mib);
+                let state = match rng.usize_in(0, 10) {
+                    0..=4 => HostState::Active,
+                    5..=7 => HostState::Asleep,
+                    _ => HostState::Failed,
+                };
+                let vms = if state == HostState::Asleep {
+                    Vec::new()
+                } else if rng.bool() {
+                    // Near full: CPU filled to within a hair of capacity,
+                    // sometimes just past it.
+                    let mut left = cap * rng.f64_in(0.97, 1.02);
+                    let mut vms = Vec::new();
+                    while left > 1e-3 {
+                        let d = rng.f64_in(0.1, 0.5 * cap).min(left);
+                        vms.push((d, rng.f64_in(64.0, mem / 6.0)));
+                        left -= d;
+                    }
+                    vms
+                } else {
+                    (0..rng.usize_in(0, 5))
+                        .map(|_| (cpu(rng, cap), memory(rng, mem)))
+                        .collect()
+                };
+                Host {
+                    model,
+                    site: rng.usize_in(0, 2),
+                    state,
+                    vms,
+                }
+            })
+            .collect();
+        let batch = (0..rng.usize_in(1, 61))
+            .map(|_| (cpu(rng, 6.0), memory(rng, 8192.0)))
+            .collect();
+        Case { hosts, batch }
+    }
+
+    /// The data center of `case`: site 1 runs at PUE 1.25, and a VM whose
+    /// memory does not fit its host is not registered.
+    fn build(case: &Case) -> DataCenter {
+        let catalog = ServerSpec::catalog();
+        let mut dc = DataCenter::new();
+        for host in &case.hosts {
+            let spec = catalog[host.model].clone();
+            let server = match host.state {
+                HostState::Asleep => Server::asleep(spec),
+                HostState::Active | HostState::Failed => Server::active(spec),
+            };
+            dc.add_server_in_site(server, host.site).unwrap();
+        }
+        if dc.n_sites() > 1 {
+            dc.set_site_pue(1, 1.25).unwrap();
+        }
+        let mut id = 0;
+        for (i, host) in case.hosts.iter().enumerate() {
+            let server = ServerHandle::from_index(i);
+            for &(cpu, mem) in &host.vms {
+                let vm = dc.add_vm(VmSpec::new(id, cpu, mem)).unwrap();
+                id += 1;
+                if dc.place_vm(vm, server).is_err() {
+                    dc.remove_vm(vm).unwrap();
+                }
+            }
+            if host.state == HostState::Failed {
+                dc.fail_server(server).unwrap();
+            }
+        }
+        dc
+    }
+
+    #[test]
+    fn packing_onto_candidates_matches_packing_the_whole_fleet() {
+        let constraint = AndConstraint::cpu_and_memory();
+        let dropped_visited = Cell::new(0u32);
+        let spilled = Cell::new(0u32);
+        let fit_later = Cell::new(0u32);
+        check(256, &from_fn(case), |case| {
+            let dc = build(case);
+            let items: Vec<PackItem> = (0..)
+                .zip(&case.batch)
+                .map(|(j, &(cpu, mem))| PackItem::new(VmId(10_000 + j), cpu, mem))
+                .collect();
+            for spill in [false, true] {
+                let got = pack_onto_fleet(&dc, &items, 1, spill);
+                let want = pack_onto_snapshot(&dc, &items, 1, spill);
+                prop_assert_eq!(&got.active, &want.active, "active, spill {spill}");
+                prop_assert_eq!(&got.woken, &want.woken, "woken, spill {spill}");
+                prop_assert_eq!(&got.unplaced, &want.unplaced, "unplaced, spill {spill}");
+                if spill && !want.woken.is_empty() {
+                    spilled.set(spilled.get() + 1);
+                }
+            }
+
+            // Coverage, read off the reference's pass over the active side:
+            // the servers it visited in efficiency order, and where each
+            // item landed.
+            let snap = snapshot(&dc);
+            let mut order: Vec<&PackServer> = snap.iter().filter(|s| s.active).collect();
+            order.sort_by(|a, b| {
+                b.power_efficiency()
+                    .total_cmp(&a.power_efficiency())
+                    .then(a.index.cmp(&b.index))
+            });
+            let rank = |s: ServerHandle| order.iter().position(|o| o.index == s.index());
+            let first = pack_onto_snapshot(&dc, &items, 1, false);
+            // PAC stops visiting once every item has landed.
+            let visited = if first.unplaced.is_empty() {
+                first
+                    .active
+                    .iter()
+                    .filter_map(|&(_, s)| rank(s))
+                    .max()
+                    .map_or(0, |r| r + 1)
+            } else {
+                order.len()
+            };
+            let kept: Vec<usize> = candidates(&dc, true, &items, &constraint)
+                .iter()
+                .map(|s| s.index)
+                .collect();
+            if order[..visited].iter().any(|s| !kept.contains(&s.index)) {
+                dropped_visited.set(dropped_visited.get() + 1);
+            }
+            let refused_earlier = |&(id, s): &(VmId, ServerHandle)| {
+                let item = items.iter().find(|i| i.vm == id).expect("a batch item");
+                let r = rank(s).expect("placed on an active server");
+                order[..r]
+                    .iter()
+                    .any(|o| !constraint.admits(o, std::slice::from_ref(item)))
+            };
+            if first.active.iter().any(refused_earlier) {
+                fit_later.set(fit_later.get() + 1);
+            }
+            Ok(())
+        });
+        for (name, count) in [
+            ("a visited server was not a candidate", &dropped_visited),
+            ("the spill pass woke a server", &spilled),
+            (
+                "an item fit only a server later in efficiency order",
+                &fit_later,
+            ),
+        ] {
+            assert!(count.get() > 0, "no case covered: {name}");
+        }
+    }
 }
