@@ -26,10 +26,11 @@
 //!   lands in the `churn.wake_wait_ns` histogram — and a miss falls back
 //!   to rejection.
 //!
-//! Every decision is sequential and derived from index-ordered
-//! snapshots, so churn runs stay bit-identical at every shard count; a
-//! workload with zero events leaves the run loop byte-identical to
-//! [`crate::run_large_scale`].
+//! Every decision is sequential, and each packing pass reads, straight
+//! from the live data center and in index order, the servers of its side
+//! that can take at least one VM of the batch on its own. So churn runs
+//! stay bit-identical at every shard count; a workload with zero events
+//! leaves the run loop byte-identical to [`crate::run_large_scale`].
 
 use crate::largescale::{run_large_scale_impl, LargeScaleConfig, LargeScaleResult};
 use crate::pipeline::{pack_onto_fleet, SimState};
@@ -284,10 +285,6 @@ impl<'a> ChurnCtx<'a> {
         let (dc, telemetry) = (&mut sim.dc, &sim.telemetry);
         let placement_span = telemetry.timer("churn.placement_ns");
         let items: Vec<PackItem> = batch.iter().map(|&(k, _)| self.item(k, t)).collect();
-        let since: BTreeMap<u64, usize> = batch
-            .iter()
-            .map(|&(k, enqueued_at)| (self.ext_id(k), enqueued_at))
-            .collect();
         // The active fleet takes the Minimum Slack first pass; the sleeping
         // pool is what the wake-and-retry fallback taps.
         let wake = self.policy == AdmissionPolicy::WakeAndRetry;
@@ -298,6 +295,10 @@ impl<'a> ChurnCtx<'a> {
         if self.policy == AdmissionPolicy::Queue {
             // Queue aging: samples waited between first asking and being
             // admitted (zero for arrivals placed the same sample).
+            let since: BTreeMap<u64, usize> = batch
+                .iter()
+                .map(|&(k, enqueued_at)| (self.ext_id(k), enqueued_at))
+                .collect();
             for &(id, _) in &packed.active {
                 telemetry.record("churn.queue_wait", (t - since[&id.0]) as f64);
             }
