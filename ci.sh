@@ -59,7 +59,7 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --l
 # Telemetry-overhead smoke check: an instrumented co-simulation must stay
 # within a generous factor of the no-op-sink run (release build, so the
 # ratio reflects real relative cost, not debug-build noise).
-run cargo test -q --release --offline --test telemetry_overhead
+run cargo test -q --release --offline --locked --test telemetry_overhead
 
 # Shard-equivalence gate: every runner must be bit-identical to the
 # single-threaded run at every shard count. What fans out is coarse work
@@ -75,7 +75,7 @@ else
     shard_counts=(1 8)
 fi
 for n in "${shard_counts[@]}"; do
-    run env VDC_SHARDS="$n" cargo test -q --offline --test sharding
+    run env VDC_SHARDS="$n" cargo test -q --offline --locked --test sharding
 done
 
 # Results-regression gate: re-run the cheap experiment bins from a scratch
