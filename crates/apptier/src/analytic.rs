@@ -10,9 +10,11 @@
 //!
 //! A flush only records its distribution and draw count; the draws happen
 //! when the batch is drained, in flush order, so the stream is the one
-//! drawing at flush time would use. That lets [`Plant::measure`] read a
-//! high percentile of a single pending batch from its tail draws alone
-//! (`LogNormal::tail_order_statistic`).
+//! drawing at flush time would use. That lets [`Plant::measure`] answer a
+//! percentile (or the maximum) of a single pending batch without drawing
+//! the batch: it draws the order statistic itself from its Beta law
+//! (`LogNormal::order_statistic`), in constant time. The answer has the
+//! distribution of draining and selecting, not its bits.
 
 use crate::monitor::{nearest_rank_index, SlaMetric};
 use crate::mva::{mva_closed_network, MvaResult};
@@ -33,8 +35,6 @@ pub struct AnalyticPlant {
     pending_time_s: f64,
     /// Flushed batches not yet drawn: each one's distribution and size.
     pending: Vec<(LogNormal, usize)>,
-    /// `measure` calls answered by the tail walk.
-    tail_measurements: u64,
 }
 
 impl AnalyticPlant {
@@ -68,7 +68,6 @@ impl AnalyticPlant {
             rng: SimRng::seed_from_u64(seed),
             pending_time_s: 0.0,
             pending: Vec::new(),
-            tail_measurements: 0,
         })
     }
 
@@ -92,13 +91,6 @@ impl AnalyticPlant {
             })
             .collect();
         mva_closed_network(&demands?, self.profile.think_time, self.concurrency)
-    }
-
-    /// How many [`Plant::measure`] calls this plant answered from the tail
-    /// of its pending batch instead of drawing the whole batch. Both paths
-    /// give the same bits; the count only says which one ran.
-    pub fn tail_measurements(&self) -> u64 {
-        self.tail_measurements
     }
 
     /// Maximum synthetic samples emitted per flush. A percentile estimate
@@ -168,19 +160,20 @@ impl Plant for AnalyticPlant {
         completed
     }
 
-    /// A percentile of at least the 90th over one pending batch comes from
-    /// the batch's tail draws; anything else, or a tail walk that cannot
-    /// prove its answer, drains and selects.
+    /// A percentile or the maximum (p = 100) over one pending batch is
+    /// drawn from the order statistic's own law; `Mean`, two or more
+    /// pending batches, and an answer that is not finite drain and select.
     fn measure(&mut self, metric: SlaMetric) -> Option<f64> {
-        if let (SlaMetric::Percentile(p), &[(draw, n)]) = (metric, self.pending.as_slice()) {
-            // The walk keeps ~13.6 % of the draws: enough for the top decile.
-            if p >= 90.0 {
-                let k = nearest_rank_index(p, n);
-                if let Some(v) = draw.tail_order_statistic(&mut self.rng, n, k) {
-                    self.pending.clear();
-                    self.tail_measurements += 1;
-                    return Some(v);
-                }
+        let p = match metric {
+            SlaMetric::Percentile(p) => p,
+            SlaMetric::Max => 100.0,
+            SlaMetric::Mean => return metric.measure(self.take_completed()),
+        };
+        if let &[(draw, n)] = self.pending.as_slice() {
+            let v = draw.order_statistic(&mut self.rng, n, nearest_rank_index(p, n));
+            if v.is_finite() {
+                self.pending.clear();
+                return Some(v);
             }
         }
         metric.measure(self.take_completed())
@@ -329,6 +322,47 @@ mod tests {
                     want_p90,
                     "sorted p90 of period {period}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn measure_p90_bits_are_pinned() {
+        // Bit patterns of `measure(P90)` over the first four periods at
+        // the operating points above, where each answer is drawn from the
+        // order statistic's law. Any change to the float operations of the
+        // Gamma, Beta or Φ⁻¹ samplers, or to the draws they take, moves
+        // them.
+        let rubbos = |c, alloc: &[f64], cv, seed| {
+            AnalyticPlant::new(WorkloadProfile::rubbos(), c, alloc, cv, seed).unwrap()
+        };
+        let cases = [
+            (
+                rubbos(40, &[1.0, 1.0], 0.45, 5415),
+                112.5,
+                [
+                    0x3fea_1764_f6fa_86fb,
+                    0x3fea_b96a_92de_bc99,
+                    0x3fea_c657_b75c_50fe,
+                    0x3fea_5a2e_076e_15fc,
+                ],
+            ),
+            (
+                rubbos(10, &[0.6, 0.9], 0.35, 77),
+                4.0,
+                [
+                    0x3fd0_4842_e444_567e,
+                    0x3fd1_2ffd_542e_ae2f,
+                    0x3fd1_673d_23d7_045a,
+                    0x3fd1_6faf_5d2d_bfa4,
+                ],
+            ),
+        ];
+        for (mut p, period_s, p90s) in cases {
+            for (period, &want) in p90s.iter().enumerate() {
+                p.run_for(period_s);
+                let got = p.measure(SlaMetric::P90).map(f64::to_bits);
+                assert_eq!(got, Some(want), "measured p90 of period {period}");
             }
         }
     }

@@ -10,8 +10,9 @@
 //!
 //! [`Plant::measure`] is how a controller reads its metric. Its default
 //! drains the completions and hands them to [`SlaMetric::measure`]; the
-//! analytic plant overrides it to read a p90 from the tail of its pending
-//! draws, with the same bits and the same stream afterwards.
+//! analytic plant overrides it to draw a percentile of its one pending
+//! batch from the order statistic's own law, in constant time. The answer
+//! has the default's distribution, not its bits.
 
 use crate::monitor::SlaMetric;
 use crate::Result;
@@ -33,8 +34,9 @@ pub trait Plant {
 
     /// Drain the completions since the last drain and measure `metric`
     /// over them (seconds; `None` when no finite sample completed). An
-    /// override must return the bits of the default and leave the plant
-    /// as the default would.
+    /// override must return a value with the default's distribution and
+    /// leave nothing pending, as the default does; it may draw a different
+    /// number of random variates to get there.
     fn measure(&mut self, metric: SlaMetric) -> Option<f64> {
         metric.measure(self.take_completed())
     }
