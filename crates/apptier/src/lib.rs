@@ -25,8 +25,8 @@
 //! * [`sim`] — the discrete-event engine ([`sim::AppSim`]).
 //! * [`monitor`] — response-time statistics ([`monitor::ResponseStats`]),
 //!   including the 90-percentile SLA metric the paper controls.
-//! * [`mva`] — analytic Mean Value Analysis of the same closed network,
-//!   used for cross-validation and fast approximate experiments.
+//! * `mva` (private) — analytic Mean Value Analysis of the same closed
+//!   network, used for cross-validation and by the analytic plant.
 //! * [`plant`] — the [`plant::Plant`] trait a controller drives (the DES
 //!   and the analytic plant are interchangeable behind it).
 //! * [`analytic`] — an instant MVA-backed plant for tuning sweeps.
@@ -35,7 +35,7 @@
 
 pub mod analytic;
 pub mod monitor;
-pub mod mva;
+mod mva;
 pub mod plant;
 pub mod profile;
 pub mod rng;
@@ -43,7 +43,6 @@ pub mod sim;
 
 pub use analytic::AnalyticPlant;
 pub use monitor::ResponseStats;
-pub use mva::mva_closed_network;
 pub use plant::Plant;
 pub use profile::{TierDemand, WorkloadProfile};
 pub use sim::AppSim;

@@ -17,7 +17,7 @@
 
 /// Result of an MVA evaluation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MvaResult {
+pub(crate) struct MvaResult {
     /// Mean response time (seconds), excluding think time.
     pub(crate) response_time: f64,
     /// Throughput (requests/second).
@@ -33,7 +33,7 @@ pub struct MvaResult {
 ///
 /// Returns `None` when inputs are degenerate (no stations, zero population,
 /// or a non-finite/negative demand).
-pub fn mva_closed_network(
+pub(crate) fn mva_closed_network(
     demands_s: &[f64],
     think_time: f64,
     population: usize,

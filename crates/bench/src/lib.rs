@@ -3,11 +3,7 @@
 //! Each `fig*` binary (see `src/bin/`) reproduces one figure of the paper's
 //! evaluation section and prints the corresponding rows/series; this crate
 //! holds the formatting they share (flag parsing is `vdc_telemetry`'s
-//! `arg_*` family, shared with `vdcpower`). The benches under
-//! `benches/` measure the algorithmic costs (MPC solve time, Minimum Slack
-//! vs FFD, PAC/IPAC/pMapper scaling) with the std-only [`harness`].
-
-pub mod harness;
+//! `arg_*` family, shared with `vdcpower`).
 
 /// Print a horizontal rule sized to a table width.
 pub fn rule(width: usize) {

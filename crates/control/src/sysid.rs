@@ -98,16 +98,6 @@ impl ExperimentData {
     pub(crate) fn is_empty(&self) -> bool {
         self.outputs.is_empty()
     }
-
-    /// Recorded inputs.
-    pub fn inputs(&self) -> &[Vec<f64>] {
-        &self.inputs
-    }
-
-    /// Recorded outputs.
-    pub fn outputs(&self) -> &[f64] {
-        &self.outputs
-    }
 }
 
 /// An identified model together with fit-quality metrics.
@@ -437,7 +427,7 @@ mod tests {
     fn rls_converges_to_true_parameters() {
         let data = make_data(800, 1.0);
         let mut rls = RecursiveLeastSquares::new(1, 2, 2, 1.0, 1e6).unwrap();
-        for (c, &t) in data.inputs().iter().zip(data.outputs()) {
+        for (c, &t) in data.inputs.iter().zip(&data.outputs) {
             rls.observe(c, t).unwrap();
         }
         let m = rls.model().unwrap();
