@@ -132,55 +132,16 @@ pub struct ApplyStats {
     pub migrated_mib: f64,
 }
 
-/// Execute a consolidation plan on the data center.
-///
-/// Ordering: wakes first (targets must be active), then moves, then sleeps
-/// (sources must be empty). Moves are executed detach-all-then-attach: the
-/// plan is only guaranteed consistent in its *final* state, so executing
-/// migrations one-by-one could transiently overflow a destination that a
-/// later move drains. A sleep target that turns out non-empty is skipped
-/// rather than failing the whole plan.
+/// Execute a consolidation plan whose migrations all succeed:
+/// [`apply_plan_fallible`] with no failing attempt.
 pub fn apply_plan(dc: &mut DataCenter, plan: &ConsolidationPlan) -> Result<ApplyStats, DcError> {
-    let mut stats = ApplyStats::default();
-    let resolve =
-        |dc: &DataCenter, id: vdc_dcsim::VmId| dc.lookup(id).ok_or(DcError::UnknownVm(id.0));
-    for &s in &plan.servers_to_wake {
-        dc.wake_server(ServerHandle::from_index(s))?;
-        stats.woken += 1;
-    }
-    // Detach every migrating VM first.
-    for mv in &plan.moves {
-        if mv.from.is_some() {
-            let h = resolve(dc, mv.vm)?;
-            dc.unplace_vm(h)?;
-        }
-    }
-    // Attach everything at its destination.
-    for mv in &plan.moves {
-        let h = resolve(dc, mv.vm)?;
-        let to = ServerHandle::from_index(mv.to);
-        dc.place_vm(h, to)?;
-        if mv.from.is_some() {
-            stats.migrations += 1;
-            stats.migrated_mib += dc.vm(h)?.memory_mib;
-        } else {
-            stats.placements += 1;
-        }
-    }
-    for &s in &plan.servers_to_sleep {
-        let h = ServerHandle::from_index(s);
-        if dc.hosted_vms(h)?.is_empty() {
-            dc.sleep_server(h)?;
-            stats.slept += 1;
-        }
-    }
-    Ok(stats)
+    apply_plan_fallible(dc, plan, 1, || false).map(|applied| applied.stats)
 }
 
 /// Outcome of one [`apply_plan_fallible`] call.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialApply {
-    /// What was actually committed (same semantics as [`apply_plan`]).
+    /// What was actually committed.
     pub stats: ApplyStats,
     /// Retry attempts spent beyond each migration's first attempt.
     pub retries: u64,
@@ -200,17 +161,24 @@ impl PartialApply {
     }
 }
 
-/// Execute a plan whose migrations may fail: migration attempt outcomes
-/// come from `attempt_fails` (drawn once per attempt, in move order — the
-/// caller supplies a deterministic stream), and each migration gets up to
-/// `max_attempts` tries. The first migration that exhausts its budget
-/// truncates the migration suffix: the plan commits its successful prefix
-/// and every uncommitted mover is rolled back to its source. Initial
-/// placements (`from == None`) are not live migrations and always apply;
-/// wake and sleep phases match [`apply_plan`].
+/// Execute a consolidation plan on the data center, with migrations that
+/// may fail.
 ///
-/// With `attempt_fails` never returning true, the result is identical to
-/// [`apply_plan`] — the fault-free contract the run loops rely on.
+/// Ordering: wakes first (targets must be active), then moves, then sleeps
+/// (sources must be empty). Moves are executed detach-all-then-attach: the
+/// plan is only guaranteed consistent in its *final* state, so executing
+/// migrations one-by-one could transiently overflow a destination that a
+/// later move drains. A sleep target that turns out non-empty is skipped
+/// rather than failing the whole plan.
+///
+/// Migration attempt outcomes come from `attempt_fails` (drawn once per
+/// attempt, in move order — the caller supplies a deterministic stream),
+/// and each migration gets up to `max_attempts` tries. The first migration
+/// that exhausts its budget truncates the migration suffix: the plan
+/// commits its successful prefix and every uncommitted mover is rolled back
+/// to its source. Initial placements (`from == None`) are not live
+/// migrations and always apply. With `attempt_fails` never returning true,
+/// every move commits: that is [`apply_plan`].
 pub fn apply_plan_fallible(
     dc: &mut DataCenter,
     plan: &ConsolidationPlan,
@@ -224,8 +192,7 @@ pub fn apply_plan_fallible(
         dc.wake_server(ServerHandle::from_index(s))?;
         out.stats.woken += 1;
     }
-    // Detach every migrating VM first (plans are only consistent in their
-    // final state; see apply_plan).
+    // Detach every migrating VM first.
     for mv in &plan.moves {
         if mv.from.is_some() {
             let h = resolve(dc, mv.vm)?;

@@ -21,7 +21,7 @@
 //! `cosim.*` or `testbed.*`); the layer families they feed (`dcsim.*`,
 //! `fault.*`, `optimizer.*`) do not.
 
-use crate::optimizer::{OptimizerConfig, PowerOptimizer};
+use crate::optimizer::{apply_with_faults, OptimizerConfig, PowerOptimizer};
 use crate::run::RunOptions;
 use crate::Result;
 use vdc_consolidate::constraint::AndConstraint;
@@ -29,7 +29,7 @@ use vdc_consolidate::item::{PackItem, PackServer};
 use vdc_consolidate::minslack::MinSlackConfig;
 use vdc_consolidate::pac::pac_pack;
 use vdc_consolidate::relief::{relieve_overloads, ReliefConfig};
-use vdc_consolidate::view::{apply_plan, apply_plan_fallible, candidates, snapshot, ApplyStats};
+use vdc_consolidate::view::{candidates, snapshot, ApplyStats};
 use vdc_dcsim::{DataCenter, ServerHandle, VmHandle, VmId};
 use vdc_faults::{FaultSession, HostFaultKind};
 use vdc_telemetry::{SpanTimer, Telemetry};
@@ -180,10 +180,8 @@ impl<'a> SimState<'a> {
     /// not yet placed: the initial placement, stage 2 and
     /// `Testbed::run_optimizer`.
     pub(crate) fn optimize(&mut self, items: &[PackItem]) -> Result<ApplyStats> {
-        match self.faults.as_mut() {
-            Some(f) => self.optimizer.optimize_faulted(&mut self.dc, items, f),
-            None => self.optimizer.optimize(&mut self.dc, items),
-        }
+        self.optimizer
+            .invoke(&mut self.dc, items, self.faults.as_mut())
     }
 
     /// Stage 1: replay every host crash/recover event due at sample `t`.
@@ -240,7 +238,8 @@ impl<'a> SimState<'a> {
 
     /// Plan and apply one overload-relief pass over `snap`, which the
     /// planner takes as its working state, drawing per-attempt migration
-    /// failures from the fault session when one is active.
+    /// failures from the fault session when one is active
+    /// ([`apply_with_faults`]).
     fn relieve(&mut self, snap: Vec<PackServer>) -> Result<()> {
         let constraint = AndConstraint::cpu_and_memory();
         let span = self.timer("relief_plan_ns");
@@ -249,23 +248,9 @@ impl<'a> SimState<'a> {
         if plan.is_empty() {
             return Ok(());
         }
-        let migrations = match self.faults.as_mut() {
-            Some(f) => {
-                let max_attempts = f.plan().max_migration_attempts();
-                let partial = apply_plan_fallible(&mut self.dc, &plan, max_attempts, || {
-                    f.draw_migration_failure()
-                })?;
-                f.migration_retries += partial.retries;
-                f.migrations_dropped += partial.dropped as u64;
-                f.stranded_vms += partial.stranded.len() as u64;
-                if partial.is_partial() {
-                    f.plan_partials += 1;
-                    self.telemetry.incr("optimizer.plan_partial", 1);
-                }
-                partial.stats.migrations
-            }
-            None => apply_plan(&mut self.dc, &plan)?.migrations,
-        };
+        let migrations =
+            apply_with_faults(&mut self.dc, &plan, self.faults.as_mut(), &self.telemetry)?
+                .migrations;
         self.relief_migrations += migrations as u64;
         self.telemetry
             .incr(&self.key("relief_migrations"), migrations as u64);
