@@ -666,34 +666,50 @@ mod tests {
         assert!((r.slack_ghz - 0.5).abs() < 1e-9);
     }
 
+    /// ABL2's instance: 200 VMs of 0.2–2.0 GHz and 256–2,293 MiB for one
+    /// 12 GHz, 16 GiB server.
+    fn abl2_instance() -> (PackServer, Vec<PackItem>) {
+        let q = (0..200u64)
+            .map(|i| {
+                let cpu = 0.2 + 0.018 * ((i * 37 % 101) as f64);
+                PackItem::new(VmId(i), cpu, 256.0 + 21.0 * ((i * 53 % 98) as f64))
+            })
+            .collect();
+        (server(12.0, 16384.0), q)
+    }
+
     #[test]
     fn epsilon_early_exit_reduces_steps() {
-        // Many combinable items: with a large ε the search stops almost
-        // immediately; with ε = 0 it keeps optimizing.
+        // ABL2: the allowed slack ε (line 4 of Algorithm 1) trades search
+        // work for packing quality. Along the ladder a larger ε stops the
+        // search no later and leaves no less slack, on many combinable
+        // CPU-only items and on ABL2's CPU-and-memory instance.
+        let ladder = [0.0, 0.05, 0.25, 1.0];
+        let climb = |s: &PackServer, q: &[PackItem], c: &(dyn Constraint + Sync)| {
+            let runs: Vec<MinSlackResult> = ladder
+                .iter()
+                .map(|&eps| {
+                    let cfg = MinSlackConfig {
+                        epsilon_ghz: eps,
+                        ..Default::default()
+                    };
+                    minimum_slack(s, q, c, &cfg)
+                })
+                .collect();
+            for pair in runs.windows(2) {
+                assert!(pair[1].steps <= pair[0].steps, "{runs:?}");
+                assert!(pair[1].slack_ghz >= pair[0].slack_ghz, "{runs:?}");
+            }
+            assert!(runs[3].slack_ghz <= 1.0 + 1e-9, "{runs:?}");
+            runs
+        };
         let s = server(10.0, 1e9);
         let q = items(&[3.3, 3.3, 3.3, 1.1, 1.1, 1.1, 2.2, 2.2, 0.9, 0.8]);
-        let c = CpuConstraint::default();
-        let tight = minimum_slack(
-            &s,
-            &q,
-            &c,
-            &MinSlackConfig {
-                epsilon_ghz: 0.0,
-                ..Default::default()
-            },
-        );
-        let loose = minimum_slack(
-            &s,
-            &q,
-            &c,
-            &MinSlackConfig {
-                epsilon_ghz: 1.0,
-                ..Default::default()
-            },
-        );
-        assert!(loose.steps <= tight.steps);
-        assert!(loose.slack_ghz <= 1.0 + 1e-9);
-        assert!(tight.slack_ghz <= loose.slack_ghz + 1e-9);
+        climb(&s, &q, &CpuConstraint::default());
+        let (s, q) = abl2_instance();
+        let runs = climb(&s, &q, &AndConstraint::cpu_and_memory());
+        let work: Vec<(u64, u32)> = runs.iter().map(|r| (r.steps, r.relaxations)).collect();
+        assert_eq!(work, [(106, 1), (24, 0), (6, 0), (6, 0)]);
     }
 
     #[test]
@@ -720,6 +736,21 @@ mod tests {
         // must still produce something decent.
         assert!(r.slack_ghz < 10.0);
         assert!(!r.chosen.is_empty());
+
+        // ABL2: the step cap (lines 15–17) relaxes ε sooner, so a smaller
+        // budget takes no more steps.
+        let (s, q) = abl2_instance();
+        let c = AndConstraint::cpu_and_memory();
+        let [small, large] = [500, 20_000].map(|step_budget| {
+            let cfg = MinSlackConfig {
+                epsilon_ghz: 0.0,
+                step_budget,
+                ..Default::default()
+            };
+            minimum_slack(&s, &q, &c, &cfg)
+        });
+        assert!(small.steps <= large.steps, "{small:?} {large:?}");
+        assert_eq!((small.steps, large.steps), (38, 106));
     }
 
     #[test]
