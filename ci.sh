@@ -84,6 +84,8 @@ done
 # counters/gauges/SLO fields must match; schema drift vs vdc-metrics/1 is
 # a hard failure. Intentional changes: bless with
 #   target/release/results_gate --fresh target/results-gate/results --bless
+# which rewrites only the baselines whose gated values moved (with their
+# .tsv) and adds missing ones; the rest stay byte-identical.
 echo "==> results_gate: regenerate experiment metrics and diff vs results/"
 scratch="target/results-gate"
 rm -rf "$scratch"

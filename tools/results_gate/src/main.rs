@@ -16,8 +16,10 @@
 //!
 //! On mismatch the gate prints one line per moved value plus a unified diff
 //! of the canonicalized documents (wall-clock fields masked) and exits
-//! non-zero. `--bless` copies the fresh documents over the baselines
-//! instead, for intentional result changes.
+//! non-zero. `--bless` copies over its baseline, with its `.tsv`, each
+//! fresh document in which the gate finds a problem or that has no
+//! baseline yet, for intentional result changes; the baselines of the
+//! others stay byte-identical.
 //!
 //! ```text
 //! results_gate --baseline results --fresh target/results-gate/results [--bless]
@@ -504,6 +506,20 @@ fn result_files(dir: &std::path::Path) -> Result<Vec<String>, String> {
     Ok(names)
 }
 
+/// The gate's verdict on one fresh document against its baseline: schema
+/// first, then values (`METRICS_*`) or shape (`BENCH_*`).
+fn compare_doc(name: &str, base: &JsonValue, fresh: &JsonValue, tol: f64) -> Vec<String> {
+    if !name.starts_with("METRICS_") {
+        return compare_bench(name, base, fresh);
+    }
+    let mut problems = validate_metrics_schema(name, fresh);
+    if problems.is_empty() {
+        problems.extend(validate_metrics_schema(&format!("{name} (baseline)"), base));
+        problems.extend(compare_metrics(name, base, fresh, tol));
+    }
+    problems
+}
+
 struct GateReport {
     problems: Vec<String>,
     diffs: Vec<String>,
@@ -545,19 +561,7 @@ fn run_gate(
         report.checked += 1;
         let base = read_doc(&baseline_dir.join(name))?;
         let fresh = read_doc(&fresh_dir.join(name))?;
-        let mut problems = Vec::new();
-        if name.starts_with("METRICS_") {
-            problems.extend(validate_metrics_schema(name, &fresh));
-            if problems.is_empty() {
-                problems.extend(validate_metrics_schema(
-                    &format!("{name} (baseline)"),
-                    &base,
-                ));
-                problems.extend(compare_metrics(name, &base, &fresh, tol));
-            }
-        } else {
-            problems.extend(compare_bench(name, &base, &fresh));
-        }
+        let problems = compare_doc(name, &base, &fresh, tol);
         if !problems.is_empty() {
             report.diffs.push(unified_diff(
                 &canonical_lines(&base),
@@ -570,11 +574,22 @@ fn run_gate(
     Ok(report)
 }
 
+/// What `--bless` did: the files it copied over their baselines, and how
+/// many documents it left alone because the gate found nothing moved.
+struct Blessed {
+    rewritten: Vec<String>,
+    unchanged: usize,
+}
+
 fn bless(
     baseline_dir: &std::path::Path,
     fresh_dir: &std::path::Path,
-) -> Result<Vec<String>, String> {
-    let mut blessed = Vec::new();
+    tol: f64,
+) -> Result<Blessed, String> {
+    let mut blessed = Blessed {
+        rewritten: Vec::new(),
+        unchanged: 0,
+    };
     for name in result_files(fresh_dir)? {
         // Never bless a document that does not parse or violates the schema.
         let doc = read_doc(&fresh_dir.join(name.as_str()))?;
@@ -584,12 +599,21 @@ fn bless(
                 return Err(problems.join("\n"));
             }
         }
+        // A baseline that is missing or does not parse is rewritten too.
+        let moved = match read_doc(&baseline_dir.join(name.as_str())) {
+            Ok(base) => !compare_doc(&name, &base, &doc, tol).is_empty(),
+            Err(_) => true,
+        };
+        if !moved {
+            blessed.unchanged += 1;
+            continue;
+        }
         for ext_name in [name.clone(), name.replace(".json", ".tsv")] {
             let src = fresh_dir.join(&ext_name);
             if src.exists() {
                 std::fs::copy(&src, baseline_dir.join(&ext_name))
                     .map_err(|e| format!("{ext_name}: cannot bless: {e}"))?;
-                blessed.push(ext_name);
+                blessed.rewritten.push(ext_name);
             }
         }
     }
@@ -623,12 +647,16 @@ fn main() -> ExitCode {
     let fresh_dir = std::path::Path::new(&fresh);
 
     if args.iter().any(|a| a == "--bless") {
-        return match bless(baseline_dir, fresh_dir) {
+        return match bless(baseline_dir, fresh_dir, tol) {
             Ok(blessed) => {
-                for name in &blessed {
+                for name in &blessed.rewritten {
                     println!("blessed {name}");
                 }
-                println!("results_gate: {} baseline files rewritten", blessed.len());
+                println!(
+                    "results_gate: {} baseline files rewritten, {} documents unchanged",
+                    blessed.rewritten.len(),
+                    blessed.unchanged
+                );
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -672,16 +700,19 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn metrics_doc(counter: i64, gauge: f64, ns_mean: f64) -> JsonValue {
-        let text = format!(
+    fn metrics_text(counter: i64, gauge: f64, ns_mean: f64) -> String {
+        format!(
             r#"{{"schema":"vdc-metrics/1","run":"t","counters":{{"a.b":{counter}}},
                 "gauges":{{"p.w":{gauge}}},
                 "histograms":[
                   {{"name":"x.sample_ns","count":4,"min":1.0,"max":{ns_mean},"mean":{ns_mean},"p50":1.0,"p90":1.0,"p99":1.0}},
                   {{"name":"x.power_w","count":4,"min":1.0,"max":2.0,"mean":1.5,"p50":1.5,"p90":2.0,"p99":2.0}}],
                 "slo":[{{"app":"App1","target_ms":500.0,"violations":3}}]}}"#
-        );
-        JsonValue::parse(&text).unwrap()
+        )
+    }
+
+    fn metrics_doc(counter: i64, gauge: f64, ns_mean: f64) -> JsonValue {
+        JsonValue::parse(&metrics_text(counter, gauge, ns_mean)).unwrap()
     }
 
     #[test]
@@ -794,5 +825,47 @@ mod tests {
         .unwrap();
         let problems = compare_bench("f", &base, &renamed);
         assert!(problems.iter().any(|p| p.contains("benchmark set moved")));
+    }
+
+    #[test]
+    fn bless_rewrites_only_what_moved() {
+        let dir = std::env::temp_dir().join(format!("results-gate-bless-{}", std::process::id()));
+        let (base, fresh) = (dir.join("base"), dir.join("fresh"));
+        for d in [&base, &fresh] {
+            std::fs::create_dir_all(d).unwrap();
+        }
+        let write = |d: &std::path::Path, name: &str, body: &str| {
+            std::fs::write(d.join(name), body).unwrap();
+        };
+        // Only the wall-clock `*_ns` statistics differ: the gate passes it.
+        write(&base, "METRICS_noise.json", &metrics_text(7, 1.0, 10.0));
+        write(&fresh, "METRICS_noise.json", &metrics_text(7, 1.0, 99999.0));
+        write(&base, "METRICS_noise.tsv", "old\n");
+        write(&fresh, "METRICS_noise.tsv", "new\n");
+        // A counter moved: the document and its TSV are rewritten.
+        write(&base, "METRICS_moved.json", &metrics_text(7, 1.0, 10.0));
+        write(&fresh, "METRICS_moved.json", &metrics_text(8, 1.0, 10.0));
+        write(&base, "METRICS_moved.tsv", "old\n");
+        write(&fresh, "METRICS_moved.tsv", "new\n");
+        // No baseline yet: the document is written.
+        write(&fresh, "METRICS_new.json", &metrics_text(1, 1.0, 10.0));
+
+        let blessed = bless(&base, &fresh, DEFAULT_TOL).unwrap();
+        let read = |name: &str| std::fs::read_to_string(base.join(name)).unwrap();
+        assert_eq!(
+            blessed.rewritten,
+            [
+                "METRICS_moved.json",
+                "METRICS_moved.tsv",
+                "METRICS_new.json"
+            ]
+        );
+        assert_eq!(blessed.unchanged, 1);
+        assert_eq!(read("METRICS_noise.json"), metrics_text(7, 1.0, 10.0));
+        assert_eq!(read("METRICS_noise.tsv"), "old\n");
+        assert_eq!(read("METRICS_moved.json"), metrics_text(8, 1.0, 10.0));
+        assert_eq!(read("METRICS_moved.tsv"), "new\n");
+        assert_eq!(read("METRICS_new.json"), metrics_text(1, 1.0, 10.0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
