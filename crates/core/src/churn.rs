@@ -309,12 +309,17 @@ impl<'a> ChurnCtx<'a> {
             // occupies its slot now but its demand starts next sample, and
             // the wait is recorded against the churn.wake_wait_ns histogram.
             // Under fault injection the wake itself may fail — the chosen
-            // host never comes up and the VM falls through to the leftover
-            // walk below, so `churn.wake_retries` only ever counts wakes
-            // that actually happened.
+            // host never comes up and every VM packed onto it falls through
+            // to the leftover walk below, so `churn.wake_retries` only ever
+            // counts wakes that actually happened. One outcome is drawn per
+            // host, in the order the hosts first appear.
+            let mut wake_failed = BTreeMap::new();
             let mut committed = Vec::with_capacity(packed.woken.len());
             for &(id, server) in &packed.woken {
-                if sim.faults.as_mut().is_some_and(|f| f.draw_wake_failure()) {
+                if *wake_failed
+                    .entry(server)
+                    .or_insert_with(|| sim.faults.as_mut().is_some_and(|f| f.draw_wake_failure()))
+                {
                     packed.unplaced.push(id);
                     continue;
                 }
@@ -622,6 +627,49 @@ mod tests {
         assert_eq!(counter("churn.wake_retries"), 0);
         assert!(counter("fault.wake_failures") > 0);
         assert_eq!(faulted.admitted + faulted.rejections, faulted.arrivals);
+    }
+
+    #[test]
+    fn a_woken_host_draws_one_wake_outcome_for_all_its_vms() {
+        use crate::optimizer::OptimizerConfig;
+        use crate::pipeline::Stages;
+        use vdc_dcsim::{Server, ServerSpec};
+        use vdc_faults::{FaultConfig, FaultPlan, FaultSession};
+        // Two arrivals at sample 1 and nothing else, for a fleet of one
+        // sleeping host that takes both.
+        let wl = ChurnWorkload::generate(&ChurnConfig::with_flash_crowd(0.0, 1, 2, 7), 4, 900.0);
+        let mut dc = DataCenter::new();
+        dc.add_server(Server::asleep(ServerSpec::type_quad_3ghz()));
+        // A plan whose first wake draw fails and whose second succeeds: a
+        // draw per VM would reject one VM and place the other on the host
+        // that never came up.
+        let plan = (0..)
+            .map(|seed| FaultPlan::generate(&FaultConfig::flaky_wakes(0.5, seed), 4, 900.0, 1, 0))
+            .find(|plan| {
+                let mut session = FaultSession::new(plan);
+                session.draw_wake_failure() && !session.draw_wake_failure()
+            })
+            .expect("some seed fails the first wake and not the second");
+        let stages = Stages {
+            prefix: "largescale",
+            optimizer_period: 4,
+            relief: false,
+            dvfs: true,
+            interval_s: 900.0,
+            shards: 1,
+        };
+        let opts = RunOptions::default().with_faults(&plan);
+        let mut sim = SimState::new(stages, dc, OptimizerConfig::ipac_default(), &opts);
+        let mut ctx = ChurnCtx::new(&wl, AdmissionPolicy::WakeAndRetry, 0);
+        ctx.apply_events(&mut sim, 1).unwrap();
+        assert_eq!(ctx.arrivals, 2);
+        assert_eq!((ctx.admitted, ctx.wake_retries, ctx.rejections), (0, 0, 2));
+        assert_eq!(sim.faults.as_ref().map(|f| f.wake_failures), Some(1));
+        assert!(!sim
+            .dc
+            .server(ServerHandle::from_index(0))
+            .unwrap()
+            .is_active());
     }
 
     #[test]
