@@ -534,7 +534,7 @@ fn golden_churn_with_crash_storm() {
     let fault_cfg = FaultConfig {
         migration_failure_prob: 0.2,
         migration_backoff_budget: 3,
-        wake_failure_prob: 0.2,
+        wake_failure_prob: 0.4,
         ..FaultConfig::crash_storm(8.0 * 3_600.0, 1_800.0, 0xFA11)
     };
     let plan = FaultPlan::generate(&fault_cfg, trace.n_samples(), trace.interval_s(), 40, 0);
@@ -565,6 +565,7 @@ fn golden_churn_with_crash_storm() {
         "fault.crashes",
         "fault.watchdog_reliefs",
         "fault.stranded_vms",
+        "fault.wake_failures",
         "churn.rejections",
     ] {
         assert!(
@@ -695,7 +696,7 @@ fn golden_single_app_sweeps_and_static_baseline() {
 const GOLDEN_COSIM: u64 = 0x316c_c997_349f_75de;
 const GOLDEN_LARGE_SCALE_IPAC: u64 = 0x6286_7530_b359_3a7b;
 const GOLDEN_LARGE_SCALE_PMAPPER: u64 = 0x911b_85de_591f_d5e6;
-const GOLDEN_CHURN: u64 = 0x0ded_9de1_9ba3_fe77;
+const GOLDEN_CHURN: u64 = 0x8637_efdc_c6fc_172e;
 const GOLDEN_TESTBED: u64 = 0xc726_da30_0475_5b25;
 const GOLDEN_TESTBED_EIGHT_APPS: u64 = 0x82bc_f5e2_7f5b_3d27;
 const GOLDEN_SINGLE_APP: u64 = 0xbd5c_cf5c_9783_7698;
