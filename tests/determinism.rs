@@ -519,6 +519,45 @@ fn golden_large_scale_auto_sized_ipac_and_pmapper() {
     }
 }
 
+/// Golden pin: the streaming replay under the hierarchical planner, 400
+/// VMs on 150 servers in pods of 16. Its invocations reach the cross-pod
+/// rebalance and the fragmentation drain after the pod plans, and the
+/// digest covers every field and the per-sample series.
+#[test]
+fn golden_hierarchical_streaming_replay() {
+    let trace_cfg = TraceConfig {
+        n_vms: 400,
+        n_samples: 96,
+        interval_s: 900.0,
+        seed: 4,
+    };
+    let cfg = LargeScaleConfig {
+        n_servers: Some(150),
+        ..LargeScaleConfig::new(400, OptimizerKind::Ipac)
+    };
+    let telemetry = Telemetry::enabled();
+    let opts = RunOptions::default()
+        .with_series()
+        .with_pods(16)
+        .with_telemetry(&telemetry);
+    let mut stream = StreamingTrace::new(&trace_cfg);
+    let r = run_large_scale_streaming(&mut stream, &cfg, &opts).expect("hierarchical replay runs");
+    assert_eq!(r.final_placements.len(), 400, "every VM is placed");
+    for name in ["optimizer.pod_drain_moves", "optimizer.pod_rebalance_moves"] {
+        assert!(
+            counter(&telemetry, name) > 0,
+            "scenario must exercise {name}"
+        );
+    }
+    let mut h = Fnv::new();
+    large_scale_digest(&mut h, &r);
+    assert_eq!(
+        h.0, GOLDEN_HIERARCHICAL,
+        "hierarchical digest {:#018x}",
+        h.0
+    );
+}
+
 /// Golden pin: churn on a tight fleet with a crash storm and flaky
 /// migrations and wakes, overload relief off so the SLO watchdog is the
 /// only relief between optimizer invocations — admission, evacuation,
@@ -696,6 +735,7 @@ fn golden_single_app_sweeps_and_static_baseline() {
 const GOLDEN_COSIM: u64 = 0x316c_c997_349f_75de;
 const GOLDEN_LARGE_SCALE_IPAC: u64 = 0x6286_7530_b359_3a7b;
 const GOLDEN_LARGE_SCALE_PMAPPER: u64 = 0x911b_85de_591f_d5e6;
+const GOLDEN_HIERARCHICAL: u64 = 0x21fd_e832_3b5d_2b14;
 const GOLDEN_CHURN: u64 = 0x8637_efdc_c6fc_172e;
 const GOLDEN_TESTBED: u64 = 0xc726_da30_0475_5b25;
 const GOLDEN_TESTBED_EIGHT_APPS: u64 = 0x82bc_f5e2_7f5b_3d27;
