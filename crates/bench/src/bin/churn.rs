@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run -p vdc-bench --bin churn --release [--vms 120] [--samples 96]
-//!     [--seed 5415] [--shards N] [--quiet|-q] [--verbose|-v]
+//!     [--seed 5415] [--quiet|-q] [--verbose|-v]
 //! ```
 //!
 //! The flash-crowd/wake-and-retry run is instrumented:
@@ -59,7 +59,6 @@ fn main() {
     let n_vms = arg_count(&args, "--vms", 120);
     let n_samples = arg_count(&args, "--samples", 96);
     let seed = arg_num(&args, "--seed", 5415u64);
-    let shards = arg_num(&args, "--shards", 0usize); // 0 = host parallelism
 
     let trace = generate_trace(&TraceConfig {
         n_vms,
@@ -111,7 +110,7 @@ fn main() {
         flash_wl.total_arrivals() - steady_wl.total_arrivals()
     ));
 
-    let plain = RunOptions::default().with_shards(shards);
+    let plain = RunOptions::default();
     let steady = run_scenario(
         &trace,
         &cfg,

@@ -5,11 +5,8 @@
 //!
 //! ```text
 //! cargo run -p vdc-bench --bin week_profile --release [--vms 1030] [--quick]
-//!     [--shards N] [--quiet|-q] [--verbose|-v]
+//!     [--quiet|-q] [--verbose|-v]
 //! ```
-//!
-//! `--shards N` fans the per-server map stages over N worker threads
-//! (default: host parallelism; output is bit-identical for every N).
 //!
 //! The run is instrumented: `results/METRICS_week_profile.json` / `.tsv`
 //! capture per-sample step cost, optimizer invocation stats, and DVFS
@@ -28,7 +25,6 @@ fn main() {
     let quick = arg_present(&args, "--quick");
     let n_vms = arg_count(&args, "--vms", if quick { 200 } else { 1030 });
     let seed = arg_num(&args, "--seed", 5415u64);
-    let shards = arg_num(&args, "--shards", 0usize); // 0 = host parallelism
 
     let trace_cfg = if quick {
         TraceConfig {
@@ -57,7 +53,6 @@ fn main() {
     let cfg = LargeScaleConfig::new(n_vms, OptimizerKind::Ipac);
     let opts = RunOptions::default()
         .with_telemetry(&telemetry)
-        .with_shards(shards)
         .with_series();
     let result = run_large_scale(&trace, &cfg, &opts)
         .unwrap_or_else(|e| exit_with(&format!("run failed: {e}")));

@@ -45,7 +45,7 @@ pub struct IpacConfig {
 pub fn ipac_plan(
     servers: &[PackServer],
     new_items: &[PackItem],
-    constraint: &(dyn Constraint + Sync),
+    constraint: &dyn Constraint,
     policy: &dyn MigrationPolicy,
     cfg: &IpacConfig,
 ) -> ConsolidationPlan {
@@ -55,11 +55,9 @@ pub fn ipac_plan(
 /// Cost accounting for one IPAC invocation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IpacStats {
-    /// Wall time spent inside the Minimum Slack root sweeps (ns) — the
-    /// portion of the invocation that fans out over
-    /// [`MinSlackConfig`]`::shards`
-    /// workers. The rest of the invocation (eviction scans, commit loops,
-    /// the final diff) is sequential.
+    /// Wall time spent inside the Minimum Slack searches (ns), without
+    /// the rest of the invocation (eviction scans, commit loops, the final
+    /// diff).
     pub search_ns: u64,
     /// Minimum Slack steps across the invocation's packs.
     pub steps: u64,
@@ -79,7 +77,7 @@ impl IpacStats {
 pub fn ipac_plan_stats(
     servers: &[PackServer],
     new_items: &[PackItem],
-    constraint: &(dyn Constraint + Sync),
+    constraint: &dyn Constraint,
     policy: &dyn MigrationPolicy,
     cfg: &IpacConfig,
 ) -> (ConsolidationPlan, IpacStats) {

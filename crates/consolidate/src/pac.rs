@@ -42,10 +42,9 @@ pub struct PacResult {
     pub total_steps: u64,
     /// Total Minimum Slack ε relaxations taken.
     pub total_relaxations: u64,
-    /// Wall time spent inside the Minimum Slack root sweeps (ns). This is
-    /// the portion of the pack that fans out over
-    /// [`MinSlackConfig::shards`] workers; the commit loop between sweeps
-    /// stays sequential. Timing only — never feeds back into decisions.
+    /// Wall time spent inside the Minimum Slack searches (ns), without
+    /// the commit loop between them. Timing only — never feeds back into
+    /// decisions.
     pub(crate) search_ns: u64,
 }
 
@@ -64,7 +63,7 @@ impl PacResult {
 pub fn pac_pack(
     servers: &mut [PackServer],
     items: &[PackItem],
-    constraint: &(dyn Constraint + Sync),
+    constraint: &dyn Constraint,
     cfg: &MinSlackConfig,
 ) -> PacResult {
     // Total comparator (ties break on index): unstable sorting is exact.

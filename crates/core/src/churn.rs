@@ -288,7 +288,7 @@ impl<'a> ChurnCtx<'a> {
         // The active fleet takes the Minimum Slack first pass; the sleeping
         // pool is what the wake-and-retry fallback taps.
         let wake = self.policy == AdmissionPolicy::WakeAndRetry;
-        let mut packed = pack_onto_fleet(dc, &items, sim.stages.shards, wake);
+        let mut packed = pack_onto_fleet(dc, &items, wake);
         self.place_assignments(dc, &packed.active, t, t)?;
         self.admitted += packed.active.len() as u64;
         telemetry.incr("churn.admitted", packed.active.len() as u64);
@@ -656,7 +656,6 @@ mod tests {
             relief: false,
             dvfs: true,
             interval_s: 900.0,
-            shards: 1,
         };
         let opts = RunOptions::default().with_faults(&plan);
         let mut sim = SimState::new(stages, dc, OptimizerConfig::ipac_default(), &opts);

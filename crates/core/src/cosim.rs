@@ -222,7 +222,6 @@ pub fn run_cosim(
         relief: true,
         dvfs: true,
         interval_s: trace.interval_s(),
-        shards,
     };
     let mut dc = DataCenter::new();
     FleetSpec::paper_default(n_servers).build_with(&mut dc, &mut |n| rng.index(n))?;

@@ -224,7 +224,6 @@ pub(crate) fn run_large_scale_impl<S: DemandSource>(
         relief: cfg.overload_relief,
         dvfs: cfg.optimizer == OptimizerKind::Ipac,
         interval_s,
-        shards: opts.shards(),
     };
     let optimizer = match cfg.optimizer {
         OptimizerKind::Ipac | OptimizerKind::IpacNoDvfs => OptimizerConfig::ipac_default(),

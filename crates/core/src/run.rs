@@ -39,10 +39,11 @@ pub struct RunOptions<'a> {
     /// Metrics/span/SLO sink. `None` runs unobserved (zero overhead);
     /// telemetry only observes, never perturbs results.
     pub(crate) telemetry: Option<&'a Telemetry>,
-    /// Shard workers for the coarse fan-outs (Minimum Slack roots, pod
-    /// plans, the co-simulation's per-application control periods):
-    /// `Some(0)` = host parallelism, `Some(n)` = exactly `n`, `None` = one
-    /// worker. The per-sample data-center passes run on the calling thread.
+    /// Shard workers for the coarse fan-outs (pod plans, the
+    /// co-simulation's per-application control periods): `Some(0)` = host
+    /// parallelism, `Some(n)` = exactly `n`, `None` = one worker. A flat
+    /// replay or churn run fans nothing out, and the per-sample
+    /// data-center passes run on the calling thread.
     pub shards: Option<usize>,
     /// Capture the per-sample time series in the result (the large-scale
     /// replay's `WeekSample` ledger). Off by default: a week at 15-minute

@@ -1,10 +1,10 @@
 //! Deterministic fork–join sharding for the coarse units of work.
 //!
-//! Three kinds of work fan out here: the per-pod plans of a hierarchical
-//! optimizer invocation, one application's control period in the
-//! co-simulation, and the fleet sizes of Fig. 6. (The Minimum Slack root
-//! sweeps fan out inside `vdc-consolidate`, over the same shard count.)
-//! Each unit is independent of the others and costs far more than a
+//! Three kinds of work fan out, all of them here: the per-pod plans of a
+//! hierarchical optimizer invocation, one application's control period in
+//! the co-simulation, and the fleet sizes of Fig. 6. Everything else,
+//! the Minimum Slack search included, runs on the calling thread. Each
+//! unit is independent of the others and costs far more than a
 //! fork-join. The per-sample, per-server passes (demand writes, DVFS, the
 //! power charge, the packing snapshot) cost microseconds each and run
 //! inline on the calling thread.

@@ -147,7 +147,6 @@ impl Testbed {
             relief: false,
             dvfs: true,
             interval_s: cfg.period_s,
-            shards: 1,
         };
         let opts = RunOptions::default();
         Ok(Testbed {

@@ -5,8 +5,6 @@
 //! vdcpower identify   [--concurrency 40] [--seed 42]
 //! vdcpower testbed    [--apps 8] [--concurrency 40] [--setpoint 1000] [--periods 200]
 //! vdcpower largescale [--vms 500] [--optimizer ipac|pmapper|ipac-no-dvfs] [--samples 672]
-//!                     [--shards N]   (N worker threads; 0/default = host parallelism;
-//!                                     output is bit-identical for every N)
 //!                     [--fleet spec.json]  (heterogeneous host fleet from a
 //!                                           `FleetSpec` JSON file)
 //! vdcpower trace-gen  [--vms 100] [--samples 672] [--seed 1] --out trace.csv
@@ -44,8 +42,7 @@ fn usage() -> ExitCode {
          \x20 identify    identify a response-time model and analyze the loop\n\
          \x20 testbed     run the 4-server / N-application testbed scenario\n\
          \x20 largescale  replay a synthetic trace under a power optimizer\n\
-         \x20             (--shards N fans the replay over worker threads;\n\
-         \x20              --fleet spec.json loads a heterogeneous host fleet)\n\
+         \x20             (--fleet spec.json loads a heterogeneous host fleet)\n\
          \x20 trace-gen   generate a synthetic utilization trace as CSV\n\
          \x20 trace-info  summarize a trace CSV\n\
          global flags: --quiet/-q (warnings only), --verbose/-v (debug narration)\n\
@@ -185,7 +182,6 @@ fn cmd_largescale(args: &[String], reporter: &Reporter) -> ExitCode {
     let n_vms = arg_count(args, "--vms", 500);
     let samples = arg_count(args, "--samples", 672);
     let seed = arg_num(args, "--seed", 5415u64);
-    let shards = arg_num(args, "--shards", 0usize); // 0 = host parallelism
     let optimizer = match arg_value(args, "--optimizer").as_deref() {
         None | Some("ipac") => OptimizerKind::Ipac,
         Some("pmapper") => OptimizerKind::Pmapper,
@@ -225,9 +221,7 @@ fn cmd_largescale(args: &[String], reporter: &Reporter) -> ExitCode {
     match run_large_scale(
         &trace,
         &cfg,
-        &RunOptions::default()
-            .with_shards(shards)
-            .with_telemetry(&telemetry),
+        &RunOptions::default().with_telemetry(&telemetry),
     ) {
         Ok(r) => {
             println!("  energy per VM     {:.1} Wh", r.energy_per_vm_wh);
