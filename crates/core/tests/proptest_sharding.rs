@@ -1,10 +1,12 @@
 //! Property-based shard equivalence: for *arbitrary* small configurations
-//! (VM count, fleet size, trace seed, optimizer kind) and an *arbitrary*
-//! shard count, `run_large_scale` must be bit-identical to the
-//! single-threaded run. The example-based suite (`tests/sharding.rs`)
-//! pins specific shard counts; this one walks the configuration space so
-//! a shard-dependence that only shows up at, say, 7 VMs on 3 servers
-//! still gets caught. Failures replay with `VDC_CHECK_SEED`.
+//! (VM count, fleet size, trace seed, optimizer kind, pod size) and an
+//! *arbitrary* shard count, `run_large_scale` must be bit-identical to the
+//! single-threaded run. A drawn pod size splits the fleet into pods whose
+//! plans fan out over the shards; the flat cases fan nothing out. The
+//! example-based suite (`tests/sharding.rs`) pins specific shard counts;
+//! this one walks the configuration space so a shard-dependence that only
+//! shows up at, say, 7 VMs on 3 servers in pods of 2 still gets caught.
+//! Failures replay with `VDC_CHECK_SEED`.
 
 use vdc_check::{check, from_fn, prop_assert_eq, Gen, TestRng};
 use vdc_core::largescale::{run_large_scale, LargeScaleConfig, OptimizerKind};
@@ -20,6 +22,8 @@ const CASES: u32 = 24;
 struct Instance {
     trace_cfg: TraceConfig,
     cfg: LargeScaleConfig,
+    /// Pod size of the hierarchical planner; `None` plans flat.
+    pods: Option<usize>,
     shards: usize,
 }
 
@@ -34,7 +38,7 @@ fn instance() -> impl Gen<Value = Instance> {
         };
         let mut cfg = LargeScaleConfig::new(
             n_vms,
-            if rng.usize_in(0, 1) == 0 {
+            if rng.bool() {
                 OptimizerKind::Ipac
             } else {
                 OptimizerKind::Pmapper
@@ -42,7 +46,7 @@ fn instance() -> impl Gen<Value = Instance> {
         );
         // Half the cases pin a tight fleet (overload-relief pressure),
         // half auto-size.
-        if rng.usize_in(0, 1) == 0 {
+        if rng.bool() {
             cfg.n_servers = Some(rng.usize_in(2, 10));
         }
         cfg.optimizer_period_samples = rng.usize_in(1, 8);
@@ -50,6 +54,10 @@ fn instance() -> impl Gen<Value = Instance> {
         Instance {
             trace_cfg,
             cfg,
+            pods: match rng.usize_in(0, 5) {
+                0 => None,
+                p => Some(p),
+            },
             shards: rng.usize_in(2, 32),
         }
     })
@@ -59,17 +67,15 @@ fn instance() -> impl Gen<Value = Instance> {
 fn sharded_run_large_scale_equals_unsharded() {
     check(CASES, &instance(), |inst| {
         let trace = generate_trace(&inst.trace_cfg);
-        let single = run_large_scale(&trace, &inst.cfg, &RunOptions::default().with_shards(1))
-            .expect("single-threaded run");
-        let sharded = run_large_scale(
-            &trace,
-            &inst.cfg,
-            &RunOptions::default().with_shards(inst.shards),
-        )
-        .expect("sharded run");
+        let opts = |shards| {
+            let opts = RunOptions::default().with_shards(shards);
+            inst.pods.map_or(opts, |p| opts.with_pods(p))
+        };
+        let single = run_large_scale(&trace, &inst.cfg, &opts(1)).expect("single-threaded run");
+        let sharded = run_large_scale(&trace, &inst.cfg, &opts(inst.shards)).expect("sharded run");
         let ctx = format!(
-            "n_vms={} servers={:?} shards={}",
-            inst.cfg.n_vms, inst.cfg.n_servers, inst.shards
+            "n_vms={} servers={:?} pods={:?} shards={}",
+            inst.cfg.n_vms, inst.cfg.n_servers, inst.pods, inst.shards
         );
         prop_assert_eq!(
             single.total_energy_wh.to_bits(),

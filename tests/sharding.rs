@@ -4,17 +4,20 @@
 //! placements.
 //!
 //! The guarantee holds because sharding only fans out coarse, independent
-//! work (Minimum Slack roots, the optimizer's pod plans, one application's
-//! control periods) while every f64 reduction stays a sequential
-//! index-order fold (see `vdc_core::shard`); the per-sample data-center
-//! passes run inline. These tests are the enforcement: every runner must
-//! come out bit-identical at every shard count, and any change that
-//! lets the shard count leak into an f64 — a parallel sum, a
+//! work (the optimizer's pod plans, one application's control periods)
+//! while every f64 reduction stays a sequential index-order fold (see
+//! `vdc_core::shard`); the Minimum Slack search and the per-sample
+//! data-center passes run inline. A flat replay or churn run therefore
+//! fans nothing out, and its tests below guard against a fan-out coming
+//! back without the same care. These tests are the enforcement: every
+//! runner must come out bit-identical at every shard count, and any
+//! change that lets the shard count leak into an f64 — a parallel sum, a
 //! HashMap-ordered fold, a per-shard RNG reseed — fails here, not in a
 //! figure three PRs later.
 //!
-//! `ci.sh` additionally runs this suite with `VDC_SHARDS=1` and
-//! `VDC_SHARDS=8`, which the two env-driven tests below pick up.
+//! `ci.sh` runs this suite with `VDC_SHARDS=1` and `VDC_SHARDS=8`, which
+//! the two env-driven tests below pick up: one through cosim's per-app
+//! fan-out, one through the hierarchical replay's pod fan-out.
 
 use vdc_churn::{AdmissionPolicy, ChurnConfig, ChurnWorkload};
 use vdc_core::churn::{run_churn, ChurnResult};
@@ -515,19 +518,19 @@ fn env_selected_shard_count_matches_baseline() {
     assert_cosim_identical(&baseline, &r, &format!("cosim VDC_SHARDS={shards}"));
 }
 
-/// Trace-replay twin of the env-driven gate: the same `VDC_SHARDS` matrix
-/// must also leave the replay, whose optimizer fans its Minimum Slack roots
-/// out over the shards, bit-identical to the single-threaded baseline:
-/// the result, the final placement and the power series.
+/// Trace-replay twin of the env-driven gate: the same `VDC_SHARDS` count
+/// must also leave the hierarchical replay, whose optimizer fans its pod
+/// plans out over the shards, bit-identical to the single-threaded
+/// baseline: the result, the final placement and the power series.
 #[test]
 fn env_selected_shard_count_matches_replay_baseline() {
     let shards = env_shards();
     let trace = fast_trace(30, 0xC2);
-    let (baseline, base_series, _) = largescale_at(&trace, 1);
-    let (r, series, _) = largescale_at(&trace, shards);
-    assert_largescale_identical(&baseline, &r, &format!("largescale VDC_SHARDS={shards}"));
+    let (baseline, base_series, _) = hierarchical_at(&trace, 1);
+    let (r, series, _) = hierarchical_at(&trace, shards);
+    assert_largescale_identical(&baseline, &r, &format!("hierarchical VDC_SHARDS={shards}"));
     assert_eq!(
         base_series, series,
-        "largescale VDC_SHARDS={shards}: power series diverged"
+        "hierarchical VDC_SHARDS={shards}: power series diverged"
     );
 }
