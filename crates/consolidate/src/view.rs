@@ -304,7 +304,7 @@ mod tests {
         dc.place_vm(a, srv(0)).unwrap();
         dc.place_vm(b, srv(1)).unwrap();
         let before_power = {
-            dc.apply_dvfs(false).unwrap();
+            dc.apply_dvfs().unwrap();
             dc.total_power_watts()
         };
         let plan = ipac_plan(
@@ -317,7 +317,7 @@ mod tests {
         let stats = apply_plan(&mut dc, &plan).unwrap();
         assert_eq!(stats.migrations, 1);
         assert_eq!(stats.slept, 1);
-        dc.apply_dvfs(true).unwrap();
+        dc.apply_dvfs().unwrap();
         let after_power = dc.total_power_watts();
         assert!(
             after_power < before_power,

@@ -62,7 +62,7 @@ pub enum DvfsDecision {
 /// let srv = dc.add_server(Server::active(ServerSpec::type_quad_3ghz()));
 /// let vm = dc.add_vm(VmSpec::new(1, 2.0, 1024.0)).unwrap();
 /// dc.place_vm(vm, srv).unwrap();
-/// dc.apply_dvfs(false).unwrap();
+/// dc.apply_dvfs().unwrap();
 /// assert!(dc.total_power_watts() > 0.0);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -570,11 +570,11 @@ impl DataCenter {
 
     /// Run the CPU resource arbitrator on every active server: set each to
     /// the lowest DVFS level covering its aggregate demand, and sleep idle
-    /// servers if `sleep_idle` is set: [`DataCenter::dvfs_decision`] for
-    /// every server, then [`DataCenter::apply_dvfs_decisions`].
-    pub fn apply_dvfs(&mut self, sleep_idle: bool) -> Result<()> {
+    /// ones: [`DataCenter::dvfs_decision`] for every server, then
+    /// [`DataCenter::apply_dvfs_decisions`].
+    pub fn apply_dvfs(&mut self) -> Result<()> {
         let decisions = (0..self.n_servers())
-            .map(|s| self.dvfs_decision(ServerHandle::from_index(s), sleep_idle))
+            .map(|s| self.dvfs_decision(ServerHandle::from_index(s), true))
             .collect::<Result<Vec<_>>>()?;
         self.apply_dvfs_decisions(&decisions)
     }
@@ -722,7 +722,7 @@ mod tests {
         let mut dc = dc_with(2);
         let h = dc.add_vm(VmSpec::new(1, 3.5, 1024.0)).unwrap();
         dc.place_vm(h, srv(0)).unwrap();
-        dc.apply_dvfs(true).unwrap();
+        dc.apply_dvfs().unwrap();
         // Server 0: demand 3.5 needs 3.5 / 0.95 = 3.68 GHz under the default
         // 5 % headroom => 1.0 GHz level (capacity 4.0).
         match dc.server(srv(0)).unwrap().state {
@@ -744,7 +744,7 @@ mod tests {
             dc.place_vm(a, srv(0)).unwrap();
             dc.place_vm(b, srv(1)).unwrap();
         }
-        one_shot.apply_dvfs(true).unwrap();
+        one_shot.apply_dvfs().unwrap();
         let decisions = (0..two_phase.n_servers())
             .map(|s| two_phase.dvfs_decision(srv(s), true).unwrap())
             .collect::<Vec<_>>();
@@ -777,13 +777,13 @@ mod tests {
             let h = spread.add_vm(VmSpec::new(i, 1.0, 1024.0)).unwrap();
             spread.place_vm(h, srv(i as usize)).unwrap();
         }
-        spread.apply_dvfs(true).unwrap();
+        spread.apply_dvfs().unwrap();
         let mut packed = dc_with(2);
         for i in 0..2u64 {
             let h = packed.add_vm(VmSpec::new(i, 1.0, 1024.0)).unwrap();
             packed.place_vm(h, srv(0)).unwrap();
         }
-        packed.apply_dvfs(true).unwrap();
+        packed.apply_dvfs().unwrap();
         assert!(
             packed.total_power_watts() < spread.total_power_watts() - 100.0,
             "packing should save the static power of one server: {} vs {}",
@@ -957,7 +957,7 @@ mod fault_tests {
             DvfsDecision::Hold,
             "failed servers are held, never slept or retuned"
         );
-        dc.apply_dvfs(true).unwrap();
+        dc.apply_dvfs().unwrap();
         assert!(
             dc.is_failed(srv(0)).unwrap(),
             "DVFS pass leaves failure intact"

@@ -46,7 +46,7 @@ fn report(dc: &DataCenter, label: &str) {
 fn main() {
     println!("== IPAC consolidation ==");
     let mut dc = build_spread_datacenter();
-    dc.apply_dvfs(true).unwrap();
+    dc.apply_dvfs().unwrap();
     report(&dc, "before (spread)");
 
     let constraint = AndConstraint::cpu_and_memory();
@@ -64,7 +64,7 @@ fn main() {
         plan.servers_to_sleep.len()
     );
     let stats = apply_plan(&mut dc, &plan).unwrap();
-    dc.apply_dvfs(true).unwrap();
+    dc.apply_dvfs().unwrap();
     report(&dc, "after IPAC");
     println!(
         "executed: {} migrations ({:.0} MiB copied), {} servers slept\n",
@@ -77,7 +77,7 @@ fn main() {
     // bottleneck ... a migration with high bandwidth consumption is the
     // least preferred").
     let mut dc2 = build_spread_datacenter();
-    dc2.apply_dvfs(true).unwrap();
+    dc2.apply_dvfs().unwrap();
     let strict = BandwidthBudget {
         max_batch_mib: 1024.0,
     };
@@ -94,7 +94,7 @@ fn main() {
         plan2.total_migration_mib()
     );
     let stats2 = apply_plan(&mut dc2, &plan2).unwrap();
-    dc2.apply_dvfs(true).unwrap();
+    dc2.apply_dvfs().unwrap();
     report(&dc2, "after capped IPAC");
     println!(
         "the policy traded {} fewer migrations for less consolidation",
