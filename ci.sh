@@ -63,18 +63,12 @@ run cargo test -q --release --offline --locked --test telemetry_overhead
 
 # Shard-equivalence gate: every runner must be bit-identical to the
 # single-threaded run at every shard count. What fans out is coarse work
-# (Minimum Slack roots, the optimizer's pod plans, cosim's per-app control
-# periods); the per-sample data-center passes run inline. One run of
-# tests/sharding.rs per count covers the whole suite, including the co-sim
-# gate and its trace-replay twin, which read VDC_SHARDS. When the workflow
-# matrix pins VDC_SHARDS we run just that count; a bare local invocation
-# sweeps both ends of the shard range.
-if [ -n "${VDC_SHARDS:-}" ]; then
-    shard_counts=("$VDC_SHARDS")
-else
-    shard_counts=(1 8)
-fi
-for n in "${shard_counts[@]}"; do
+# (the optimizer's pod plans, cosim's per-app control periods); the
+# Minimum Slack search and the per-sample data-center passes run inline.
+# One run of tests/sharding.rs per count covers the whole suite, including
+# the co-sim gate and its hierarchical-replay twin, which read VDC_SHARDS;
+# the two counts are both ends of the shard range.
+for n in 1 8; do
     run env VDC_SHARDS="$n" cargo test -q --offline --locked --test sharding
 done
 
