@@ -15,8 +15,9 @@
 
 use crate::datacenter::DataCenter;
 use crate::json::{array, JsonObject, JsonValue};
-use crate::profile::{HostCatalog, HostProfile, ProfileId};
-use crate::server::Server;
+use crate::power::PowerModel;
+use crate::profile::{HostCatalog, ProfileId};
+use crate::server::{Server, ServerSpec};
 use crate::{DcError, Result};
 
 /// A per-site PUE time series, sampled on the trace grid.
@@ -223,7 +224,7 @@ impl FleetSpec {
     /// Render the fleet spec as a JSON document (`dcsim::json` dialect),
     /// the file format the `largescale`/`megafleet` bins load via
     /// `--fleet <path>`. Profiles serialize in full (every
-    /// [`HostProfile`] field) and site mixes reference them *by name*, so
+    /// [`ServerSpec`] field) and site mixes reference them *by name*, so
     /// a spec file is self-contained and survives catalog reordering.
     /// [`FleetSpec::from_json_str`] inverts this losslessly (the f64
     /// writer emits shortest-round-trip decimals).
@@ -236,9 +237,9 @@ impl FleetSpec {
                 JsonObject::new()
                     .str("name", &p.name)
                     .int("cores", p.cores as i64)
-                    .num("peak_power_w", p.peak_power_w)
-                    .num("idle_power_w", p.idle_power_w)
-                    .num("sleep_watts", p.sleep_watts)
+                    .num("peak_power_w", p.power.max_watts)
+                    .num("idle_power_w", p.power.static_watts)
+                    .num("sleep_watts", p.power.sleep_watts)
                     .num("max_freq_ghz", p.max_freq_ghz)
                     .nums("freq_levels_ghz", &p.freq_levels_ghz)
                     .num("memory_mib", p.memory_mib)
@@ -316,15 +317,25 @@ impl FleetSpec {
             .and_then(JsonValue::as_array)
             .ok_or_else(|| bad("missing array \"catalog\""))?
         {
-            profiles.push(HostProfile {
-                name: str_of(p, "name")?,
-                cores: f64_of(p, "cores")? as u32,
-                peak_power_w: f64_of(p, "peak_power_w")?,
-                idle_power_w: f64_of(p, "idle_power_w")?,
-                sleep_watts: f64_of(p, "sleep_watts")?,
+            let name = str_of(p, "name")?;
+            let cores = f64_of(p, "cores")? as u32;
+            let power = PowerModel::new(
+                f64_of(p, "sleep_watts")?,
+                f64_of(p, "idle_power_w")?,
+                f64_of(p, "peak_power_w")?,
+            )
+            .ok_or_else(|| {
+                DcError::Invalid(format!(
+                    "profile {name:?}: power curve must satisfy 0 <= sleep <= idle <= peak"
+                ))
+            })?;
+            profiles.push(ServerSpec {
+                name,
+                cores,
                 max_freq_ghz: f64_of(p, "max_freq_ghz")?,
                 freq_levels_ghz: nums_of(p, "freq_levels_ghz")?,
                 memory_mib: f64_of(p, "memory_mib")?,
+                power,
                 wake_latency_s: f64_of(p, "wake_latency_s")?,
             });
         }
@@ -473,6 +484,12 @@ mod tests {
             .to_json()
             .replace("\"pue\":[1.0]", "\"pue\":[0.5]");
         assert!(FleetSpec::from_json_str(&doc).is_err());
+        // A power curve with idle above peak.
+        let doc = FleetSpec::paper_default(4)
+            .to_json()
+            .replace("\"idle_power_w\":190.0", "\"idle_power_w\":400.0");
+        let err = FleetSpec::from_json_str(&doc).unwrap_err();
+        assert!(err.to_string().contains("power curve"), "{err}");
         // Mix referencing a profile the catalog doesn't have.
         let doc = FleetSpec::specpower_mixed(4)
             .to_json()

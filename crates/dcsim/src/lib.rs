@@ -6,17 +6,19 @@
 //!
 //! * [`power`] — parametric server power models `P(f, u)` with static and
 //!   frequency-cubed dynamic components, plus a sleep state;
-//! * [`server`] — the server catalog (the three CPU types of §VI-B: 3 GHz
-//!   quad-core, 2 GHz dual-core, 1.5 GHz dual-core), DVFS frequency
-//!   ladders, runtime server state, and the **CPU resource arbitrator** of
-//!   §IV that picks the lowest frequency satisfying aggregate VM demand;
+//! * [`server`] — [`ServerSpec`], the one description of a server model
+//!   (cores, DVFS frequency ladder, memory, power model, wake latency),
+//!   the three CPU types of §VI-B (3 GHz quad-core, 2 GHz dual-core,
+//!   1.5 GHz dual-core), runtime server state, and the **CPU resource
+//!   arbitrator** of §IV that picks the lowest frequency satisfying
+//!   aggregate VM demand;
 //! * [`vm`] — VM descriptors (CPU demand in GHz, memory) as seen by the
 //!   consolidation layer;
 //! * [`datacenter`] — placement state, migration mechanics with cost
 //!   accounting, sleep/wake transitions, and energy integration;
-//! * [`profile`] — the heterogeneous hardware catalog ([`HostProfile`] /
-//!   [`HostCatalog`]): per-model core counts, idle/peak power, and DVFS
-//!   ladders, seeded with nine SPECpower-style machines;
+//! * [`profile`] — the heterogeneous hardware catalog: a [`HostCatalog`]
+//!   is a validated list of [`ServerSpec`]s addressed by [`ProfileId`],
+//!   seeded with nine SPECpower-style machines;
 //! * [`fleet`] — multi-site fleet specs ([`FleetSpec`] / [`SiteSpec`]) with
 //!   weighted profile mixes and per-site PUE series ([`PueSeries`]) that
 //!   scale IT power to facility power.
@@ -34,7 +36,7 @@ pub mod vm;
 pub use datacenter::{DataCenter, DvfsDecision};
 pub use fleet::{FleetSpec, PueSeries, SiteSpec};
 pub use power::PowerModel;
-pub use profile::{HostCatalog, HostProfile, ProfileId};
+pub use profile::{HostCatalog, ProfileId};
 pub use server::{CpuArbitrator, Server, ServerHandle, ServerSpec, ServerState};
 pub use vm::{VmHandle, VmId, VmSpec};
 

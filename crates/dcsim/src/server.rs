@@ -55,14 +55,14 @@ impl std::fmt::Display for ServerHandle {
 /// Static description of a server model (the "catalog" entry).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerSpec {
-    /// Human-readable model name.
-    pub(crate) name: String,
+    /// Human-readable model name (e.g. `ASUSTeK-RS720-E9`).
+    pub name: String,
     /// Number of cores.
     pub(crate) cores: u32,
     /// Maximum per-core frequency in GHz.
-    pub(crate) max_freq_ghz: f64,
+    pub max_freq_ghz: f64,
     /// Discrete DVFS frequency ladder (GHz, ascending, last == max).
-    pub(crate) freq_levels_ghz: Vec<f64>,
+    pub freq_levels_ghz: Vec<f64>,
     /// Installed memory in MiB.
     pub memory_mib: f64,
     /// Power model.
@@ -81,6 +81,47 @@ impl ServerSpec {
     /// Capacity at a given per-core frequency.
     pub(crate) fn capacity_at(&self, freq_ghz: f64) -> f64 {
         freq_ghz * self.cores as f64
+    }
+
+    /// Idle power as a fraction of peak (the SPECpower "idle %").
+    pub fn idle_fraction(&self) -> f64 {
+        if self.power.max_watts > 0.0 {
+            self.power.static_watts / self.power.max_watts
+        } else {
+            0.0
+        }
+    }
+
+    /// Power efficiency (GHz per watt, §V ordering key); higher is better.
+    pub fn power_efficiency(&self) -> f64 {
+        self.max_capacity_ghz() / self.power.max_watts
+    }
+
+    /// A SPECpower-style model: idle power given as a percentage of peak,
+    /// 4 GiB of memory per core, sleep at 5 % of peak, 30 s wake latency,
+    /// and a four-step DVFS ladder at 40/60/80/100 % of the maximum
+    /// frequency.
+    pub(crate) fn specpower(
+        name: &str,
+        cores: u32,
+        peak_power_w: f64,
+        idle_percent: f64,
+        max_freq_ghz: f64,
+    ) -> ServerSpec {
+        let idle_power_w = peak_power_w * idle_percent / 100.0;
+        ServerSpec {
+            name: name.to_string(),
+            cores,
+            max_freq_ghz,
+            freq_levels_ghz: [0.4, 0.6, 0.8, 1.0]
+                .iter()
+                .map(|r| r * max_freq_ghz)
+                .collect(),
+            memory_mib: cores as f64 * 4096.0,
+            power: PowerModel::new(peak_power_w * 0.05, idle_power_w, peak_power_w)
+                .expect("SPECpower curve validates"),
+            wake_latency_s: 30.0,
+        }
     }
 
     /// The 3 GHz quad-core type of §VI-B. Numbers chosen so that larger
@@ -262,11 +303,7 @@ mod tests {
     #[test]
     fn efficiency_ordering() {
         let cat = ServerSpec::catalog();
-        // GHz of capacity per peak watt (§V's power efficiency).
-        let eff: Vec<f64> = cat
-            .iter()
-            .map(|s| s.max_capacity_ghz() / s.power.max_watts)
-            .collect();
+        let eff: Vec<f64> = cat.iter().map(ServerSpec::power_efficiency).collect();
         assert!(eff[0] > eff[1] && eff[1] > eff[2], "{eff:?}");
     }
 

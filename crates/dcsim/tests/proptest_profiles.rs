@@ -37,12 +37,12 @@ fn profile_power_is_monotone_in_utilization() {
         let profile = catalog
             .get(ProfileId::from_index(*idx))
             .expect("drawn index");
+        let model = &profile.power;
         prop_assert!(
-            profile.power_at_util(*lo) <= profile.power_at_util(*hi),
-            "{}: P({lo}) > P({hi}) on the linear SPECpower view",
+            model.active_power(1.0, *lo) <= model.active_power(1.0, *hi),
+            "{}: P({lo}) > P({hi}) at maximum frequency",
             profile.name
         );
-        let model = profile.power_model().expect("catalog profiles validate");
         let f = profile.freq_levels_ghz[idx % profile.freq_levels_ghz.len()];
         let ratio = f / profile.max_freq_ghz;
         prop_assert!(
@@ -65,7 +65,7 @@ fn profile_power_is_monotone_in_dvfs_step() {
         let profile = catalog
             .get(ProfileId::from_index(*idx))
             .expect("drawn index");
-        let model = profile.power_model().expect("catalog profiles validate");
+        let model = &profile.power;
         for pair in profile.freq_levels_ghz.windows(2) {
             let (lo, hi) = (pair[0], pair[1]);
             prop_assert!(
