@@ -24,13 +24,6 @@ use vdc_dcsim::VmId;
 /// Safety cap on drain rounds per invocation.
 const MAX_DRAIN_ROUNDS: usize = 64;
 
-/// IPAC tuning knobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IpacConfig {
-    /// Minimum Slack configuration passed through to PAC.
-    pub minslack: MinSlackConfig,
-}
-
 /// One IPAC invocation.
 ///
 /// * `servers` — snapshot of the data center: every server with its current
@@ -38,18 +31,17 @@ pub struct IpacConfig {
 /// * `new_items` — newly arrived VMs with no current placement;
 /// * `constraint` — the packing feasibility rule;
 /// * `policy` — the cost-aware migration admission policy applied to each
-///   drain round (overload-resolution moves bypass it);
-/// * `cfg` — tuning.
+///   drain round (overload-resolution moves bypass it).
 ///
-/// Returns the consolidation plan relative to the input snapshot.
+/// Every pack runs Minimum Slack at [`MinSlackConfig::default`]. Returns
+/// the consolidation plan relative to the input snapshot.
 pub fn ipac_plan(
     servers: &[PackServer],
     new_items: &[PackItem],
     constraint: &dyn Constraint,
     policy: &dyn MigrationPolicy,
-    cfg: &IpacConfig,
 ) -> ConsolidationPlan {
-    ipac_plan_stats(servers, new_items, constraint, policy, cfg).0
+    ipac_plan_stats(servers, new_items, constraint, policy).0
 }
 
 /// Cost accounting for one IPAC invocation.
@@ -79,8 +71,8 @@ pub fn ipac_plan_stats(
     new_items: &[PackItem],
     constraint: &dyn Constraint,
     policy: &dyn MigrationPolicy,
-    cfg: &IpacConfig,
 ) -> (ConsolidationPlan, IpacStats) {
+    let minslack = MinSlackConfig::default();
     let mut state: Vec<PackServer> = servers.to_vec();
     // Remember where every VM started for the final diff.
     let mut origin: BTreeMap<VmId, Option<usize>> = BTreeMap::new();
@@ -108,12 +100,11 @@ pub fn ipac_plan_stats(
             migration_list.push(s.resident.swap_remove(idx));
         }
     }
-    let overload_evictions = migration_list.len();
     migration_list.extend_from_slice(new_items);
 
     // Place the overload/new list (no policy: feasibility restoration).
     let mut stats = IpacStats::default();
-    let first = pac_pack(&mut state, &migration_list, constraint, &cfg.minslack);
+    let first = pac_pack(&mut state, &migration_list, constraint, &minslack);
     stats.add(&first);
 
     // Anything unplaceable returns home (accepting temporary CPU overload)
@@ -183,7 +174,6 @@ pub fn ipac_plan_stats(
         }
         // New items with no home stay unplaced; the caller sees no move.
     }
-    let _ = overload_evictions;
 
     // --- Step 2: drain loop ------------------------------------------------
     // Repeatedly empty the least power-efficient non-empty server while the
@@ -210,7 +200,7 @@ pub fn ipac_plan_stats(
         // Pack onto every *other* server.
         let mut others = state.clone();
         others.remove(donor_pos);
-        let res = pac_pack(&mut others, &drained, constraint, &cfg.minslack);
+        let res = pac_pack(&mut others, &drained, constraint, &minslack);
         stats.add(&res);
 
         let mut revert = !res.is_complete();
@@ -325,13 +315,7 @@ mod tests {
             server(0, 12.0, 320.0, &[(1, 3.0), (2, 3.0)]),
             server(1, 4.0, 180.0, &[]),
         ];
-        let plan = ipac_plan(
-            &servers,
-            &[],
-            &CpuConstraint::default(),
-            &AlwaysAllow,
-            &IpacConfig::default(),
-        );
+        let plan = ipac_plan(&servers, &[], &CpuConstraint::default(), &AlwaysAllow);
         assert!(plan.moves.is_empty());
         assert!(plan.servers_to_sleep.is_empty());
     }
@@ -343,13 +327,7 @@ mod tests {
             server(0, 12.0, 320.0, &[(1, 4.0)]),          // eff 0.0375
             server(1, 3.0, 150.0, &[(2, 1.0), (3, 1.0)]), // eff 0.02
         ];
-        let plan = ipac_plan(
-            &servers,
-            &[],
-            &CpuConstraint::default(),
-            &AlwaysAllow,
-            &IpacConfig::default(),
-        );
+        let plan = ipac_plan(&servers, &[], &CpuConstraint::default(), &AlwaysAllow);
         assert_eq!(plan.n_migrations(), 2);
         assert!(plan.moves.iter().all(|m| m.from == Some(1) && m.to == 0));
         assert_eq!(plan.servers_to_sleep, vec![1]);
@@ -363,13 +341,7 @@ mod tests {
             server(1, 4.0, 180.0, &[(2, 2.0)]),
             server(2, 3.0, 150.0, &[(3, 1.0)]),
         ];
-        let plan = ipac_plan(
-            &servers,
-            &[],
-            &CpuConstraint::default(),
-            &AlwaysAllow,
-            &IpacConfig::default(),
-        );
+        let plan = ipac_plan(&servers, &[], &CpuConstraint::default(), &AlwaysAllow);
         assert_eq!(plan.n_migrations(), 2);
         let mut sleepers = plan.servers_to_sleep.clone();
         sleepers.sort_unstable();
@@ -385,13 +357,7 @@ mod tests {
             server(1, 4.0, 180.0, &[(2, 3.0), (3, 2.0)]),
             server(2, 3.0, 150.0, &[]),
         ];
-        let plan = ipac_plan(
-            &servers,
-            &[],
-            &CpuConstraint::default(),
-            &AlwaysAllow,
-            &IpacConfig::default(),
-        );
+        let plan = ipac_plan(&servers, &[], &CpuConstraint::default(), &AlwaysAllow);
         // VM 3 (2.0 GHz, the smaller) must leave server 1.
         let moved: Vec<_> = plan.moves.iter().filter(|m| m.from == Some(1)).collect();
         assert!(!moved.is_empty());
@@ -406,13 +372,7 @@ mod tests {
             server(1, 4.0, 180.0, &[]),
         ];
         let new = vec![PackItem::new(VmId(10), 3.0, 512.0)];
-        let plan = ipac_plan(
-            &servers,
-            &new,
-            &CpuConstraint::default(),
-            &AlwaysAllow,
-            &IpacConfig::default(),
-        );
+        let plan = ipac_plan(&servers, &new, &CpuConstraint::default(), &AlwaysAllow);
         let placement = plan.moves.iter().find(|m| m.vm == VmId(10)).unwrap();
         assert_eq!(placement.from, None);
         assert_eq!(placement.to, 0, "most efficient server takes the new VM");
@@ -424,13 +384,7 @@ mod tests {
         let mut sleeping = server(1, 12.0, 320.0, &[]);
         sleeping.active = false;
         let servers = vec![server(0, 3.0, 150.0, &[(1, 2.0), (2, 2.0)]), sleeping];
-        let plan = ipac_plan(
-            &servers,
-            &[],
-            &CpuConstraint::default(),
-            &AlwaysAllow,
-            &IpacConfig::default(),
-        );
+        let plan = ipac_plan(&servers, &[], &CpuConstraint::default(), &AlwaysAllow);
         assert!(plan.servers_to_wake.contains(&1));
     }
 
@@ -448,7 +402,6 @@ mod tests {
             &BandwidthBudget {
                 max_batch_mib: 100.0,
             },
-            &IpacConfig::default(),
         );
         assert!(plan.moves.is_empty(), "policy should veto the drain");
         assert!(plan.servers_to_sleep.is_empty());
@@ -461,13 +414,7 @@ mod tests {
             server(0, 4.0, 100.0, &[(1, 3.5)]),
             server(1, 4.0, 300.0, &[(2, 3.5)]), // least efficient
         ];
-        let plan = ipac_plan(
-            &servers,
-            &[],
-            &CpuConstraint::default(),
-            &AlwaysAllow,
-            &IpacConfig::default(),
-        );
+        let plan = ipac_plan(&servers, &[], &CpuConstraint::default(), &AlwaysAllow);
         assert!(plan.moves.is_empty());
         assert!(plan.servers_to_sleep.is_empty());
     }
@@ -481,13 +428,7 @@ mod tests {
             server(1, 4.0, 180.0, &[(5, 1.0), (6, 1.0)]),
             server(2, 3.0, 150.0, &[(7, 0.5)]),
         ];
-        let plan = ipac_plan(
-            &servers,
-            &[],
-            &CpuConstraint::default(),
-            &AlwaysAllow,
-            &IpacConfig::default(),
-        );
+        let plan = ipac_plan(&servers, &[], &CpuConstraint::default(), &AlwaysAllow);
         // VMs 1–4 stay; only 5, 6, 7 may move.
         for m in &plan.moves {
             assert!(m.vm.0 >= 5, "VM {} should not move", m.vm.0);

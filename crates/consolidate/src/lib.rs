@@ -51,10 +51,10 @@ pub mod view;
 
 pub use constraint::{AndConstraint, Constraint, CpuConstraint, FnConstraint, MemoryConstraint};
 pub use exact::{exact_pack, ExactPacking};
-pub use ipac::{ipac_plan, IpacConfig};
+pub use ipac::ipac_plan;
 pub use item::{PackItem, PackServer};
 pub use minslack::{minimum_slack, MinSlackConfig};
-pub use pac::{pac_pack, PacError, PacResult};
+pub use pac::{pac_pack, PacResult};
 pub use plan::{ConsolidationPlan, Move};
 pub use pmapper::pmapper_plan;
 pub use policy::{AlwaysAllow, BandwidthBudget, MigrationPolicy};

@@ -14,23 +14,6 @@ use crate::item::{PackItem, PackServer};
 use crate::minslack::{minimum_slack, MinSlackConfig};
 use vdc_dcsim::VmId;
 
-/// PAC failure modes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PacError {
-    /// Not every VM could be placed; the failed VMs are listed.
-    Unplaced(Vec<VmId>),
-}
-
-impl std::fmt::Display for PacError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PacError::Unplaced(vms) => write!(f, "{} VMs could not be placed", vms.len()),
-        }
-    }
-}
-
-impl std::error::Error for PacError {}
-
 /// Result of a PAC run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PacResult {

@@ -254,7 +254,7 @@ pub fn apply_plan_fallible(
 mod tests {
     use super::*;
     use crate::constraint::{AndConstraint, FnConstraint};
-    use crate::ipac::{ipac_plan, IpacConfig};
+    use crate::ipac::ipac_plan;
     use crate::policy::AlwaysAllow;
     use vdc_dcsim::{Server, ServerSpec, VmId, VmSpec};
 
@@ -312,7 +312,6 @@ mod tests {
             &[],
             &AndConstraint::cpu_and_memory(),
             &AlwaysAllow,
-            &IpacConfig::default(),
         );
         let stats = apply_plan(&mut dc, &plan).unwrap();
         assert_eq!(stats.migrations, 1);
@@ -337,7 +336,6 @@ mod tests {
             &[PackItem::new(VmId(1), 2.0, 1024.0)],
             &AndConstraint::cpu_and_memory(),
             &AlwaysAllow,
-            &IpacConfig::default(),
         );
         let stats = apply_plan(&mut dc, &plan).unwrap();
         assert_eq!(stats.placements, 1);
@@ -394,7 +392,6 @@ mod tests {
             &[PackItem::new(VmId(9), 1.0, 1024.0)],
             &AndConstraint::cpu_and_memory(),
             &AlwaysAllow,
-            &IpacConfig::default(),
         );
         assert!(plan.moves.iter().all(|m| m.to != 1));
     }
@@ -416,7 +413,6 @@ mod tests {
             &[],
             &AndConstraint::cpu_and_memory(),
             &AlwaysAllow,
-            &IpacConfig::default(),
         );
         let stats = apply_plan(&mut plain, &plan).unwrap();
         let partial = apply_plan_fallible(&mut fallible, &plan, 3, || false).unwrap();

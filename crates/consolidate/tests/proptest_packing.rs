@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use vdc_check::{check, from_fn, prop_assert, prop_assert_eq, prop_assume, Gen, TestRng};
 use vdc_consolidate::constraint::{AndConstraint, Constraint};
 use vdc_consolidate::ffd::first_fit_decreasing;
-use vdc_consolidate::ipac::{ipac_plan, IpacConfig};
+use vdc_consolidate::ipac::ipac_plan;
 use vdc_consolidate::item::{PackItem, PackServer};
 use vdc_consolidate::minslack::{minimum_slack, MinSlackConfig};
 use vdc_consolidate::pac::pac_pack;
@@ -168,13 +168,7 @@ fn ipac_plan_preserves_vms_and_feasibility() {
         let constraint = AndConstraint::cpu_and_memory();
         let start = populate(servers.clone(), items);
         let before = vm_multiset(&start);
-        let plan = ipac_plan(
-            &start,
-            &[],
-            &constraint,
-            &AlwaysAllow,
-            &IpacConfig::default(),
-        );
+        let plan = ipac_plan(&start, &[], &constraint, &AlwaysAllow);
         let after_state = apply(&start, &plan);
         let after = vm_multiset(&after_state);
         prop_assert_eq!(&before, &after, "IPAC lost or duplicated VMs");
@@ -217,13 +211,7 @@ fn ipac_never_does_worse_than_start_power_proxy() {
         // increase after an IPAC plan (it can only empty servers).
         let constraint = AndConstraint::cpu_and_memory();
         let start = populate(servers.clone(), items);
-        let plan = ipac_plan(
-            &start,
-            &[],
-            &constraint,
-            &AlwaysAllow,
-            &IpacConfig::default(),
-        );
+        let plan = ipac_plan(&start, &[], &constraint, &AlwaysAllow);
         let after_state = apply(&start, &plan);
         let idle = |state: &[PackServer]| -> f64 {
             state
@@ -266,13 +254,7 @@ mod overloaded_starts {
             }
             prop_assume!(mem_feasible(&start));
             let before = vm_multiset(&start);
-            let plan = ipac_plan(
-                &start,
-                &[],
-                &constraint,
-                &AlwaysAllow,
-                &IpacConfig::default(),
-            );
+            let plan = ipac_plan(&start, &[], &constraint, &AlwaysAllow);
             let after = apply(&start, &plan);
             prop_assert_eq!(before, vm_multiset(&after), "VMs lost or duplicated");
             prop_assert!(
@@ -302,7 +284,7 @@ mod overloaded_starts {
             let mid = apply(&start, &relief);
             prop_assert!(mem_feasible(&mid));
             // …then a full IPAC invocation.
-            let plan = ipac_plan(&mid, &[], &constraint, &AlwaysAllow, &IpacConfig::default());
+            let plan = ipac_plan(&mid, &[], &constraint, &AlwaysAllow);
             let after = apply(&mid, &plan);
             prop_assert_eq!(before, vm_multiset(&after));
             prop_assert!(mem_feasible(&after));
@@ -324,13 +306,7 @@ mod convergence {
             let mut state = populate(servers.clone(), items);
             let mut rounds = 0;
             loop {
-                let plan = ipac_plan(
-                    &state,
-                    &[],
-                    &constraint,
-                    &AlwaysAllow,
-                    &IpacConfig::default(),
-                );
+                let plan = ipac_plan(&state, &[], &constraint, &AlwaysAllow);
                 if plan.moves.is_empty() {
                     break;
                 }

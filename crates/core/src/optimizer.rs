@@ -8,12 +8,13 @@
 use crate::Result;
 use std::collections::BTreeSet;
 use vdc_consolidate::constraint::AndConstraint;
-use vdc_consolidate::ipac::{ipac_plan_stats, IpacConfig, IpacStats};
+use vdc_consolidate::ipac::{ipac_plan_stats, IpacStats};
 use vdc_consolidate::item::{PackItem, PackServer};
+use vdc_consolidate::minslack::MinSlackConfig;
 use vdc_consolidate::pac::pac_pack;
 use vdc_consolidate::plan::{ConsolidationPlan, Move};
 use vdc_consolidate::pmapper::pmapper_plan;
-use vdc_consolidate::policy::{AlwaysAllow, MigrationPolicy};
+use vdc_consolidate::policy::AlwaysAllow;
 use vdc_consolidate::view::{apply_plan, apply_plan_fallible, snapshot, ApplyStats};
 use vdc_dcsim::{DataCenter, ServerHandle, VmId};
 use vdc_faults::FaultSession;
@@ -127,10 +128,6 @@ pub struct OptimizerConfig {
     /// Packing feasibility rule (defaults to CPU + memory, the §VII-B
     /// administrator constraint).
     pub(crate) constraint: AndConstraint,
-    /// IPAC tuning (ignored by pMapper).
-    pub(crate) ipac: IpacConfig,
-    /// Cost-aware migration policy (applied by IPAC's drain rounds).
-    pub(crate) policy: Box<dyn MigrationPolicy + Send + Sync>,
 }
 
 impl OptimizerConfig {
@@ -139,8 +136,6 @@ impl OptimizerConfig {
         OptimizerConfig {
             algorithm: Algorithm::Ipac,
             constraint: AndConstraint::cpu_and_memory(),
-            ipac: IpacConfig::default(),
-            policy: Box::new(AlwaysAllow),
         }
     }
 
@@ -149,8 +144,6 @@ impl OptimizerConfig {
         OptimizerConfig {
             algorithm: Algorithm::Pmapper,
             constraint: AndConstraint::cpu_and_memory(),
-            ipac: IpacConfig::default(),
-            policy: Box::new(AlwaysAllow),
         }
     }
 }
@@ -247,13 +240,8 @@ impl PowerOptimizer {
     fn plan_flat(&self, snap: &[PackServer], new_items: &[PackItem]) -> ConsolidationPlan {
         match self.cfg.algorithm {
             Algorithm::Ipac => {
-                let (plan, stats) = ipac_plan_stats(
-                    snap,
-                    new_items,
-                    &self.cfg.constraint,
-                    self.cfg.policy.as_ref(),
-                    &self.cfg.ipac,
-                );
+                let (plan, stats) =
+                    ipac_plan_stats(snap, new_items, &self.cfg.constraint, &AlwaysAllow);
                 self.telemetry
                     .record("optimizer.pack_search_ns", stats.search_ns as f64);
                 self.count_search_work(stats.steps, stats.relaxations);
@@ -403,15 +391,11 @@ impl PowerOptimizer {
         // Pack each pod independently, fanned out over the shard workers.
         let algorithm = self.cfg.algorithm;
         let constraint = &self.cfg.constraint;
-        let policy = self.cfg.policy.as_ref();
-        let ipac_cfg = &self.cfg.ipac;
         let pod_items = &pod_items;
         let pod_plans = crate::shard::map_indices(pods.len(), self.shards, |p| {
             let view = &snap[pods[p].clone()];
             match algorithm {
-                Algorithm::Ipac => {
-                    ipac_plan_stats(view, &pod_items[p], constraint, policy, ipac_cfg)
-                }
+                Algorithm::Ipac => ipac_plan_stats(view, &pod_items[p], constraint, &AlwaysAllow),
                 Algorithm::Pmapper => (
                     pmapper_plan(view, &pod_items[p], constraint),
                     IpacStats::default(),
@@ -460,7 +444,7 @@ impl PowerOptimizer {
             .collect();
         if !spill.is_empty() {
             let was_active: Vec<bool> = post.iter().map(|s| s.active).collect();
-            let res = pac_pack(&mut post, &spill, constraint, &self.cfg.ipac.minslack);
+            let res = pac_pack(&mut post, &spill, constraint, &MinSlackConfig::default());
             self.count_search_work(res.total_steps, res.total_relaxations);
             let mut spill_placed = 0u64;
             for &(vm, si) in &res.assignments {
@@ -544,7 +528,7 @@ impl PowerOptimizer {
                 let mut target: Vec<PackServer> = post[pods[best].clone()].to_vec();
                 let items: Vec<PackItem> = candidates.iter().map(|(it, _)| *it).collect();
                 let was_active: Vec<bool> = target.iter().map(|s| s.active).collect();
-                let res = pac_pack(&mut target, &items, constraint, &self.cfg.ipac.minslack);
+                let res = pac_pack(&mut target, &items, constraint, &MinSlackConfig::default());
                 self.count_search_work(res.total_steps, res.total_relaxations);
                 let mut rebalance_moves = 0u64;
                 for &(vm, si) in &res.assignments {
@@ -688,7 +672,7 @@ impl PowerOptimizer {
                 &mut trial,
                 &items,
                 &self.cfg.constraint,
-                &self.cfg.ipac.minslack,
+                &MinSlackConfig::default(),
             );
             self.count_search_work(res.total_steps, res.total_relaxations);
             // Two wins, two commit rules. A *full* drain empties the

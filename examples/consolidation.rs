@@ -7,7 +7,7 @@
 //! ```
 
 use vdcpower::consolidate::constraint::AndConstraint;
-use vdcpower::consolidate::ipac::{ipac_plan, IpacConfig};
+use vdcpower::consolidate::ipac::ipac_plan;
 use vdcpower::consolidate::policy::{AlwaysAllow, BandwidthBudget};
 use vdcpower::consolidate::view::{apply_plan, snapshot};
 use vdcpower::dcsim::{DataCenter, Server, ServerHandle, ServerSpec, VmSpec};
@@ -50,13 +50,7 @@ fn main() {
     report(&dc, "before (spread)");
 
     let constraint = AndConstraint::cpu_and_memory();
-    let plan = ipac_plan(
-        &snapshot(&dc),
-        &[],
-        &constraint,
-        &AlwaysAllow,
-        &IpacConfig::default(),
-    );
+    let plan = ipac_plan(&snapshot(&dc), &[], &constraint, &AlwaysAllow);
     println!(
         "IPAC plan: {} migrations moving {:.0} MiB, {} servers to sleep",
         plan.n_migrations(),
@@ -81,13 +75,7 @@ fn main() {
     let strict = BandwidthBudget {
         max_batch_mib: 1024.0,
     };
-    let plan2 = ipac_plan(
-        &snapshot(&dc2),
-        &[],
-        &constraint,
-        &strict,
-        &IpacConfig::default(),
-    );
+    let plan2 = ipac_plan(&snapshot(&dc2), &[], &constraint, &strict);
     println!(
         "with a 1 GiB per-batch budget: {} migrations planned ({:.0} MiB)",
         plan2.n_migrations(),
