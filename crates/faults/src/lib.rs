@@ -11,8 +11,8 @@
 //!
 //! Four fault classes:
 //!
-//! * **host crashes** — per-host exponential inter-failure times (MTTF,
-//!   optionally per host model) with exponential repair times (MTTR),
+//! * **host crashes** — per-host exponential inter-failure times at one
+//!   MTTF for every host, with exponential repair times (MTTR),
 //!   pre-rolled into a sorted crash/recover event stream;
 //! * **migration failures** — each migration attempt in an optimizer plan
 //!   fails with probability `p`; outcomes are a pure function of the plan

@@ -149,28 +149,13 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Generate the plan for a horizon of `n_samples` samples spaced
-    /// `interval_s` seconds apart, a fleet of `n_hosts` servers (uniform
-    /// MTTF from the config), and `n_apps` applications.
+    /// `interval_s` seconds apart, a fleet of `n_hosts` servers (every host
+    /// fails at the config's MTTF), and `n_apps` applications.
     pub fn generate(
         cfg: &FaultConfig,
         n_samples: usize,
         interval_s: f64,
         n_hosts: usize,
-        n_apps: usize,
-    ) -> FaultPlan {
-        let mttfs = vec![cfg.host_mttf_s; n_hosts];
-        FaultPlan::generate_with_mttf(cfg, n_samples, interval_s, &mttfs, n_apps)
-    }
-
-    /// Generate with an explicit per-host MTTF (seconds; entry `h` is
-    /// host `h`'s mean time to failure, `<= 0` exempts the host). This is
-    /// the per-`HostProfile` hook: callers with a heterogeneous fleet map
-    /// each host's profile to its model's MTTF before generating.
-    pub(crate) fn generate_with_mttf(
-        cfg: &FaultConfig,
-        n_samples: usize,
-        interval_s: f64,
-        host_mttf_s: &[f64],
         n_apps: usize,
     ) -> FaultPlan {
         assert!(n_samples > 0, "fault plan needs a non-empty horizon");
@@ -190,12 +175,12 @@ impl FaultPlan {
         // Host crash/recover schedule: each host walks its own seed
         // stream, alternating exponential up-time (MTTF) and repair time
         // (MTTR), so adding hosts never perturbs earlier hosts' draws.
+        // An MTTF <= 0 disables host crashes.
         let mut host_events = Vec::new();
         let hosts_seed = seed_stream(cfg.seed, STREAM_HOSTS);
-        for (h, &mttf) in host_mttf_s.iter().enumerate() {
-            if mttf <= 0.0 {
-                continue;
-            }
+        let mttf = cfg.host_mttf_s;
+        let crashing_hosts = if mttf <= 0.0 { 0 } else { n_hosts };
+        for h in 0..crashing_hosts {
             let mut rng = SimRng::seed_from_u64(seed_stream(hosts_seed, h as u64));
             let mut t_s = rng.exponential(mttf);
             // The repair sample is rounded up, so the next crash draw can
@@ -496,22 +481,6 @@ mod tests {
             }
             last.insert(e.host, (e.kind, e.at_sample));
         }
-    }
-
-    #[test]
-    fn per_host_mttf_exempts_and_biases_hosts() {
-        let cfg = FaultConfig::crash_storm(2.0 * 3_600.0, 1_800.0, 5);
-        // Host 0 exempt, host 1 fragile, host 2 sturdy.
-        let plan =
-            FaultPlan::generate_with_mttf(&cfg, 672, 900.0, &[0.0, 3_600.0, 500.0 * 3_600.0], 0);
-        let crashes = |h: usize| {
-            plan.host_events()
-                .iter()
-                .filter(|e| e.host == h && e.kind == HostFaultKind::Crash)
-                .count()
-        };
-        assert_eq!(crashes(0), 0, "MTTF <= 0 exempts the host");
-        assert!(crashes(1) > crashes(2), "{} vs {}", crashes(1), crashes(2));
     }
 
     #[test]
