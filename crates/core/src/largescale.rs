@@ -470,7 +470,8 @@ mod tests {
     fn sharded_run_is_bit_identical_to_single_threaded() {
         let t = small_trace();
         let base = LargeScaleConfig::new(40, OptimizerKind::Ipac);
-        let opts = RunOptions::default().with_series();
+        // Pods of 4, so the shard count fans out real work.
+        let opts = RunOptions::default().with_series().with_pods(4);
         let single = super::run_large_scale(&t, &base, &opts.with_shards(1)).unwrap();
         for shards in [2usize, 3, 8] {
             let sharded = super::run_large_scale(&t, &base, &opts.with_shards(shards)).unwrap();
@@ -492,14 +493,15 @@ mod tests {
 
     #[test]
     fn single_vm_runs_and_is_shard_invariant() {
-        // Edge case: 1 VM, and far more shards than VMs or servers.
+        // Edge case: 1 VM, and far more shards than VMs or servers. The
+        // auto-sized fleet has at least 6 servers, so pods of 2 fan out.
         let t = small_trace();
         let cfg = LargeScaleConfig::new(1, OptimizerKind::Ipac);
-        let single = run_large_scale(&t, &cfg).unwrap();
+        let opts = RunOptions::default().with_pods(2);
+        let single = super::run_large_scale(&t, &cfg, &opts).unwrap();
         assert_eq!(single.final_placements.len(), 1);
         assert!(single.total_energy_wh > 0.0);
-        let opts = RunOptions::default().with_shards(64);
-        let sharded = super::run_large_scale(&t, &cfg, &opts).unwrap();
+        let sharded = super::run_large_scale(&t, &cfg, &opts.with_shards(64)).unwrap();
         assert_results_bit_identical(&single, &sharded, "1 VM, 64 shards");
     }
 
@@ -567,9 +569,10 @@ mod tests {
     fn shards_zero_means_auto_and_stays_identical() {
         let t = small_trace();
         let cfg = LargeScaleConfig::new(20, OptimizerKind::Pmapper);
-        let single = run_large_scale(&t, &cfg).unwrap();
+        let opts = RunOptions::default().with_pods(4);
+        let single = super::run_large_scale(&t, &cfg, &opts).unwrap();
         // 0 = auto: host parallelism.
-        let auto = super::run_large_scale(&t, &cfg, &RunOptions::default().with_shards(0)).unwrap();
+        let auto = super::run_large_scale(&t, &cfg, &opts.with_shards(0)).unwrap();
         assert_results_bit_identical(&single, &auto, "shards=0 (auto)");
     }
 }

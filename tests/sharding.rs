@@ -8,12 +8,13 @@
 //! while every f64 reduction stays a sequential index-order fold (see
 //! `vdc_core::shard`); the Minimum Slack search and the per-sample
 //! data-center passes run inline. A flat replay or churn run therefore
-//! fans nothing out, and its tests below guard against a fan-out coming
-//! back without the same care. These tests are the enforcement: every
-//! runner must come out bit-identical at every shard count, and any
-//! change that lets the shard count leak into an f64 — a parallel sum, a
-//! HashMap-ordered fold, a per-shard RNG reseed — fails here, not in a
-//! figure three PRs later.
+//! fans nothing out, so every replay and churn scenario below plans with
+//! pods of 4 and asserts that its baseline ran pod-local planning: the
+//! shard count then decides how real work fans out. These tests are the
+//! enforcement: every runner must come out bit-identical at every shard
+//! count, and any change that lets the shard count leak into an f64 — a
+//! parallel sum, a HashMap-ordered fold, a per-shard RNG reseed — fails
+//! here, not in a figure three PRs later.
 //!
 //! `ci.sh` runs this suite with `VDC_SHARDS=1` and `VDC_SHARDS=8`, which
 //! the two env-driven tests below pick up: one through cosim's per-app
@@ -46,6 +47,17 @@ fn fast_trace(n_vms: usize, seed: u64) -> UtilizationTrace {
 /// Per-app SLO accounting, f64 fields bit-cast for exact comparison:
 /// `(app, setpoint_bits, samples, violations, mean_bits)`.
 type SloState = (u32, u64, u64, u64, u64);
+
+/// Panic unless the run behind `state` planned with at least two pods.
+fn assert_pods_ran(state: &(Vec<(String, u64)>, Vec<SloState>), ctx: &str) {
+    assert!(
+        state
+            .0
+            .iter()
+            .any(|(n, v)| n == "optimizer.pod_invocations" && *v > 0),
+        "{ctx}: scenario must actually run pod-local planning"
+    );
+}
 
 /// Deterministic telemetry state: counters plus the SLO accounting.
 /// Timing histograms are excluded on purpose — they record wall-clock
@@ -196,7 +208,8 @@ fn largescale_at(
     let opts = RunOptions::default()
         .with_telemetry(&telemetry)
         .with_shards(shards)
-        .with_series();
+        .with_series()
+        .with_pods(4);
     let result = run_large_scale(trace, &cfg, &opts).expect("replay runs");
     let series_bits = result.series.iter().map(|s| s.power_w.to_bits()).collect();
     (result, series_bits, telemetry)
@@ -232,6 +245,7 @@ fn largescale_is_bit_identical_across_shard_counts() {
     let trace = fast_trace(30, 0xBEE);
     let (baseline, base_series, base_tel) = largescale_at(&trace, 1);
     let base_state = telemetry_state(&base_tel);
+    assert_pods_ran(&base_state, "largescale");
     for shards in SHARD_COUNTS {
         let (r, series, tel) = largescale_at(&trace, shards);
         assert_largescale_identical(&baseline, &r, &format!("largescale shards={shards}"));
@@ -243,52 +257,6 @@ fn largescale_is_bit_identical_across_shard_counts() {
             base_state,
             telemetry_state(&tel),
             "largescale shards={shards}: telemetry counters diverged"
-        );
-    }
-}
-
-fn largescale_fleet_at(
-    trace: &UtilizationTrace,
-    shards: usize,
-) -> (LargeScaleResult, Vec<u64>, Telemetry) {
-    let mut cfg = LargeScaleConfig::new(30, OptimizerKind::Ipac);
-    // Two-site SPECpower fleet with distinct per-site PUE: the
-    // heterogeneous path (profile-aware power, facility multipliers,
-    // per-site energy buckets) must stay on the sequential index-order
-    // folds that make the homogeneous replay shard-stable.
-    cfg.fleet = Some(FleetSpec::specpower_mixed(12));
-    let telemetry = Telemetry::enabled();
-    let opts = RunOptions::default()
-        .with_telemetry(&telemetry)
-        .with_shards(shards)
-        .with_series();
-    let result = run_large_scale(trace, &cfg, &opts).expect("fleet replay runs");
-    let series_bits = result.series.iter().map(|s| s.power_w.to_bits()).collect();
-    (result, series_bits, telemetry)
-}
-
-#[test]
-fn heterogeneous_fleet_is_bit_identical_across_shard_counts() {
-    let trace = fast_trace(30, 0xF1EE7);
-    let (baseline, base_series, base_tel) = largescale_fleet_at(&trace, 1);
-    let base_state = telemetry_state(&base_tel);
-    let base_sites = bits(&baseline.site_energy_wh);
-    for shards in SHARD_COUNTS {
-        let (r, series, tel) = largescale_fleet_at(&trace, shards);
-        assert_largescale_identical(&baseline, &r, &format!("fleet shards={shards}"));
-        assert_eq!(
-            base_series, series,
-            "fleet shards={shards}: power series diverged"
-        );
-        assert_eq!(
-            base_sites,
-            bits(&r.site_energy_wh),
-            "fleet shards={shards}: per-site energy diverged"
-        );
-        assert_eq!(
-            base_state,
-            telemetry_state(&tel),
-            "fleet shards={shards}: telemetry counters diverged"
         );
     }
 }
@@ -307,7 +275,8 @@ fn churn_at(trace: &UtilizationTrace, shards: usize) -> (ChurnResult, Vec<u64>, 
     let opts = RunOptions::default()
         .with_telemetry(&telemetry)
         .with_shards(shards)
-        .with_series();
+        .with_series()
+        .with_pods(4);
     let result = run_churn(trace, &cfg, &workload, AdmissionPolicy::WakeAndRetry, &opts)
         .expect("churn replay runs");
     let series_bits = result
@@ -333,6 +302,7 @@ fn flash_crowd_churn_is_bit_identical_across_shard_counts() {
     });
     let (baseline, base_series, base_tel) = churn_at(&trace, 1);
     let base_state = telemetry_state(&base_tel);
+    assert_pods_ran(&base_state, "churn");
     assert!(baseline.arrivals > 0, "scenario must churn");
     assert!(baseline.departures > 0, "scenario must free slots");
     assert!(
@@ -385,6 +355,7 @@ fn faulted_churn_at(
         .with_telemetry(&telemetry)
         .with_shards(shards)
         .with_series()
+        .with_pods(4)
         .with_faults(plan);
     let result = run_churn(trace, &cfg, &workload, AdmissionPolicy::WakeAndRetry, &opts)
         .expect("faulted churn replay runs");
@@ -421,6 +392,7 @@ fn crash_storm_churn_is_bit_identical_across_shard_counts() {
     assert!(!plan.is_empty(), "scenario must schedule faults");
     let (baseline, base_series, base_tel) = faulted_churn_at(&trace, &plan, 1);
     let base_state = telemetry_state(&base_tel);
+    assert_pods_ran(&base_state, "faulted churn");
     let crashes = base_state
         .0
         .iter()
@@ -449,10 +421,12 @@ fn hierarchical_at(
     shards: usize,
 ) -> (LargeScaleResult, Vec<u64>, Telemetry) {
     let mut cfg = LargeScaleConfig::new(30, OptimizerKind::Ipac);
-    // Two-site fleet with pods of 4: the partition yields multiple pods
-    // per site, so the shard fan-out over pods, the merge in pod order,
-    // and the spill/rebalance/drain passes are all on the path under
-    // test — not just a degenerate single pod.
+    // Two-site SPECpower fleet with distinct per-site PUE and pods of 4:
+    // the partition yields multiple pods per site, so the shard fan-out
+    // over pods, the merge in pod order, and the spill/rebalance/drain
+    // passes are all on the path under test — not just a degenerate
+    // single pod — and the heterogeneous path (per-model power, facility
+    // multipliers, per-site energy buckets) with them.
     cfg.fleet = Some(FleetSpec::specpower_mixed(12));
     let telemetry = Telemetry::enabled();
     let opts = RunOptions::default()
@@ -468,19 +442,14 @@ fn hierarchical_at(
 /// The hierarchical pod optimizer must preserve the repo-wide invariant:
 /// pods are packed from one immutable snapshot and merged in pod index
 /// order, so the shard count — which only decides how pods fan out over
-/// workers — can never leak into a result bit.
+/// workers — can never leak into a result bit. The heterogeneous fleet's
+/// per-site energy must come out bit-identical too.
 #[test]
 fn hierarchical_is_bit_identical_across_shard_counts() {
     let trace = fast_trace(30, 0xF1EE7);
     let (baseline, base_series, base_tel) = hierarchical_at(&trace, 1);
     let base_state = telemetry_state(&base_tel);
-    assert!(
-        base_state
-            .0
-            .iter()
-            .any(|(n, v)| n == "optimizer.pod_invocations" && *v > 0),
-        "scenario must actually run pod-local planning"
-    );
+    assert_pods_ran(&base_state, "hierarchical");
     for shards in SHARD_COUNTS {
         let (r, series, tel) = hierarchical_at(&trace, shards);
         let ctx = format!("hierarchical shards={shards}");
