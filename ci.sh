@@ -38,9 +38,13 @@ run_metadata_check
 run_metadata_check --manifest-path vdcbench/Cargo.toml
 
 run cargo fmt --check
+# vdcbench is a workspace of its own, so the root fmt and clippy steps
+# never look at it; lint it the same way.
+run cargo fmt --check --manifest-path vdcbench/Cargo.toml
 # --locked on every step that resolves a graph: a manifest change whose
 # Cargo.lock was not updated fails here instead of being rewritten.
 run cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+run cargo clippy --manifest-path vdcbench/Cargo.toml --all-targets --offline --locked -- -D warnings
 # The results gate below runs the member crates' bins (cosim, churn, ...),
 # so build every workspace package, not only the facade.
 run cargo build --release --offline --locked --workspace
