@@ -495,6 +495,43 @@ fn golden_cosim_with_stepped_pue_dropout_and_crash_storm() {
     assert_eq!(digest, GOLDEN_COSIM, "cosim digest {digest:#018x}");
 }
 
+/// Golden pin: the cooling-coupled MPC under a PUE series that steps
+/// twice. Its facility-power weight is energy weight × PUE, so each step
+/// changes the MPC's stacked system mid-run, and the box-QP fallback runs
+/// on it (the paper MPC, at weight 0, never sees either).
+#[test]
+fn golden_cooling_mpc_with_stepped_pue() {
+    let trace = generate_trace(&TraceConfig {
+        n_vms: 8,
+        n_samples: 36,
+        interval_s: 900.0,
+        seed: 0xC001,
+    });
+    let cfg = CosimConfig {
+        n_apps: 4,
+        control_periods_per_sample: 4,
+        optimizer_period_samples: 8,
+        seed: 0xC001,
+        ..Default::default()
+    };
+    let mut steps = vec![1.15; 12];
+    steps.extend([1.7; 12]);
+    steps.extend([1.4; 12]);
+    let pue = PueSeries::from_samples(steps).expect("valid PUE steps");
+    let telemetry = Telemetry::enabled();
+    let opts = RunOptions::default()
+        .with_controller(ControllerSpec::cooling())
+        .with_pue(&pue)
+        .with_telemetry(&telemetry);
+    let r = run_cosim(&trace, &cfg, &opts).expect("cooling co-simulation runs");
+    assert!(
+        counter(&telemetry, "mpc.qp_fallbacks") > 0,
+        "scenario must exercise the box-QP fallback"
+    );
+    let digest = cosim_digest(&r);
+    assert_eq!(digest, GOLDEN_COOLING, "cooling digest {digest:#018x}");
+}
+
 /// Golden pin: the auto-sized legacy fleet (`fleet: None`) under IPAC and
 /// pMapper, every field and the per-sample series.
 #[test]
@@ -733,6 +770,7 @@ fn golden_single_app_sweeps_and_static_baseline() {
 // Bit digests of the pinned runs. A change that moves one changes
 // simulation results and must say so.
 const GOLDEN_COSIM: u64 = 0x316c_c997_349f_75de;
+const GOLDEN_COOLING: u64 = 0xd889_7aaa_09c9_4a7c;
 const GOLDEN_LARGE_SCALE_IPAC: u64 = 0x6286_7530_b359_3a7b;
 const GOLDEN_LARGE_SCALE_PMAPPER: u64 = 0x911b_85de_591f_d5e6;
 const GOLDEN_HIERARCHICAL: u64 = 0x21fd_e832_3b5d_2b14;
