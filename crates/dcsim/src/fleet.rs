@@ -292,6 +292,19 @@ impl FleetSpec {
                 .and_then(JsonValue::as_f64)
                 .ok_or_else(|| bad(&format!("missing number {key:?}")))
         };
+        // A count: a whole, non-negative number that fits a `u32`. An `as`
+        // cast alone would read 4.9 as 4 and -3 as 0 without an error.
+        let count_of = |obj: &JsonValue, key: &str| -> Result<u32> {
+            let v = f64_of(obj, key)?;
+            if v.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&v) {
+                Ok(v as u32)
+            } else {
+                Err(bad(&format!(
+                    "{key:?} must be a whole number in 0..={}, got {v}",
+                    u32::MAX
+                )))
+            }
+        };
         let str_of = |obj: &JsonValue, key: &str| -> Result<String> {
             Ok(obj
                 .get(key)
@@ -318,7 +331,7 @@ impl FleetSpec {
             .ok_or_else(|| bad("missing array \"catalog\""))?
         {
             let name = str_of(p, "name")?;
-            let cores = f64_of(p, "cores")? as u32;
+            let cores = count_of(p, "cores")?;
             let power = PowerModel::new(
                 f64_of(p, "sleep_watts")?,
                 f64_of(p, "idle_power_w")?,
@@ -357,11 +370,11 @@ impl FleetSpec {
                 let id = catalog
                     .by_name(&profile)
                     .ok_or_else(|| bad(&format!("mix references unknown profile {profile:?}")))?;
-                mix.push((id, f64_of(m, "weight")? as u32));
+                mix.push((id, count_of(m, "weight")?));
             }
             sites.push(SiteSpec {
                 name: str_of(s, "name")?,
-                n_servers: f64_of(s, "n_servers")? as usize,
+                n_servers: count_of(s, "n_servers")? as usize,
                 mix,
                 pue: PueSeries::from_samples(nums_of(s, "pue")?)?,
             });
@@ -495,6 +508,25 @@ mod tests {
             .to_json()
             .replace("ASUSTeK-RS720-E9\",\"weight\"", "no-such-box\",\"weight\"");
         assert!(FleetSpec::from_json_str(&doc).is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_counts_that_are_not_whole_and_non_negative() {
+        let doc = FleetSpec::paper_default(40).to_json();
+        for (key, value) in [
+            ("cores", "4.9"),
+            ("n_servers", "7.9"),
+            ("n_servers", "-3"),
+            ("weight", "0.5"),
+            ("cores", "1e10"),
+        ] {
+            // Swap the first `key`'s value for `value`.
+            let at = doc.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+            let end = at + doc[at..].find([',', '}']).unwrap();
+            let edited = format!("{}{value}{}", &doc[..at], &doc[end..]);
+            let err = FleetSpec::from_json_str(&edited).unwrap_err();
+            assert!(err.to_string().contains(key), "{key}: {value} gave {err}");
+        }
     }
 
     #[test]
