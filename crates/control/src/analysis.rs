@@ -257,7 +257,6 @@ mod tests {
             c_min: vec![0.3; 2],
             c_max: vec![3.0; 2],
             delta_max: Some(0.3),
-            terminal_constraint: true,
         }
     }
 

@@ -26,17 +26,22 @@
 //! ## Solving
 //!
 //! The cost is a least-squares objective; with the terminal constraint it is
-//! solved by the KKT system of [`vdc_linalg::lstsq_eq`] (the paper's "least
+//! solved by the KKT system of [`vdc_linalg::Kkt`] (the paper's "least
 //! squares solver"). If the resulting first move violates the allocation
 //! box, the problem is re-solved as a box-constrained QP
 //! ([`vdc_linalg::BoxQp`]) with the terminal constraint folded in as a
 //! large quadratic penalty. Bounds are enforced exactly on the first move —
 //! the only one ever applied — and as a rate limit on later moves.
+//!
+//! The stacked matrix, the KKT factors and the QP Hessian depend only on Ψ,
+//! `Q`, `R` and ρ_cool, never on the measurement, so they are built on the
+//! first step after Ψ or ρ_cool changes and reused until then; a step builds
+//! only the right-hand side and solves.
 
 use crate::arx::ArxModel;
 use crate::reference::ReferenceTrajectory;
 use crate::{ControlError, Result};
-use vdc_linalg::{lstsq_eq, BoxQp, Matrix, QpError, Vector};
+use vdc_linalg::{BoxQp, Kkt, Matrix, QpError, Vector};
 use vdc_telemetry::Telemetry;
 
 /// Weight of the terminal-constraint penalty relative to `Q` when the
@@ -68,8 +73,6 @@ pub struct MpcConfig {
     /// Maximum per-period allocation change per channel (GHz); `None`
     /// disables rate limiting.
     pub delta_max: Option<f64>,
-    /// Whether to impose the terminal constraint `t(k+M|k) = Ts` (eq. (4)).
-    pub terminal_constraint: bool,
 }
 
 impl MpcConfig {
@@ -86,7 +89,6 @@ impl MpcConfig {
             c_min: vec![0.1; n_inputs],
             c_max: vec![4.0; n_inputs],
             delta_max: Some(1.0),
-            terminal_constraint: true,
         }
     }
 
@@ -170,7 +172,8 @@ pub struct MpcController {
     psi: Matrix,
     /// Measured output history, most recent first (length ≥ na).
     t_hist: Vec<f64>,
-    /// Applied input history `c(k−1), c(k−2), …`, most recent first.
+    /// Applied input history `c(k−1), c(k−2), …`, most recent first;
+    /// always exactly `nb` long.
     c_hist: Vec<Vec<f64>>,
     /// Allocation currently applied (`c(k)`).
     c_current: Vec<f64>,
@@ -185,6 +188,81 @@ pub struct MpcController {
     pue: f64,
     /// Observability sink (disabled by default; see [`MpcController::set_telemetry`]).
     telemetry: Telemetry,
+    /// The stacked system for the current Ψ and ρ_cool; `None` until the
+    /// next step builds it.
+    stacked: Option<Stacked>,
+}
+
+/// What a step solves with that does not depend on the measurement: the
+/// stacked least-squares matrix `A`, the terminal row, the KKT factors and
+/// the box-QP Hessian. They depend only on Ψ, `Q`, `R` and ρ_cool.
+#[derive(Debug, Clone)]
+struct Stacked {
+    /// Bits of the ρ_cool `a` was built for.
+    rho_cool_bits: u64,
+    /// Stacked objective matrix:
+    ///   `[sqrt(Q)·Ψ; sqrt(R̄); sqrt(ρ_cool)·L]`, where `L` (only when
+    /// ρ_cool > 0) sums the moves up to each horizon step per channel.
+    a: Matrix,
+    /// Terminal row ψ of eq. (4): row `M−1` of Ψ.
+    terminal_row: Matrix,
+    /// Factored KKT system of `a` and ψ; `None` when it is singular.
+    kkt: Option<Kkt>,
+    /// Box-QP Hessian `H = 2(AᵀA + ρψᵀψ)`, ρ the terminal penalty.
+    h: Matrix,
+}
+
+impl Stacked {
+    fn new(psi: &Matrix, cfg: &MpcConfig, rho_cool: f64) -> Stacked {
+        let p = cfg.prediction_horizon;
+        let mm = cfg.control_horizon;
+        let m = cfg.r_weight.len();
+        let n_dec = mm * m;
+        let n_cool = if rho_cool > 0.0 { n_dec } else { 0 };
+        let sq = cfg.q_weight.sqrt();
+        let mut a = Matrix::zeros(p + n_dec + n_cool, n_dec);
+        for i in 0..p {
+            for j in 0..n_dec {
+                a[(i, j)] = sq * psi[(i, j)];
+            }
+        }
+        for j in 0..n_dec {
+            let ch = j % m;
+            a[(p + j, j)] = cfg.r_weight[ch].sqrt();
+        }
+        if n_cool > 0 {
+            // Lower-triangular move selector: the level at horizon step j
+            // accumulates every move up to and including j.
+            let sc = rho_cool.sqrt();
+            for j in 0..mm {
+                for ch in 0..m {
+                    let row = p + n_dec + j * m + ch;
+                    for i in 0..=j {
+                        a[(row, i * m + ch)] = sc;
+                    }
+                }
+            }
+        }
+        let terminal_row = psi.block(mm - 1, 0, 1, n_dec);
+        // A singular KKT matrix (e.g. terminal row ~ 0) leaves each step
+        // the unconstrained least-squares solution.
+        let kkt = Kkt::new(&a, &terminal_row).ok();
+        let mut h = a.gram();
+        let rho = TERMINAL_PENALTY_FACTOR * cfg.q_weight;
+        for i in 0..n_dec {
+            for j in 0..n_dec {
+                h[(i, j)] += rho * terminal_row[(0, i)] * terminal_row[(0, j)];
+            }
+        }
+        h.scale_mut(2.0);
+        Stacked {
+            rho_cool_bits: rho_cool.to_bits(),
+            a,
+            terminal_row,
+            kkt,
+            h,
+        }
+    }
 }
 
 impl MpcController {
@@ -217,6 +295,7 @@ impl MpcController {
             energy_weight: 0.0,
             pue: 1.0,
             telemetry: Telemetry::disabled(),
+            stacked: None,
         })
     }
 
@@ -317,8 +396,8 @@ impl MpcController {
 
     /// Replace the reference trajectory at run time — e.g. a supervisor
     /// widening the approach band while re-entering closed loop after a
-    /// sensor outage. The cached step-response predictor depends only on
-    /// the model and horizons, so it survives the swap.
+    /// sensor outage. The reference enters only the right-hand side, so Ψ
+    /// and the cached stacked system and factors survive the swap.
     pub fn set_reference(&mut self, reference: ReferenceTrajectory) {
         self.cfg.reference = reference;
     }
@@ -341,11 +420,13 @@ impl MpcController {
     }
 
     /// Replace the model (e.g. after an RLS update) and rebuild the
-    /// dynamic matrix. Histories are preserved where possible.
+    /// dynamic matrix. Histories are preserved where possible; the stacked
+    /// system and factors built from the old Ψ are dropped, and the next
+    /// step rebuilds them.
     ///
     /// Ψ depends only on the model and the horizons, so a replacement
     /// equal to the current model (a sysid refresh that converged) keeps
-    /// the cached predictor: no rebuild, no
+    /// Ψ and the stacked system: no rebuild, no
     /// `mpc.predictor_rebuild_ns`/`mpc.model_rebuilds` activity.
     pub fn update_model(&mut self, model: ArxModel) -> Result<()> {
         if model.n_inputs() != self.model.n_inputs() {
@@ -363,6 +444,7 @@ impl MpcController {
             self.cfg.control_horizon,
         )?;
         rebuild_span.finish();
+        self.stacked = None;
         self.telemetry.incr("mpc.model_rebuilds", 1);
         while self.c_hist.len() < model.nb() {
             self.c_hist.push(
@@ -381,8 +463,9 @@ impl MpcController {
     ///
     /// State resets exactly as a rebuild at the current allocation would —
     /// `c_current` clamped into the new box, histories re-seeded,
-    /// disturbance cleared — but the cached dynamic matrix Ψ survives: it
-    /// depends only on the model and the horizons, never on bounds.
+    /// disturbance cleared — but Ψ and the cached stacked system and
+    /// factors survive: they depend only on the model, the horizons, the
+    /// weights and ρ_cool, never on bounds.
     pub fn set_allocation_bounds(&mut self, c_min: Vec<f64>, c_max: Vec<f64>) -> Result<()> {
         let m = self.model.n_inputs();
         let mut cfg = self.cfg.clone();
@@ -397,7 +480,7 @@ impl MpcController {
 
     /// Force the applied allocation to `alloc` (clamped into the box) and
     /// reset histories and the disturbance estimate — the
-    /// starvation-watchdog path. Keeps the cached dynamic matrix Ψ.
+    /// starvation-watchdog path. Keeps Ψ and the cached stacked system.
     pub fn force_allocation(&mut self, alloc: &[f64]) -> Result<()> {
         let m = self.model.n_inputs();
         if alloc.len() != m {
@@ -411,8 +494,8 @@ impl MpcController {
     }
 
     /// Re-seed the controller state at allocation `c0` the way
-    /// [`new`](MpcController::new) does, leaving the model, config, Ψ and
-    /// telemetry sink untouched.
+    /// [`new`](MpcController::new) does, leaving the model, config, Ψ, the
+    /// stacked system and the telemetry sink untouched.
     fn reset_state(&mut self, c0: &[f64]) {
         let mut c_current = c0.to_vec();
         for (c, (&lo, &hi)) in c_current
@@ -431,23 +514,13 @@ impl MpcController {
     /// compute the next allocation. Returns the applied step.
     pub fn step(&mut self, t_measured: f64) -> Result<MpcStep> {
         let m = self.model.n_inputs();
+        let c_lags = self.input_lags();
 
         // Disturbance estimate: how far off was the model's one-step
         // prediction of this measurement? The measured period ran under
         // `c_current`, so it is the most recent input lag.
-        if self.t_hist.len() >= self.model.na() && self.c_hist.len() + 1 >= self.model.nb() {
-            let mut pred_c: Vec<Vec<f64>> = Vec::with_capacity(self.model.nb());
-            pred_c.push(self.c_current.clone());
-            for past in &self.c_hist {
-                if pred_c.len() >= self.model.nb() {
-                    break;
-                }
-                pred_c.push(past.clone());
-            }
-            while pred_c.len() < self.model.nb() {
-                pred_c.push(self.c_current.clone());
-            }
-            let t_model = self.model.predict(&self.t_hist, &pred_c)?;
+        if self.t_hist.len() >= self.model.na() {
+            let t_model = self.model.predict(&self.t_hist, &c_lags)?;
             let innovation = t_measured - t_model;
             self.disturbance += innovation - self.disturbance;
         }
@@ -469,11 +542,12 @@ impl MpcController {
         let mm = self.cfg.control_horizon;
         let n_dec = mm * m;
 
-        // Predictor phase: free response plus stacked-objective assembly.
+        // Predictor phase: free response and the stacked right-hand side,
+        // plus the stacked system itself when Ψ or ρ_cool changed.
         let predict_span = self.telemetry.timer("mpc.predict_ns");
 
         // Free response: future outputs if allocations stay at c_current.
-        let free = self.free_response(p)?;
+        let free = self.free_response(p, c_lags)?;
 
         // Reference trajectory from the current measurement.
         let reference = self.cfg.reference.horizon(self.cfg.setpoint, t_measured, p);
@@ -486,61 +560,44 @@ impl MpcController {
         // the observed site PUE. A zero weight appends nothing, so the
         // default stacked system is bit-identical to the paper's eq. (2).
         let rho_cool = self.energy_weight * self.pue;
-        let n_cool = if rho_cool > 0.0 { n_dec } else { 0 };
+        if self
+            .stacked
+            .as_ref()
+            .is_none_or(|s| s.rho_cool_bits != rho_cool.to_bits())
+        {
+            self.stacked = Some(Stacked::new(&self.psi, &self.cfg, rho_cool));
+        }
+        let sys = self.stacked.as_ref().expect("stacked system built above");
         let sq = self.cfg.q_weight.sqrt();
-        let mut a = Matrix::zeros(p + n_dec + n_cool, n_dec);
-        let mut b = vec![0.0; p + n_dec + n_cool];
+        let mut b = vec![0.0; sys.a.rows()];
         for i in 0..p {
-            for j in 0..n_dec {
-                a[(i, j)] = sq * self.psi[(i, j)];
-            }
             b[i] = sq * (reference[i] - free[i]);
         }
-        for j in 0..n_dec {
-            let ch = j % m;
-            a[(p + j, j)] = self.cfg.r_weight[ch].sqrt();
-        }
-        if n_cool > 0 {
-            // Lower-triangular move selector: the level at horizon step j
-            // accumulates every move up to and including j.
+        if rho_cool > 0.0 {
             let sc = rho_cool.sqrt();
             for j in 0..mm {
                 for ch in 0..m {
-                    let row = p + n_dec + j * m + ch;
-                    for i in 0..=j {
-                        a[(row, i * m + ch)] = sc;
-                    }
-                    b[row] = -sc * self.c_current[ch];
+                    b[p + n_dec + j * m + ch] = -sc * self.c_current[ch];
                 }
             }
         }
         let a_rhs = Vector::from_vec(b);
 
         // Terminal constraint (eq. (4)): t(k+M|k) = Ts.
-        let terminal_row = self.psi.block(mm - 1, 0, 1, n_dec);
         let terminal_rhs = self.cfg.setpoint - free[mm - 1];
         predict_span.finish();
 
         // Solve phase: KKT least squares, then the active-set box-QP
-        // fallback if the first move leaves the allocation box.
+        // fallback if the first move leaves the allocation box. Both start
+        // from the same Aᵀb.
         let solve_span = self.telemetry.timer("mpc.solve_ns");
-        let delta_all = if self.cfg.terminal_constraint {
-            match lstsq_eq(
-                &a,
-                &a_rhs,
-                &terminal_row,
-                &Vector::from_slice(&[terminal_rhs]),
-            ) {
-                Ok(sol) => sol,
-                Err(_) => {
-                    // Singular KKT (e.g. terminal row ~ 0): fall back to the
-                    // unconstrained least-squares solution.
-                    self.telemetry.incr("mpc.kkt_singular", 1);
-                    vdc_linalg::lstsq(&a, &a_rhs)?
-                }
+        let atb = sys.a.tr_matvec(&a_rhs)?;
+        let delta_all = match &sys.kkt {
+            Some(kkt) => kkt.solve(&atb, &Vector::from_slice(&[terminal_rhs]))?,
+            None => {
+                self.telemetry.incr("mpc.kkt_singular", 1);
+                vdc_linalg::lstsq(&sys.a, &a_rhs)?
             }
-        } else {
-            vdc_linalg::lstsq(&a, &a_rhs)?
         };
 
         // Box check on the first move.
@@ -552,7 +609,7 @@ impl MpcController {
             delta_all
         } else {
             self.telemetry.incr("mpc.qp_fallbacks", 1);
-            self.solve_box_qp(&a, &a_rhs, &terminal_row, terminal_rhs, &lo, &hi)?
+            self.solve_box_qp(sys, &atb, terminal_rhs, &lo, &hi)?
         };
         solve_span.finish();
 
@@ -564,15 +621,25 @@ impl MpcController {
             c_next[ch] = (c_next[ch] + delta[ch]).clamp(self.cfg.c_min[ch], self.cfg.c_max[ch]);
         }
 
-        // Shift input history: c_current becomes c(k−1) next period.
-        self.c_hist.insert(0, self.c_current.clone());
-        self.c_hist.truncate(self.model.nb().max(1));
-        self.c_current = c_next.clone();
+        // Shift input history in place: c_current becomes c(k−1) next
+        // period, and the oldest lag's buffer takes it.
+        self.c_hist.rotate_right(1);
+        self.c_hist[0].copy_from_slice(&self.c_current);
+        self.c_current.copy_from_slice(&c_next);
 
         Ok(MpcStep {
             allocation: c_next,
             delta,
         })
+    }
+
+    /// The `nb` input lags the model predicts the just-measured output
+    /// from: `c(k) = c_current`, then `c(k−1), …`.
+    fn input_lags(&self) -> Vec<Vec<f64>> {
+        let mut lags = Vec::with_capacity(self.c_hist.len());
+        lags.push(self.c_current.clone());
+        lags.extend(self.c_hist[..self.c_hist.len() - 1].iter().cloned());
+        lags
     }
 
     /// Bounds on the first move so that `c(k+1)` stays inside the box and
@@ -603,41 +670,29 @@ impl MpcController {
 
     /// Box-QP fallback: minimize the stacked LS objective with the terminal
     /// constraint as a quadratic penalty, under bounds on the first move
-    /// (and the rate limit on later moves).
+    /// (and the rate limit on later moves). `atb` is `Aᵀb` of this step.
     fn solve_box_qp(
         &self,
-        a: &Matrix,
-        rhs: &Vector,
-        terminal_row: &Matrix,
+        sys: &Stacked,
+        atb: &Vector,
         terminal_rhs: f64,
         lo_first: &[f64],
         hi_first: &[f64],
     ) -> Result<Vector> {
-        let n_dec = a.cols();
+        let n_dec = sys.a.cols();
         let m = self.model.n_inputs();
-        // H = 2(AᵀA + ρ ψᵀψ), f = −2(Aᵀ rhs + ρ ψᵀ d).
-        let mut h = a.gram();
-        let at_rhs = a.tr_matvec(rhs)?;
+        // f = −2(Aᵀb + ρ ψᵀ d); H = 2(AᵀA + ρ ψᵀψ) is cached with A.
         let rho = TERMINAL_PENALTY_FACTOR * self.cfg.q_weight;
-        let mut f = Vec::with_capacity(n_dec);
-        for j in 0..n_dec {
-            f.push(-2.0 * (at_rhs[j] + rho * terminal_row[(0, j)] * terminal_rhs));
-        }
-        if self.cfg.terminal_constraint {
-            for i in 0..n_dec {
-                for j in 0..n_dec {
-                    h[(i, j)] += rho * terminal_row[(0, i)] * terminal_row[(0, j)];
-                }
-            }
-        }
-        h.scale_mut(2.0);
+        let f = (0..n_dec)
+            .map(|j| -2.0 * (atb[j] + rho * sys.terminal_row[(0, j)] * terminal_rhs))
+            .collect();
         let rate = self.cfg.delta_max.unwrap_or(f64::INFINITY);
         let wide = if rate.is_finite() { rate } else { 1e12 };
         let mut lb = vec![-wide; n_dec];
         let mut ub = vec![wide; n_dec];
         lb[..m].copy_from_slice(lo_first);
         ub[..m].copy_from_slice(hi_first);
-        let qp = BoxQp::new(h, Vector::from_vec(f), lb, ub)
+        let qp = BoxQp::new(sys.h.clone(), Vector::from_vec(f), lb, ub)
             .map_err(|e| ControlError::Qp(e.to_string()))?;
         // `mpc.qp_iterations` is the fallback's machine-independent cost:
         // active-set iterations, counted on both the converged and the
@@ -659,29 +714,21 @@ impl MpcController {
     }
 
     /// Free response of the (disturbance-corrected) model over `p` periods:
-    /// predicted outputs when all future allocations stay at `c_current`.
-    fn free_response(&self, p: usize) -> Result<Vec<f64>> {
+    /// predicted outputs when all future allocations stay at `c_current`,
+    /// starting from the input lags `c_lags` ([`input_lags`](Self::input_lags)).
+    fn free_response(&self, p: usize, mut c_lags: Vec<Vec<f64>>) -> Result<Vec<f64>> {
+        // Both histories are full (`na.max(1)` outputs, `nb` inputs), so
+        // each period shifts them in place: the oldest entry's slot takes
+        // the newest.
         let mut t_sim = self.t_hist.clone();
-        // Future input history: most recent first, c(k) = c_current.
-        let mut c_sim: Vec<Vec<f64>> = Vec::with_capacity(self.model.nb());
-        c_sim.push(self.c_current.clone());
-        for past in &self.c_hist {
-            if c_sim.len() >= self.model.nb() {
-                break;
-            }
-            c_sim.push(past.clone());
-        }
-        while c_sim.len() < self.model.nb() {
-            c_sim.push(self.c_current.clone());
-        }
         let mut out = Vec::with_capacity(p);
         for _ in 0..p {
-            let t = self.model.predict(&t_sim, &c_sim)? + self.disturbance;
+            let t = self.model.predict(&t_sim, &c_lags)? + self.disturbance;
             out.push(t);
-            t_sim.insert(0, t);
-            t_sim.truncate(self.model.na().max(1));
-            c_sim.insert(0, self.c_current.clone());
-            c_sim.truncate(self.model.nb().max(1));
+            t_sim.rotate_right(1);
+            t_sim[0] = t;
+            c_lags.rotate_right(1);
+            c_lags[0].copy_from_slice(&self.c_current);
         }
         Ok(out)
     }
@@ -710,6 +757,8 @@ fn build_dynamic_matrix(model: &ArxModel, p: usize, m_horizon: usize) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use vdc_check::{check, from_fn, prop_assert_eq, TestRng};
 
     fn plant_model() -> ArxModel {
         // Two-tier paper-like model: more CPU => lower response time.
@@ -733,7 +782,6 @@ mod tests {
             c_min: vec![0.2, 0.2],
             c_max: vec![3.0, 3.0],
             delta_max: Some(0.5),
-            terminal_constraint: true,
         }
     }
 
@@ -900,18 +948,10 @@ mod tests {
         let telemetry = Telemetry::enabled();
         ctrl.set_telemetry(telemetry.clone());
         let _ = run_closed_loop(&mut ctrl, &model, 40, 2000.0);
-        let count = |name: &str| {
-            telemetry
-                .counter_values()
-                .into_iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v)
-                .unwrap_or(0)
-        };
-        let fallbacks = count("mpc.qp_fallbacks");
+        let fallbacks = counter(&telemetry, "mpc.qp_fallbacks");
         assert!(fallbacks > 0, "the saturated loop must fall back");
         // Every fallback runs at least one active-set iteration.
-        assert!(count("mpc.qp_iterations") >= fallbacks);
+        assert!(counter(&telemetry, "mpc.qp_iterations") >= fallbacks);
     }
 
     #[test]
@@ -923,16 +963,6 @@ mod tests {
         ctrl.set_setpoint(800.0);
         let traj = run_closed_loop(&mut ctrl, &model, 50, 1000.0);
         assert!((traj[49] - 800.0).abs() < 12.0, "final {}", traj[49]);
-    }
-
-    #[test]
-    fn without_terminal_constraint_still_converges() {
-        let model = plant_model();
-        let mut cfg = default_cfg(1000.0);
-        cfg.terminal_constraint = false;
-        let mut ctrl = MpcController::new(model.clone(), cfg, &[1.0, 1.0]).unwrap();
-        let traj = run_closed_loop(&mut ctrl, &model, 80, 2000.0);
-        assert!((traj[79] - 1000.0).abs() < 15.0);
     }
 
     #[test]
@@ -977,13 +1007,17 @@ mod tests {
         assert_eq!(rebuilds(&telemetry), 1);
     }
 
-    /// Predictor rebuilds counted by the `mpc.model_rebuilds` telemetry key.
-    fn rebuilds(t: &Telemetry) -> u64 {
+    /// Counter `name` of a telemetry sink (0 when never registered).
+    fn counter(t: &Telemetry, name: &str) -> u64 {
         t.counter_values()
             .into_iter()
-            .find(|(n, _)| n == "mpc.model_rebuilds")
-            .map(|(_, v)| v)
-            .unwrap_or(0)
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| v)
+    }
+
+    /// Predictor rebuilds counted by the `mpc.model_rebuilds` telemetry key.
+    fn rebuilds(t: &Telemetry) -> u64 {
+        counter(t, "mpc.model_rebuilds")
     }
 
     #[test]
@@ -1122,6 +1156,115 @@ mod tests {
             norm_hot <= norm_cool + 1e-9,
             "PUE 3.0 norm {norm_hot} vs PUE 1.5 norm {norm_cool}"
         );
+    }
+
+    /// One call on the controller in a cache property case.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Step(f64),
+        UpdateModel(ArxModel),
+        EnergyWeight(f64),
+        Pue(f64),
+        Setpoint(f64),
+        Reference(ReferenceTrajectory),
+        Bounds(f64, f64),
+        Force(Vec<f64>),
+    }
+
+    /// A random stable 2-input ARX model: `na` in 0..=2, `nb` in 1..=3,
+    /// output lags with Σ|a| < 1 and negative input gains.
+    fn gen_stable_model(rng: &mut TestRng) -> ArxModel {
+        let a = (0..rng.usize_in(0, 3))
+            .map(|_| rng.f64_in(-0.45, 0.45))
+            .collect();
+        let b = (0..rng.usize_in(1, 4))
+            .map(|_| vec![rng.f64_in(-300.0, -5.0), rng.f64_in(-300.0, -5.0)])
+            .collect();
+        ArxModel::new(a, b, rng.f64_in(500.0, 2500.0)).unwrap()
+    }
+
+    fn gen_case(rng: &mut TestRng) -> (ArxModel, MpcConfig, Vec<Op>) {
+        let m = gen_stable_model(rng);
+        let control_horizon = rng.usize_in(1, 4);
+        let cfg = MpcConfig {
+            prediction_horizon: control_horizon + rng.usize_in(0, 8),
+            control_horizon,
+            q_weight: rng.f64_in(0.1, 10.0),
+            r_weight: vec![rng.f64_in(1e-4, 1e4), rng.f64_in(1e-4, 1e4)],
+            setpoint: rng.f64_in(300.0, 1500.0),
+            c_min: vec![0.2; 2],
+            c_max: vec![3.0; 2],
+            delta_max: Some(rng.f64_in(0.05, 1.0)),
+            ..MpcConfig::defaults(2, 1000.0, ReferenceTrajectory::new(1.0, 4.0).unwrap())
+        };
+        let ops = (0..rng.usize_in(10, 40))
+            .map(|_| match rng.below(12) {
+                0 => Op::UpdateModel(gen_stable_model(rng)),
+                1 => Op::EnergyWeight(if rng.bool() {
+                    0.0
+                } else {
+                    rng.f64_in(1.0, 1e3)
+                }),
+                2 => Op::Pue(rng.f64_in(1.0, 2.0)),
+                3 => Op::Setpoint(rng.f64_in(300.0, 1500.0)),
+                4 => Op::Reference(ReferenceTrajectory::new(1.0, rng.f64_in(1.0, 20.0)).unwrap()),
+                5 => {
+                    let lo = rng.f64_in(0.1, 1.5);
+                    Op::Bounds(lo, lo + rng.f64_in(0.0, 2.0))
+                }
+                6 => Op::Force(vec![rng.f64_in(0.0, 4.0), rng.f64_in(0.0, 4.0)]),
+                _ => Op::Step(rng.f64_in(100.0, 3000.0)),
+            })
+            .collect();
+        (m, cfg, ops)
+    }
+
+    #[test]
+    fn warm_cache_equals_a_cold_rebuild_bit_for_bit() {
+        let fallbacks = Cell::new(0u64);
+        let rho_rebuilds = Cell::new(0u64);
+        check(64, &from_fn(gen_case), |(model, cfg, ops)| {
+            let mut warm = MpcController::new(model.clone(), cfg.clone(), &[1.0, 1.0]).unwrap();
+            let telemetry = Telemetry::enabled();
+            warm.set_telemetry(telemetry.clone());
+            for op in ops {
+                match op {
+                    Op::Step(t) => {
+                        let mut cold = warm.clone();
+                        cold.set_telemetry(Telemetry::disabled());
+                        cold.stacked = None;
+                        let before = warm.stacked.as_ref().map(|s| s.rho_cool_bits);
+                        let a = warm.step(*t).unwrap();
+                        let b = cold.step(*t).unwrap();
+                        for (x, y) in a
+                            .allocation
+                            .iter()
+                            .chain(&a.delta)
+                            .zip(b.allocation.iter().chain(&b.delta))
+                        {
+                            prop_assert_eq!(x.to_bits(), y.to_bits());
+                        }
+                        let after = warm.stacked.as_ref().map(|s| s.rho_cool_bits);
+                        if before.is_some() && after.is_some() && before != after {
+                            rho_rebuilds.set(rho_rebuilds.get() + 1);
+                        }
+                    }
+                    Op::UpdateModel(m) => warm.update_model(m.clone()).unwrap(),
+                    Op::EnergyWeight(w) => warm.set_energy_weight(*w).unwrap(),
+                    Op::Pue(pue) => warm.set_pue(*pue),
+                    Op::Setpoint(ts) => warm.set_setpoint(*ts),
+                    Op::Reference(r) => warm.set_reference(*r),
+                    Op::Bounds(lo, hi) => warm
+                        .set_allocation_bounds(vec![*lo; 2], vec![*hi; 2])
+                        .unwrap(),
+                    Op::Force(alloc) => warm.force_allocation(alloc).unwrap(),
+                }
+            }
+            fallbacks.set(fallbacks.get() + counter(&telemetry, "mpc.qp_fallbacks"));
+            Ok(())
+        });
+        assert!(fallbacks.get() > 0, "no case took the box-QP fallback");
+        assert!(rho_rebuilds.get() > 0, "no case rebuilt on a ρ_cool change");
     }
 
     #[test]

@@ -127,7 +127,6 @@ fn mpc_always_respects_box_and_rate_limits() {
             c_min: vec![*c_lo; 2],
             c_max: vec![c_lo + width; 2],
             delta_max: Some(*rate),
-            terminal_constraint: true,
         };
         let mut ctrl = MpcController::new(model.clone(), cfg, &[c_lo + width / 2.0; 2]).unwrap();
         let mut prev = ctrl.current_allocation().to_vec();
@@ -176,7 +175,6 @@ fn mpc_converges_on_its_own_model() {
             c_min: vec![0.2; 2],
             c_max: vec![3.0; 2],
             delta_max: Some(0.5),
-            terminal_constraint: true,
         };
         let mut ctrl = MpcController::new(model.clone(), cfg, &[1.0, 1.0]).unwrap();
         let mut t_hist = vec![t_at(1.0)];

@@ -157,7 +157,6 @@ impl ResponseTimeController {
             c_min: vec![0.3; n],
             c_max: vec![3.0; n],
             delta_max: Some(0.3),
-            terminal_constraint: true,
         };
         let mpc = MpcController::new(model, cfg, c0)?;
         Ok(ResponseTimeController {

@@ -10,7 +10,9 @@
 //!   determinants, inverses, KKT systems).
 //! * [`qr::Qr`]: Householder QR (least-squares system identification).
 //! * [`cholesky::Cholesky`]: SPD factorization (fast solves of MPC Hessians).
-//! * [`lstsq`](crate::lstsq()): unconstrained and equality-constrained least squares.
+//! * [`lstsq`](crate::lstsq()): unconstrained least squares; [`Kkt`]: the
+//!   equality-constrained kind, factored once and solved for many
+//!   right-hand sides.
 //! * [`qp`]: box- and equality-constrained quadratic programming via a
 //!   primal active-set method (the "least squares solver" of §IV-B of the
 //!   paper, honoring allocation ranges).
@@ -44,7 +46,7 @@ pub use cholesky::Cholesky;
 pub use complex::Complex;
 pub use eig::{eigenvalues, spectral_radius};
 pub use hildreth::{hildreth_solve, HildrethSolution};
-pub use lstsq::{lstsq, lstsq_eq};
+pub use lstsq::{lstsq, Kkt};
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qp::{BoxQp, QpError, QpSolution};

@@ -5,7 +5,7 @@ use std::cell::Cell;
 use vdc_check::{check, from_fn, prop_assert, prop_assert_eq, vec_of, Gen, TestRng};
 use vdc_linalg::poly as poly_mod;
 use vdc_linalg::poly::Poly;
-use vdc_linalg::{lstsq, lstsq_eq, BoxQp, Cholesky, Lu, Matrix, Qr, Vector};
+use vdc_linalg::{lstsq, BoxQp, Cholesky, Kkt, Lu, Matrix, Qr, Vector};
 
 const CASES: u32 = 64;
 
@@ -117,7 +117,7 @@ fn qr_least_squares_is_optimal() {
 }
 
 #[test]
-fn lstsq_eq_constraint_is_satisfied() {
+fn kkt_constraint_is_satisfied() {
     let gen = from_fn(|rng: &mut TestRng| {
         let n = rng.usize_in(3, 6);
         (
@@ -130,7 +130,10 @@ fn lstsq_eq_constraint_is_satisfied() {
         // One constraint: sum of x equals d.
         let n = a.rows();
         let c = Matrix::filled(1, n, 1.0);
-        let x = lstsq_eq(a, b, &c, &Vector::from_slice(&[*d])).unwrap();
+        let kkt = Kkt::new(a, &c).unwrap();
+        let x = kkt
+            .solve(&a.tr_matvec(b).unwrap(), &Vector::from_slice(&[*d]))
+            .unwrap();
         let sum: f64 = x.as_slice().iter().sum();
         prop_assert!((sum - d).abs() < 1e-6, "constraint violated: {sum} vs {d}");
         Ok(())

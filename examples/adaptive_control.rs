@@ -52,7 +52,6 @@ fn main() {
         c_min: vec![0.3; 2],
         c_max: vec![3.0; 2],
         delta_max: Some(0.3),
-        terminal_constraint: true,
     };
     let mut mpc = MpcController::new(model.clone(), cfg, &[1.0, 1.0]).unwrap();
 

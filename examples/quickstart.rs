@@ -56,7 +56,6 @@ fn main() {
         c_min: vec![0.3; 2],
         c_max: vec![3.0; 2],
         delta_max: Some(0.3),
-        terminal_constraint: true,
     };
     match analyze_closed_loop(&model, &analysis_cfg) {
         Ok(a) => println!(

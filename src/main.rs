@@ -103,7 +103,6 @@ fn cmd_identify(args: &[String], reporter: &Reporter) -> ExitCode {
         c_min: vec![0.3; model.n_inputs()],
         c_max: vec![3.0; model.n_inputs()],
         delta_max: Some(0.3),
-        terminal_constraint: true,
     };
     match analyze_closed_loop(&model, &cfg) {
         Ok(a) => {
