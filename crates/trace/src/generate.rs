@@ -9,6 +9,7 @@
 
 use crate::sector::Sector;
 use crate::store::{UtilizationTrace, VmTraceMeta};
+use std::ops::Range;
 use vdc_apptier::rng::SimRng;
 
 /// Configuration of the generator.
@@ -100,19 +101,45 @@ pub(crate) fn draw_vm(rng: &mut SimRng) -> (VmParams, VmTraceMeta) {
 /// assert!(trace.utilization(0, 0) <= 1.0);
 /// ```
 pub fn generate_trace(cfg: &TraceConfig) -> UtilizationTrace {
-    let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let mut data = Vec::with_capacity(cfg.n_vms * cfg.n_samples);
-    let mut meta = Vec::with_capacity(cfg.n_vms);
+    let (data, meta) = generate_windows(cfg, &vec![0..cfg.n_samples; cfg.n_vms]);
+    UtilizationTrace::from_parts(cfg.n_samples, cfg.interval_s, data, meta)
+}
 
-    for _ in 0..cfg.n_vms {
+/// [`generate_trace`]'s draws, with VM `vm`'s utilization evaluated and
+/// stored only over the samples in `windows[vm]`.
+///
+/// Every sample still takes its random draws, so the serial RNG stays in
+/// step and each stored value is bit-identical to [`generate_trace`]'s at
+/// the same `(vm, t)`. Returns the windows' values concatenated in VM
+/// order (`Σ windows[vm].len()` of them) and every VM's metadata.
+///
+/// # Panics
+/// Panics if `windows.len() != cfg.n_vms` or a window ends past
+/// `cfg.n_samples`.
+pub fn generate_windows(
+    cfg: &TraceConfig,
+    windows: &[Range<usize>],
+) -> (Vec<f64>, Vec<VmTraceMeta>) {
+    assert_eq!(windows.len(), cfg.n_vms, "one window per VM");
+    let mut rng = SimRng::seed_from_u64(cfg.seed);
+    let mut data = Vec::with_capacity(windows.iter().map(|w| w.len()).sum());
+    let mut meta = Vec::with_capacity(cfg.n_vms);
+    for window in windows {
+        assert!(
+            window.end <= cfg.n_samples,
+            "window {window:?} ends past {} samples",
+            cfg.n_samples
+        );
         let (mut p, m) = draw_vm(&mut rng);
         for t in 0..cfg.n_samples {
-            let u = sample_utilization(&mut p, t, cfg.interval_s, &mut rng);
-            data.push(u);
+            let spike = draw_noise(&mut p, &mut rng);
+            if window.contains(&t) {
+                data.push(utilization(&p, t, cfg.interval_s, spike));
+            }
         }
         meta.push(m);
     }
-    UtilizationTrace::from_parts(cfg.n_samples, cfg.interval_s, data, meta)
+    (data, meta)
 }
 
 /// One utilization sample for one VM.
@@ -122,6 +149,28 @@ pub(crate) fn sample_utilization(
     interval_s: f64,
     rng: &mut SimRng,
 ) -> f64 {
+    let spike = draw_noise(p, rng);
+    utilization(p, t, interval_s, spike)
+}
+
+/// The random part of a sample, in draw order: the AR(1) update of
+/// `p.ar_state`, then the flash-crowd spike, which is returned.
+fn draw_noise(p: &mut VmParams, rng: &mut SimRng) -> f64 {
+    let shape = p.sector.shape();
+    // AR(1) noise keeps consecutive samples correlated.
+    let white: f64 = rng.uniform() * 2.0 - 1.0;
+    p.ar_state = 0.85 * p.ar_state + shape.noise_sd * white;
+
+    // Flash crowd.
+    if rng.uniform() < shape.spike_prob {
+        shape.spike_amp * (0.5 + rng.uniform())
+    } else {
+        0.0
+    }
+}
+
+/// The utilization at sample `t` given the sample's noise draws.
+fn utilization(p: &VmParams, t: usize, interval_s: f64, spike: f64) -> f64 {
     let shape = p.sector.shape();
     let hours = t as f64 * interval_s / 3600.0;
     let hour_of_day = (hours + p.phase_h).rem_euclid(24.0);
@@ -132,17 +181,6 @@ pub(crate) fn sample_utilization(
     // Diurnal: raised cosine centred on the peak hour.
     let angle = (hour_of_day - shape.peak_hour) / 24.0 * 2.0 * std::f64::consts::PI;
     let diurnal = shape.diurnal_amp * 0.5 * (1.0 + angle.cos());
-
-    // AR(1) noise keeps consecutive samples correlated.
-    let white: f64 = rng.uniform() * 2.0 - 1.0;
-    p.ar_state = 0.85 * p.ar_state + shape.noise_sd * white;
-
-    // Flash crowd.
-    let spike = if rng.uniform() < shape.spike_prob {
-        shape.spike_amp * (0.5 + rng.uniform())
-    } else {
-        0.0
-    };
 
     ((shape.base + diurnal * day_factor) * p.scale + p.ar_state + spike).clamp(0.01, 1.0)
 }

@@ -14,7 +14,9 @@
 //!   matters to consolidation: per-sector diurnal shapes, weekday/weekend
 //!   contrast, heterogeneous per-VM scale, autocorrelated noise, and flash
 //!   crowds ([`generate::TraceConfig::paper_scale`] emits exactly 5,415
-//!   VMs × 672 samples at 15-minute spacing);
+//!   VMs × 672 samples at 15-minute spacing). [`generate_windows`] runs
+//!   the same draws but stores each VM's values only over a window of
+//!   samples, for callers that read a VM only part of the horizon;
 //! * [`store`] — an in-memory trace type ([`store::UtilizationTrace`]) and
 //!   a CSV codec so the real trace can be dropped in if available;
 //! * [`stream`] — a constant-memory streaming generator
@@ -30,7 +32,7 @@ pub mod stats;
 pub mod store;
 pub mod stream;
 
-pub use generate::{generate_trace, TraceConfig};
+pub use generate::{generate_trace, generate_windows, TraceConfig};
 pub use sector::Sector;
 pub use stats::{trace_stats, TraceStats};
 pub use store::{TraceError, UtilizationTrace, VmTraceMeta};

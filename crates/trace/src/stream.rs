@@ -11,9 +11,12 @@
 //! Sample-major streaming is impossible on the legacy generator's single
 //! serial RNG (each sample consumes a data-dependent number of draws), so
 //! the stream derives one independent RNG per VM with
-//! [`vdc_apptier::rng::seed_stream`]. The statistical model is shared code
-//! with the materialized path ([`crate::generate`]'s `draw_vm` /
-//! `sample_utilization`), and [`StreamingTrace::materialize`] replays the
+//! [`vdc_apptier::rng::seed_stream`]. The statistical model is code
+//! shared with the materialized path in [`crate::generate`]: `draw_vm`
+//! draws the per-VM parameters, and `sample_utilization` runs the same
+//! noise draw (`draw_noise`) and utilization formula that
+//! [`crate::generate_windows`]'s loop runs at every sample.
+//! [`StreamingTrace::materialize`] replays the
 //! same per-VM streams into an in-memory [`UtilizationTrace`] — streaming
 //! and materialized replays of the same config are bit-identical, which
 //! `tests/determinism.rs` pins end to end.

@@ -1,7 +1,11 @@
 //! Property-based tests for trace generation and I/O.
 
+use std::cell::Cell;
+use std::ops::Range;
 use vdc_check::{ascii_string, check, choose, from_fn, prop_assert, prop_assert_eq, Gen, TestRng};
-use vdc_trace::{generate_trace, Sector, TraceConfig, UtilizationTrace, VmTraceMeta};
+use vdc_trace::{
+    generate_trace, generate_windows, Sector, TraceConfig, UtilizationTrace, VmTraceMeta,
+};
 
 const CASES: u32 = 32;
 
@@ -46,6 +50,66 @@ fn generated_utilization_always_in_unit_range() {
         }
         Ok(())
     });
+}
+
+/// A window of `0..n_samples`: empty, full, a prefix, a suffix or an
+/// interior stretch, with equal odds.
+fn gen_window(rng: &mut TestRng, n_samples: usize) -> Range<usize> {
+    let (a, b) = (
+        rng.usize_in(0, n_samples + 1),
+        rng.usize_in(0, n_samples + 1),
+    );
+    let (lo, hi) = (a.min(b), a.max(b));
+    match rng.usize_in(0, 5) {
+        0 => a..a,
+        1 => 0..n_samples,
+        2 => 0..hi,
+        3 => lo..n_samples,
+        _ => lo..hi,
+    }
+}
+
+#[test]
+fn windowed_rows_equal_generate_trace_bit_for_bit() {
+    let gen = from_fn(|rng: &mut TestRng| {
+        let n_vms = rng.usize_in(0, 13);
+        let n_samples = rng.usize_in(1, 65);
+        let windows: Vec<Range<usize>> = (0..n_vms).map(|_| gen_window(rng, n_samples)).collect();
+        (windows, n_samples, rng.u64_in(0, 10_000))
+    });
+    // Cases where a VM with nothing stored precedes one with values: the
+    // skipped VM's draws must still keep the serial stream in step.
+    let skip_then_store = Cell::new(0u32);
+    check(CASES, &gen, |(windows, n_samples, seed)| {
+        let cfg = TraceConfig {
+            n_vms: windows.len(),
+            n_samples: *n_samples,
+            interval_s: 900.0,
+            seed: *seed,
+        };
+        let full = generate_trace(&cfg);
+        let (data, meta) = generate_windows(&cfg, windows);
+        prop_assert_eq!(data.len(), windows.iter().map(|w| w.len()).sum::<usize>());
+        prop_assert_eq!(meta.len(), windows.len());
+        let mut stored = data.iter();
+        for (vm, window) in windows.iter().enumerate() {
+            prop_assert_eq!(&meta[vm], full.meta(vm));
+            for t in window.clone() {
+                let u = stored.next().expect("one value per windowed sample");
+                prop_assert_eq!(u.to_bits(), full.utilization(vm, t).to_bits());
+            }
+        }
+        let first_empty = windows.iter().position(|w| w.is_empty());
+        let last_stored = windows.iter().rposition(|w| !w.is_empty());
+        if matches!((first_empty, last_stored), (Some(e), Some(s)) if e < s) {
+            skip_then_store.set(skip_then_store.get() + 1);
+        }
+        Ok(())
+    });
+    assert!(
+        skip_then_store.get() > 0,
+        "no case put an empty window before a non-empty one"
+    );
 }
 
 #[test]
