@@ -12,7 +12,9 @@
 //!
 //! Everything is drawn from [`vdc_apptier::rng::SimRng`] under a single
 //! workload seed and generated up front, single-threaded; run loops only
-//! read the workload, preserving bit-identical sharded replay.
+//! read the workload, preserving bit-identical sharded replay. Each churn
+//! VM's demand is stored only over the samples a run reads it at, from
+//! its arrival through its departure.
 
 pub mod admission;
 pub mod events;

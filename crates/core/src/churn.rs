@@ -435,7 +435,7 @@ mod tests {
     fn zero_event_run_is_bit_identical_to_run_large_scale() {
         let t = small_trace();
         let cfg = LargeScaleConfig::new(40, OptimizerKind::Ipac);
-        let empty = ChurnWorkload::empty(t.n_samples(), t.interval_s());
+        let empty = ChurnWorkload::empty(t.n_samples());
         let opts = RunOptions::default().with_series();
         let plain = crate::run_large_scale(&t, &cfg, &opts).unwrap();
         let churned = run_churn(&t, &cfg, &empty, AdmissionPolicy::WakeAndRetry, &opts).unwrap();
@@ -705,7 +705,7 @@ mod tests {
     fn horizon_mismatch_is_rejected() {
         let t = small_trace();
         let cfg = LargeScaleConfig::new(40, OptimizerKind::Ipac);
-        let wl = ChurnWorkload::empty(48, t.interval_s());
+        let wl = ChurnWorkload::empty(48);
         assert!(matches!(
             run_churn(
                 &t,

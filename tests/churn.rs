@@ -29,7 +29,7 @@ fn zero_event_churn_run_matches_fixed_population_replay() {
     let cfg = LargeScaleConfig::new(30, OptimizerKind::Ipac);
     let opts = RunOptions::default().with_series();
     let fixed = run_large_scale(&trace, &cfg, &opts).expect("fixed replay runs");
-    let workload = ChurnWorkload::empty(trace.n_samples(), trace.interval_s());
+    let workload = ChurnWorkload::empty(trace.n_samples());
     let churned = run_churn(
         &trace,
         &cfg,
