@@ -489,3 +489,168 @@ mod additive_admission {
         );
     }
 }
+
+/// Every Minimum Slack outcome over a fixed corpus, folded into one
+/// constant. The reference-path properties above compare two admission
+/// paths that share the greedy fill and every exit, so a step charged
+/// wrongly on a path both take shows only here.
+mod minimum_slack_pin {
+    use super::*;
+    use vdc_consolidate::constraint::FnConstraint;
+
+    /// SplitMix64, so the corpus is fixed by this file alone and not by
+    /// `VDC_CHECK_SEED`.
+    struct Corpus(u64);
+
+    impl Corpus {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+        }
+    }
+
+    /// FNV-1a (64-bit) over the little-endian bytes of each word.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn u64(&mut self, x: u64) {
+            for b in x.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    /// A server of 2–12 GHz, half of them with one to four residents.
+    fn server(rng: &mut Corpus) -> PackServer {
+        let mem = [4096.0, 8192.0, 16384.0][rng.below(3) as usize];
+        let n_resident = if rng.below(2) == 0 {
+            0
+        } else {
+            1 + rng.below(4)
+        };
+        let resident = (0..n_resident)
+            .map(|i| {
+                let cpu = rng.f64_in(0.1, 1.5);
+                PackItem::new(VmId(1000 + i), cpu, rng.f64_in(128.0, mem / 5.0))
+            })
+            .collect();
+        let any_cpu = rng.f64_in(2.0, 12.0);
+        PackServer {
+            index: 0,
+            cpu_capacity_ghz: [3.0, 4.0, 12.0, any_cpu][rng.below(4) as usize],
+            mem_capacity_mib: mem,
+            max_watts: 200.0,
+            idle_watts: 120.0,
+            active: rng.below(2) == 0,
+            pue: 1.0,
+            resident,
+        }
+    }
+
+    /// 0–24 items: ordinary ones (one in eight with no CPU), a mix with
+    /// memory-heavy ones, or ones that each overflow the free memory
+    /// alone, so that the greedy fill chooses nothing.
+    fn pool(rng: &mut Corpus, server: &PackServer) -> Vec<PackItem> {
+        let free_mem = server.mem_capacity_mib - server.resident_mem();
+        let mode = rng.below(3);
+        (0..rng.below(25))
+            .map(|i| {
+                let (cpu, mem) = match (mode, rng.below(2)) {
+                    (0, _) | (1, 0) => {
+                        let cpu = if rng.below(8) == 0 {
+                            0.0
+                        } else {
+                            rng.f64_in(0.05, 3.0)
+                        };
+                        (cpu, rng.f64_in(64.0, 2048.0))
+                    }
+                    (1, _) => (
+                        rng.f64_in(0.05, 3.0),
+                        rng.f64_in(0.4, 1.2) * server.mem_capacity_mib,
+                    ),
+                    _ => (rng.f64_in(0.2, 3.0), free_mem + rng.f64_in(1.0, 4096.0)),
+                };
+                PackItem::new(VmId(i), cpu, mem)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn minimum_slack_outcomes_on_a_fixed_corpus_are_pinned() {
+        let additive = AndConstraint::cpu_and_memory();
+        // At most five VMs on a server, on top of CPU and memory: a rule
+        // evaluated on the whole stack, with no ceilings.
+        let stack_rule = FnConstraint(|s: &PackServer, c: &[PackItem]| {
+            s.resident.len() + c.len() <= 5 && additive.admits(s, c)
+        });
+        let rules: [&dyn Constraint; 2] = [&additive, &stack_rule];
+        let mut rng = Corpus(0x6d69_6e73_6c61_636b);
+        let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+        let (mut empty_greedy_sweeps, mut relaxed, mut capped) = (0, 0, 0);
+        for _ in 0..320 {
+            let server = server(&mut rng);
+            let pool = pool(&mut rng, &server);
+            let cfg = MinSlackConfig {
+                epsilon_ghz: [0.0, 0.05][rng.below(2) as usize],
+                epsilon_step_ghz: [0.01, 0.1][rng.below(2) as usize],
+                step_budget: [64, 2_000][rng.below(2) as usize],
+                max_relaxations: [2, 8][rng.below(2) as usize],
+            };
+            for rule in rules {
+                let r = minimum_slack(&server, &pool, rule, &cfg);
+                fnv.u64(r.chosen.len() as u64);
+                for &i in &r.chosen {
+                    fnv.u64(i as u64);
+                }
+                fnv.u64(r.slack_ghz.to_bits());
+                fnv.u64(r.steps);
+                fnv.u64(u64::from(r.relaxations));
+
+                // The greedy fill tests alone each item that passes the
+                // CPU pre-filter; when it admits none, a sweep charges each
+                // of them again at its root, and the cheap exit does not.
+                let target = server.cpu_capacity_ghz - server.resident_cpu();
+                let tried: Vec<&PackItem> =
+                    pool.iter().filter(|x| x.cpu_ghz <= target + 1e-9).collect();
+                let greedy_empty = tried
+                    .iter()
+                    .all(|x| !rule.admits(&server, std::slice::from_ref(*x)));
+                let g = tried.len() as u64;
+                if greedy_empty && g > 0 && r.steps == 2 * g {
+                    empty_greedy_sweeps += 1;
+                }
+                relaxed += usize::from(r.relaxations > 0);
+                // A search that reached the relaxation cap goes further
+                // once the cap is raised.
+                let raised = MinSlackConfig {
+                    max_relaxations: cfg.max_relaxations + 1,
+                    ..cfg
+                };
+                capped += usize::from(minimum_slack(&server, &pool, rule, &raised) != r);
+            }
+        }
+        for (name, count) in [
+            (
+                "a sweep started from an empty greedy fill",
+                empty_greedy_sweeps,
+            ),
+            ("a search relaxed ε", relaxed),
+            ("a search hit the relaxation cap", capped),
+        ] {
+            assert!(count > 0, "no case covered: {name}");
+        }
+        assert_eq!(fnv.0, 0xade5_df57_ed36_1f08, "{:#018x}", fnv.0);
+    }
+}
