@@ -36,7 +36,10 @@
 //! best. The seed is what makes the partitioned search affordable: a root
 //! whose subtree cannot beat the greedy fill is cut by the suffix-sum
 //! bound after a single constraint evaluation. If the greedy fill already
-//! sits within ε the sweep never starts at all.
+//! sits within ε the sweep never starts at all. Nor does it when the greedy
+//! fill chose nothing: every root would be refused at once, by the same
+//! test the greedy pass made, so the sweep's outcome and step count are
+//! charged in closed form.
 //!
 //! The partition stays, on one thread, because the pinned outputs encode
 //! it: the per-root budgets and the index-order winner decide every
@@ -94,18 +97,6 @@ pub struct MinSlackResult {
     pub relaxations: u32,
 }
 
-/// What one root's descent reported.
-struct RootOutcome {
-    /// Best subset seen in this root's subtree (indices into `q`).
-    chosen: Vec<usize>,
-    /// CPU of `chosen` (GHz), summed along the descent path.
-    chosen_cpu: f64,
-    steps: u64,
-    relaxations: u32,
-    /// Whether the descent ended via the ε early exit.
-    qualified: bool,
-}
-
 /// How the search decides whether the candidate stack is admitted.
 #[derive(Clone, Copy)]
 enum Admission<'a> {
@@ -148,8 +139,12 @@ impl<'a> Admission<'a> {
     }
 }
 
-/// One root's depth-first descent: subsets containing `pool[root]` as
-/// their largest item, explored largest-first with suffix-sum pruning.
+/// The root descents of one sweep, run one after another: a depth-first
+/// descent per root over the subsets that contain `pool[root]` as their
+/// largest item, explored largest-first with suffix-sum pruning. The
+/// context is shared by every root; [`RootSearch::search`] resets the
+/// per-root state, so one stack, one index stack and one incumbent buffer
+/// serve the whole sweep.
 struct RootSearch<'a> {
     admission: Admission<'a>,
     /// The candidates in largest-first order, and their indices into `q`.
@@ -160,11 +155,19 @@ struct RootSearch<'a> {
     /// Suffix minima of memory over `pool`; [`Admission::Sums`] only.
     suffix_min_mem: &'a [f64],
     target: f64,
+    cfg: MinSlackConfig,
+    /// Each root's share of [`MinSlackConfig::step_budget`].
+    budget: u64,
+    /// The greedy first fill (indices into `q`) and its CPU: the incumbent
+    /// every root descent starts from.
+    seed: &'a [usize],
+    seed_cpu: f64,
     /// The items of the current subset, kept for [`Admission::Rule`] only.
     stack: Vec<PackItem>,
     /// The current subset as indices into `q`.
     stack_idx: Vec<usize>,
-    /// Best subset seen so far — seeded with the greedy first fill.
+    /// Best subset seen in the current root's subtree, and its CPU (GHz),
+    /// summed along the descent path.
     best: Vec<usize>,
     best_cpu: f64,
     steps: u64,
@@ -173,14 +176,48 @@ struct RootSearch<'a> {
     until_relax: u64,
     epsilon: f64,
     relaxations: u32,
-    /// This root's share of [`MinSlackConfig::step_budget`].
-    budget: u64,
-    cfg: MinSlackConfig,
     done: bool,
+    /// Whether the current root's descent ended via the ε early exit.
     qualified: bool,
 }
 
 impl RootSearch<'_> {
+    /// Explore root `root`'s subtree to completion (early exit,
+    /// exhaustion, or relaxation cap), leaving its best subset in `best`
+    /// and its work in the counters. A root refused at once reports an
+    /// empty fill.
+    fn search(&mut self, root: usize) {
+        self.stack.clear();
+        self.stack_idx.clear();
+        self.best.clear();
+        self.best_cpu = 0.0;
+        self.steps = 0;
+        self.relaxations = 0;
+        self.qualified = false;
+        let item = self.pool[root];
+        if item.cpu_ghz > self.target + 1e-9 {
+            // Quick reject at the root: nothing in this subtree fits.
+            return;
+        }
+        self.stack.push(item);
+        self.stack_idx.push(self.sorted[root]);
+        self.steps = 1;
+        if !self
+            .admission
+            .admits(&self.stack, item.cpu_ghz, item.mem_mib)
+        {
+            return;
+        }
+        self.best.extend_from_slice(self.seed);
+        self.best_cpu = self.seed_cpu;
+        // The root was step 1, so the first relaxation (at step `budget`)
+        // is `budget − 1` steps away; the budget floor keeps that positive.
+        self.until_relax = self.budget - 1;
+        self.epsilon = self.cfg.epsilon_ghz.max(0.0);
+        self.done = false;
+        self.dfs(root + 1, item.cpu_ghz, item.mem_mib);
+    }
+
     /// Count `n` more steps. Each time the countdown runs out the search
     /// is taking too long and ε is relaxed (lines 15–17), one `+=` a rung;
     /// past the relaxation cap the descent is done, and it takes no step
@@ -207,7 +244,8 @@ impl RootSearch<'_> {
         }
         if chosen_cpu > self.best_cpu {
             self.best_cpu = chosen_cpu;
-            self.best = self.stack_idx.clone();
+            self.best.clear();
+            self.best.extend_from_slice(&self.stack_idx);
         }
         // Early exit: slack below ε (line 4/5 of Algorithm 1).
         if self.target - self.best_cpu <= self.epsilon {
@@ -261,77 +299,6 @@ impl RootSearch<'_> {
             if self.done {
                 return;
             }
-        }
-    }
-}
-
-/// Read-only context of one `minimum_slack` sweep: what every root
-/// descent needs.
-struct SweepCtx<'a> {
-    admission: Admission<'a>,
-    pool: &'a [PackItem],
-    sorted: &'a [usize],
-    suffix_cpu: &'a [f64],
-    suffix_min_mem: &'a [f64],
-    target: f64,
-    cfg: MinSlackConfig,
-    /// Per-root share of the step budget (identical for every root).
-    root_budget: u64,
-    /// The greedy first fill (indices into `items`) and its CPU: the
-    /// incumbent every root descent starts from.
-    seed: &'a [usize],
-    seed_cpu: f64,
-}
-
-impl SweepCtx<'_> {
-    /// Explore one root subtree to completion (early exit, exhaustion, or
-    /// relaxation cap). Pure: depends only on the context and `root`.
-    fn search_root(&self, root: usize) -> RootOutcome {
-        let empty = |steps: u64| RootOutcome {
-            chosen: Vec::new(),
-            chosen_cpu: 0.0,
-            steps,
-            relaxations: 0,
-            qualified: false,
-        };
-        let item = self.pool[root];
-        if item.cpu_ghz > self.target + 1e-9 {
-            // Quick reject at the root: nothing in this subtree fits.
-            return empty(0);
-        }
-        let mut st = RootSearch {
-            admission: self.admission,
-            pool: self.pool,
-            sorted: self.sorted,
-            suffix_cpu: self.suffix_cpu,
-            suffix_min_mem: self.suffix_min_mem,
-            target: self.target,
-            stack: vec![item],
-            stack_idx: vec![self.sorted[root]],
-            best: self.seed.to_vec(),
-            best_cpu: self.seed_cpu,
-            steps: 1,
-            // The root was step 1, so the first relaxation (at step
-            // `budget`) is `budget − 1` steps away; the budget floor keeps
-            // that positive.
-            until_relax: self.root_budget - 1,
-            epsilon: self.cfg.epsilon_ghz.max(0.0),
-            relaxations: 0,
-            budget: self.root_budget,
-            cfg: self.cfg,
-            done: false,
-            qualified: false,
-        };
-        if !self.admission.admits(&st.stack, item.cpu_ghz, item.mem_mib) {
-            return empty(1);
-        }
-        st.dfs(root + 1, item.cpu_ghz, item.mem_mib);
-        RootOutcome {
-            chosen: st.best,
-            chosen_cpu: st.best_cpu,
-            steps: st.steps,
-            relaxations: st.relaxations,
-            qualified: st.qualified,
         }
     }
 }
@@ -424,11 +391,11 @@ pub fn minimum_slack(
             greedy_stack.pop();
         }
     }
-    // Three cheap exits: the greedy fill already qualifies; the greedy
-    // fill admitted the whole pool, so no subset can beat it; or even a
-    // perfect pack of the whole pool stays outside the fully-relaxed ε, so
-    // no ladder ever qualifies and the branch-and-bound would only burn
-    // its budget rediscovering the greedy fill.
+    // Four cheap exits. The first three return the greedy fill: it
+    // already qualifies; it admitted the whole pool, so no subset can beat
+    // it; or even a perfect pack of the whole pool stays outside the
+    // fully-relaxed ε, so no ladder ever qualifies and the branch-and-bound
+    // would only burn its budget rediscovering the greedy fill.
     let final_epsilon = epsilon0 + cfg.max_relaxations as f64 * cfg.epsilon_step_ghz.max(0.0);
     if target - greedy_cpu <= epsilon0
         || greedy_idx.len() == sorted.len()
@@ -438,6 +405,20 @@ pub fn minimum_slack(
             chosen: greedy_idx,
             slack_ghz: target - greedy_cpu,
             steps: greedy_steps,
+            relaxations: 0,
+        };
+    }
+    // The fourth: the greedy fill chose nothing. Its running sums stayed
+    // zero, so each root's quick reject and first admission test are the
+    // greedy pass's own tests on the same floats. Every root is refused
+    // after 0 or 1 steps, one for each step the greedy pass took, and the
+    // first root wins with an empty fill: the sweep's outcome, charged in
+    // closed form.
+    if greedy_idx.is_empty() {
+        return MinSlackResult {
+            chosen: greedy_idx,
+            slack_ghz: target - greedy_cpu,
+            steps: 2 * greedy_steps,
             relaxations: 0,
         };
     }
@@ -456,7 +437,7 @@ pub fn minimum_slack(
     };
 
     let roots = sorted.len();
-    let ctx = SweepCtx {
+    let mut search = RootSearch {
         admission,
         pool: &pool,
         sorted: &sorted,
@@ -464,34 +445,44 @@ pub fn minimum_slack(
         suffix_min_mem: &suffix_min_mem,
         target,
         cfg: *cfg,
-        root_budget: (cfg.step_budget / roots as u64).max(ROOT_BUDGET_FLOOR),
+        budget: (cfg.step_budget / roots as u64).max(ROOT_BUDGET_FLOOR),
         seed: &greedy_idx,
         seed_cpu: greedy_cpu,
+        stack: Vec::new(),
+        stack_idx: Vec::new(),
+        best: Vec::new(),
+        best_cpu: 0.0,
+        steps: 0,
+        until_relax: 0,
+        epsilon: 0.0,
+        relaxations: 0,
+        done: false,
+        qualified: false,
     };
 
     // Roots in index order: the first that qualifies wins and ends the
     // sweep; without one, the best fill wins (ties to the lowest index).
-    // Every root up to the winner is counted. A quick-rejected root
-    // reports an empty fill.
+    // Every root up to the winner is counted. A new winner's subset is
+    // swapped out of the incumbent buffer, which the next root clears.
     let mut steps = greedy_steps;
     let mut relaxations = 0;
-    let mut winner: Option<RootOutcome> = None;
+    let mut chosen = Vec::new();
+    let mut chosen_cpu: Option<f64> = None;
     for root in 0..roots {
-        let o = ctx.search_root(root);
-        steps += o.steps;
-        relaxations += o.relaxations;
-        let qualified = o.qualified;
-        if qualified || winner.as_ref().is_none_or(|w| o.chosen_cpu > w.chosen_cpu) {
-            winner = Some(o);
+        search.search(root);
+        steps += search.steps;
+        relaxations += search.relaxations;
+        if search.qualified || chosen_cpu.is_none_or(|cpu| search.best_cpu > cpu) {
+            chosen_cpu = Some(search.best_cpu);
+            std::mem::swap(&mut chosen, &mut search.best);
         }
-        if qualified {
+        if search.qualified {
             break;
         }
     }
-    let winner = winner.expect("a non-empty pool has a root");
     MinSlackResult {
-        chosen: winner.chosen,
-        slack_ghz: target - winner.chosen_cpu,
+        chosen,
+        slack_ghz: target - chosen_cpu.expect("a non-empty pool has a root"),
         steps,
         relaxations,
     }
