@@ -7,9 +7,10 @@
 //! [`vdc_dcsim::VmId`] labels and server indices — so this module is also
 //! where labels are translated to arena handles.
 
-use crate::constraint::Constraint;
+use crate::constraint::{Ceilings, Constraint};
 use crate::item::{PackItem, PackServer};
 use crate::plan::ConsolidationPlan;
+use std::collections::BTreeMap;
 use vdc_dcsim::{DataCenter, DcError, ServerHandle, ServerState, VmId};
 
 /// Snapshot every server of the data center as a [`PackServer`], with its
@@ -27,10 +28,11 @@ pub fn snapshot(dc: &DataCenter) -> Vec<PackServer> {
 }
 
 /// The servers of one side of the fleet, the active ones or the sleeping
-/// ones, that `constraint` lets take at least one of `items` on its own:
-/// the only servers on which [`pac_pack`](crate::pac::pac_pack) can place
-/// any of them. Each comes with its hosted VMs as residents, as in
-/// [`snapshot`], and they keep index order.
+/// ones, that [`pac_pack`](crate::pac::pac_pack) can place `items` on:
+/// those that `constraint` lets take at least one of them on its own, with
+/// at most `items.len()` of each class of identical servers without
+/// residents (the class cap, below). Each comes with its hosted VMs as
+/// residents, as in [`snapshot`], and they keep index order.
 ///
 /// Under an additive rule ([`Constraint::ceilings`]) a server whose
 /// ceilings refuse every item alone refuses every subset too (demands are
@@ -39,6 +41,21 @@ pub fn snapshot(dc: &DataCenter) -> Vec<PackServer> {
 /// would. The resident sums are the folds [`PackServer::resident_cpu`] and
 /// [`PackServer::resident_mem`] take. A rule without ceilings keeps every
 /// server of the side.
+///
+/// The class cap. Under an additive rule, servers without residents that
+/// agree in the bits of every [`PackServer`] field but `index`, and in
+/// their ceilings, form a class, and at most `items.len()` of each class
+/// are offered, the first in index order. PAC visits equally efficient
+/// servers in index order, and every class member that chooses something
+/// places a VM. A member with no residents chooses nothing only when its
+/// capacity is within ε or no remaining item fits it alone, which stays
+/// true for every later member as PAC's list shrinks. So the members that
+/// take VMs are the first ones, at most one per item. That middle step
+/// needs every item to ask for some CPU: when every item that fits alone
+/// has none, Minimum Slack can choose nothing on one member and take an
+/// item on a later one once the list has changed, so a batch with an item
+/// of zero CPU is not capped. Only the step counts of the searches on the
+/// members left out differ.
 ///
 /// Failed hosts are never active, and advertise zero capacity; the
 /// sleeping side leaves out every server without capacity, as packing the
@@ -49,6 +66,9 @@ pub fn candidates(
     items: &[PackItem],
     constraint: &dyn Constraint,
 ) -> Vec<PackServer> {
+    let capped = items.iter().all(|x| x.cpu_ghz > 0.0);
+    // Members of each class offered so far.
+    let mut offered: BTreeMap<[u64; 8], usize> = BTreeMap::new();
     let mut out = Vec::new();
     let mut resident = Vec::new();
     for i in 0..dc.n_servers() {
@@ -64,6 +84,13 @@ pub fn candidates(
         resident.extend(hosted_items(dc, server));
         let takes_one = match constraint.ceilings(&bin) {
             Some(c) => {
+                if capped && resident.is_empty() {
+                    let seen = offered.entry(class(&bin, c)).or_insert(0);
+                    if *seen == items.len() {
+                        continue;
+                    }
+                    *seen += 1;
+                }
                 let cpu: f64 = resident.iter().map(|r| r.cpu_ghz).sum();
                 let mem: f64 = resident.iter().map(|r| r.mem_mib).sum();
                 items
@@ -80,6 +107,22 @@ pub fn candidates(
         }
     }
     out
+}
+
+/// The class of a server without residents under [`candidates`]' cap: the
+/// bits of every [`PackServer`] field but `index` and `resident`, and of
+/// its ceilings.
+fn class(bin: &PackServer, c: Ceilings) -> [u64; 8] {
+    [
+        bin.cpu_capacity_ghz.to_bits(),
+        bin.mem_capacity_mib.to_bits(),
+        bin.max_watts.to_bits(),
+        bin.idle_watts.to_bits(),
+        u64::from(bin.active),
+        bin.pue.to_bits(),
+        c.cpu_ghz.to_bits(),
+        c.mem_mib.to_bits(),
+    ]
 }
 
 /// The VMs `server` hosts, as packing items in hosted order.
@@ -372,6 +415,45 @@ mod tests {
             indices(&candidates(&dc, true, &[huge], &refuse_all)),
             [0, 1]
         );
+    }
+
+    #[test]
+    fn candidates_offer_each_class_of_empty_servers_up_to_the_batch_size() {
+        let quad = ServerSpec::type_quad_3ghz;
+        let mut dc = DataCenter::new();
+        // Servers 0–5 asleep at site 0; 6–8 asleep at site 1, which runs
+        // at another PUE; 9–11 active and empty; 12 active with a VM.
+        for site in [0, 0, 0, 0, 0, 0, 1, 1, 1] {
+            dc.add_server_in_site(Server::asleep(quad()), site).unwrap();
+        }
+        dc.set_site_pue(1, 1.25).unwrap();
+        for _ in 0..4 {
+            dc.add_server(Server::active(quad()));
+        }
+        let vm = dc.add_vm(VmSpec::new(1, 1.0, 1024.0)).unwrap();
+        dc.place_vm(vm, srv(12)).unwrap();
+        let rule = AndConstraint::cpu_and_memory();
+        let indices = |side: &[PackServer]| side.iter().map(|s| s.index).collect::<Vec<_>>();
+        let batch = [
+            PackItem::new(VmId(8), 1.0, 512.0),
+            PackItem::new(VmId(9), 2.0, 512.0),
+        ];
+        // Six identical sleeping servers and a two-item batch offer the
+        // first two; the same model at another PUE is a class of its own.
+        assert_eq!(
+            indices(&candidates(&dc, false, &batch, &rule)),
+            [0, 1, 6, 7]
+        );
+        // A server of that model with a resident is still offered.
+        assert_eq!(indices(&candidates(&dc, true, &batch, &rule)), [9, 10, 12]);
+        assert_eq!(indices(&candidates(&dc, true, &batch[..1], &rule)), [9, 12]);
+        // A rule without ceilings caps nothing, and neither does a batch
+        // with an item that needs no CPU.
+        let open = FnConstraint(|_: &PackServer, _: &[PackItem]| true);
+        let asleep: Vec<usize> = (0..9).collect();
+        assert_eq!(indices(&candidates(&dc, false, &batch, &open)), asleep);
+        let idle = [batch[0], PackItem::new(VmId(7), 0.0, 512.0)];
+        assert_eq!(indices(&candidates(&dc, false, &idle, &rule)), asleep);
     }
 
     #[test]

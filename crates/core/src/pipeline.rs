@@ -431,7 +431,8 @@ pub(crate) struct Packed {
 /// do: PAC with Minimum Slack onto the active servers, then, with `spill`,
 /// what fit nowhere active onto the sleeping pool. Each pass packs only
 /// its side's [`candidates`], the servers that can take at least one of
-/// its VMs alone, so a small batch does not walk the whole fleet; the
+/// its VMs alone, with no more of each class of identical empty servers
+/// than it has VMs, so a small batch does not walk the whole fleet; the
 /// placements are the ones packing the whole side would make. The spill
 /// pass builds its side only when it runs, and never offers a failed
 /// host. `dc` itself is not touched.
@@ -585,7 +586,18 @@ mod tests {
         }
     }
 
+    /// Half the cases are small mixed fleets, half fleets of classes.
     fn case(rng: &mut TestRng) -> Case {
+        if rng.bool() {
+            mixed_fleet(rng)
+        } else {
+            fleet_of_classes(rng)
+        }
+    }
+
+    /// 1–12 hosts over the whole catalog, often near full, and a batch of
+    /// up to 60 items.
+    fn mixed_fleet(rng: &mut TestRng) -> Case {
         let catalog = ServerSpec::catalog();
         let hosts = (0..rng.usize_in(1, 13))
             .map(|_| {
@@ -628,6 +640,45 @@ mod tests {
         Case { hosts, batch }
     }
 
+    /// 20–60 hosts of two or three catalog models, mostly asleep or empty,
+    /// and a batch of one to six items: classes of identical empty servers
+    /// larger than the batch, which `candidates` caps.
+    fn fleet_of_classes(rng: &mut TestRng) -> Case {
+        let catalog = ServerSpec::catalog();
+        let mut models: Vec<usize> = (0..catalog.len()).collect();
+        if rng.bool() {
+            models.remove(rng.usize_in(0, models.len()));
+        }
+        let hosts = (0..rng.usize_in(20, 61))
+            .map(|_| {
+                let model = models[rng.usize_in(0, models.len())];
+                let (cap, mem) = (catalog[model].max_capacity_ghz(), catalog[model].memory_mib);
+                let state = match rng.usize_in(0, 20) {
+                    0..=11 => HostState::Asleep,
+                    12..=18 => HostState::Active,
+                    _ => HostState::Failed,
+                };
+                let vms = if state == HostState::Asleep || rng.usize_in(0, 3) > 0 {
+                    Vec::new()
+                } else {
+                    (0..rng.usize_in(1, 4))
+                        .map(|_| (cpu(rng, cap), memory(rng, mem)))
+                        .collect()
+                };
+                Host {
+                    model,
+                    site: rng.usize_in(0, 2),
+                    state,
+                    vms,
+                }
+            })
+            .collect();
+        let batch = (0..rng.usize_in(1, 7))
+            .map(|_| (cpu(rng, 6.0), memory(rng, 8192.0)))
+            .collect();
+        Case { hosts, batch }
+    }
+
     /// The data center of `case`: site 1 runs at PUE 1.25, and a VM whose
     /// memory does not fit its host is not registered.
     fn build(case: &Case) -> DataCenter {
@@ -662,11 +713,40 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_with_an_item_of_no_cpu_is_not_class_capped() {
+        // Two models of one efficiency, 4 GHz at 180 W and 8 GHz at 360 W,
+        // asleep in the order small, small, big, small. While the 6 GHz VM
+        // is in PAC's list, Minimum Slack leaves the idle VM off an empty
+        // small server, though it fits there alone; the big server takes
+        // the 6 GHz VM, and the third small server then takes the idle
+        // one, past a cap of two small servers.
+        let small = ServerSpec::type_dual_2ghz();
+        let mut big = ServerSpec::type_quad_3ghz();
+        big.max_freq_ghz = 2.0;
+        big.power.max_watts = 2.0 * small.power.max_watts;
+        big.memory_mib = 512.0;
+        assert_eq!(small.power_efficiency(), big.power_efficiency());
+        let mut dc = DataCenter::new();
+        for spec in [&small, &small, &big, &small] {
+            dc.add_server(Server::asleep(spec.clone()));
+        }
+        let items = [
+            PackItem::new(VmId(1), 0.0, 1000.0),
+            PackItem::new(VmId(2), 6.0, 100.0),
+        ];
+        let want = pack_onto_snapshot(&dc, &items, true);
+        let on = |i| ServerHandle::from_index(i);
+        assert_eq!(want.woken, [(VmId(2), on(2)), (VmId(1), on(3))]);
+        assert_eq!(pack_onto_fleet(&dc, &items, true).woken, want.woken);
+    }
+
+    #[test]
     fn packing_onto_candidates_matches_packing_the_whole_fleet() {
         let constraint = AndConstraint::cpu_and_memory();
         let dropped_visited = Cell::new(0u32);
         let spilled = Cell::new(0u32);
         let fit_later = Cell::new(0u32);
+        let capped = Cell::new(0u32);
         check(256, &from_fn(case), |case| {
             let dc = build(case);
             let items: Vec<PackItem> = (0..)
@@ -724,6 +804,22 @@ mod tests {
             if first.active.iter().any(refused_earlier) {
                 fit_later.set(fit_later.get() + 1);
             }
+            // A class of empty servers that take an item alone had more
+            // members than the batch, and `candidates` left some out.
+            for active in [true, false] {
+                let takes_one = snap
+                    .iter()
+                    .filter(|s| s.active == active && s.cpu_capacity_ghz > 0.0)
+                    .filter(|s| {
+                        items
+                            .iter()
+                            .any(|x| constraint.admits(s, std::slice::from_ref(x)))
+                    })
+                    .count();
+                if candidates(&dc, active, &items, &constraint).len() < takes_one {
+                    capped.set(capped.get() + 1);
+                }
+            }
             Ok(())
         });
         for (name, count) in [
@@ -732,6 +828,10 @@ mod tests {
             (
                 "an item fit only a server later in efficiency order",
                 &fit_later,
+            ),
+            (
+                "a class of empty servers outnumbered the batch and was capped",
+                &capped,
             ),
         ] {
             assert!(count.get() > 0, "no case covered: {name}");
