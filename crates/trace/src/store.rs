@@ -170,6 +170,8 @@ impl UtilizationTrace {
     }
 
     /// Read the CSV format produced by [`UtilizationTrace::write_csv`].
+    /// `interval_s` must be finite and positive, and every other number
+    /// finite and not negative; an error names the file line and field.
     pub fn read_csv<R: BufRead>(r: R) -> Result<UtilizationTrace, TraceError> {
         let mut lines = r.lines();
         let header = lines
@@ -180,11 +182,17 @@ impl UtilizationTrace {
             .nth(1)
             .and_then(|s| s.trim().parse::<f64>().ok())
             .ok_or_else(|| TraceError::Parse("missing interval_s in header".into()))?;
+        if !(interval_s.is_finite() && interval_s > 0.0) {
+            return Err(TraceError::Parse(format!(
+                "line 1: interval_s {interval_s} is not a finite number > 0"
+            )));
+        }
 
         let mut data = Vec::new();
         let mut meta = Vec::new();
         let mut n_samples = None;
-        for (lineno, line) in lines.enumerate() {
+        // File line numbers: the header is line 1.
+        for (lineno, line) in (2..).zip(lines) {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
@@ -199,21 +207,11 @@ impl UtilizationTrace {
             let sector = Sector::from_name(sector_name).ok_or_else(|| {
                 TraceError::Parse(format!("line {lineno}: unknown sector {sector_name}"))
             })?;
-            let nominal_ghz: f64 = fields
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| TraceError::Parse(format!("line {lineno}: bad nominal_ghz")))?;
-            let memory_mib: f64 = fields
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| TraceError::Parse(format!("line {lineno}: bad memory_mib")))?;
-            let series: Result<Vec<f64>, _> = fields
-                .map(|s| {
-                    s.parse::<f64>()
-                        .map_err(|_| TraceError::Parse(format!("line {lineno}: bad sample {s:?}")))
-                })
-                .collect();
-            let series = series?;
+            let nominal_ghz = non_negative(fields.next(), lineno, "nominal_ghz")?;
+            let memory_mib = non_negative(fields.next(), lineno, "memory_mib")?;
+            let series = fields
+                .map(|s| non_negative(Some(s), lineno, "sample"))
+                .collect::<Result<Vec<f64>, _>>()?;
             if series.is_empty() {
                 return Err(TraceError::Parse(format!("line {lineno}: no samples")));
             }
@@ -240,6 +238,19 @@ impl UtilizationTrace {
             n_samples, interval_s, data, meta,
         ))
     }
+}
+
+/// One numeric field of line `lineno`, named `field` in the error: a
+/// finite number, not negative.
+fn non_negative(s: Option<&str>, lineno: usize, field: &str) -> Result<f64, TraceError> {
+    s.and_then(|s| s.parse::<f64>().ok())
+        .filter(|x| x.is_finite() && *x >= 0.0)
+        .ok_or_else(|| {
+            TraceError::Parse(format!(
+                "line {lineno}: bad {field} {:?}, not a finite number >= 0",
+                s.unwrap_or("")
+            ))
+        })
 }
 
 #[cfg(test)]
@@ -326,5 +337,30 @@ mod tests {
         assert!(UtilizationTrace::read_csv(&ragged[..]).is_err());
         let bad_sample = b"# interval_s=900\n0,retail,1.0,512,zebra\n";
         assert!(UtilizationTrace::read_csv(&bad_sample[..]).is_err());
+        // Numbers that parse but are not finite, or are negative, name
+        // their line and field.
+        let message = |csv: &str| match UtilizationTrace::read_csv(csv.as_bytes()) {
+            Err(TraceError::Parse(m)) => m,
+            other => panic!("{csv:?} parsed: {other:?}"),
+        };
+        for (row, field) in [
+            ("0,retail,1.0,512,NaN", "sample"),
+            ("0,retail,1.0,512,0.5,inf", "sample"),
+            ("0,retail,1.0,512,-0.25", "sample"),
+            ("0,retail,NaN,512,0.5", "nominal_ghz"),
+            ("0,retail,-1.0,512,0.5", "nominal_ghz"),
+            ("0,retail,1.0,inf,0.5", "memory_mib"),
+            ("0,retail,1.0,-512,0.5", "memory_mib"),
+        ] {
+            let m = message(&format!("# interval_s=900\n0,retail,1.0,512,0.5\n{row}\n"));
+            assert!(
+                m.starts_with(&format!("line 3: bad {field} ")),
+                "{row}: {m}"
+            );
+        }
+        for interval in ["NaN", "inf", "-900", "0"] {
+            let m = message(&format!("# interval_s={interval}\n0,retail,1.0,512,0.5\n"));
+            assert!(m.starts_with("line 1: interval_s "), "{interval}: {m}");
+        }
     }
 }

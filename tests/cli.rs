@@ -1,6 +1,7 @@
-//! Degenerate `vdcpower` flags end the run with exit status 1 and a
-//! one-line message that names the flag, never with a panic (status 101)
-//! or a silent fallback to the default.
+//! Degenerate `vdcpower` flags and malformed trace files end the run with
+//! exit status 1 and a one-line message that names the flag or the parse
+//! failure, never with a panic (status 101) or a silent fallback to the
+//! default.
 
 use std::process::Command;
 
@@ -63,4 +64,31 @@ fn testbed_rejects_a_set_point_that_is_not_a_number() {
 #[test]
 fn trace_gen_rejects_zero_vms() {
     assert_rejected(&["trace-gen", "--vms", "0"], "--vms");
+}
+
+#[test]
+fn trace_info_rejects_a_sample_or_interval_that_is_not_finite() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("trace_info_not_finite.csv");
+    let out = Command::new(env!("CARGO_BIN_EXE_vdcpower"))
+        .args(["trace-gen", "--vms", "2", "--samples", "4", "--out"])
+        .arg(&path)
+        .output()
+        .expect("vdcpower starts");
+    assert!(out.status.success(), "{out:?}");
+    let csv = std::fs::read_to_string(&path).expect("trace-gen wrote the file");
+    let (header, rows) = csv.split_once('\n').expect("a header line");
+    let (rows, last_sample) = rows.trim_end().rsplit_once(',').expect("a sample");
+    assert!(last_sample.parse::<f64>().is_ok(), "{last_sample}");
+    let interval = header.rsplit_once("interval_s=").expect("interval_s").0;
+    for edited in [
+        format!("{header}\n{rows},NaN\n"),
+        format!("{interval}interval_s=NaN\n{rows},{last_sample}\n"),
+    ] {
+        std::fs::write(&path, edited).expect("rewrite the trace");
+        assert_rejected(
+            &["trace-info", "--in", path.to_str().unwrap()],
+            "parse failed",
+        );
+    }
 }
