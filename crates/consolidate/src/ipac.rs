@@ -15,7 +15,7 @@
 use crate::constraint::Constraint;
 use crate::item::{PackItem, PackServer};
 use crate::minslack::MinSlackConfig;
-use crate::pac::{pac_pack, PacResult};
+use crate::pac::{efficiency_order, pac_pack, SearchWork};
 use crate::plan::{ConsolidationPlan, Move};
 use crate::policy::MigrationPolicy;
 use std::collections::BTreeMap;
@@ -44,34 +44,13 @@ pub fn ipac_plan(
     ipac_plan_stats(servers, new_items, constraint, policy).0
 }
 
-/// Cost accounting for one IPAC invocation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IpacStats {
-    /// Wall time spent inside the Minimum Slack searches (ns), without
-    /// the rest of the invocation (eviction scans, commit loops, the final
-    /// diff).
-    pub search_ns: u64,
-    /// Minimum Slack steps across the invocation's packs.
-    pub steps: u64,
-    /// Minimum Slack ε relaxations across the invocation's packs.
-    pub relaxations: u64,
-}
-
-impl IpacStats {
-    fn add(&mut self, pack: &PacResult) {
-        self.search_ns += pack.search_ns;
-        self.steps += pack.total_steps;
-        self.relaxations += pack.total_relaxations;
-    }
-}
-
-/// [`ipac_plan`] plus the invocation's [`IpacStats`].
+/// [`ipac_plan`] plus the Minimum Slack work of every pack it ran.
 pub fn ipac_plan_stats(
     servers: &[PackServer],
     new_items: &[PackItem],
     constraint: &dyn Constraint,
     policy: &dyn MigrationPolicy,
-) -> (ConsolidationPlan, IpacStats) {
+) -> (ConsolidationPlan, SearchWork) {
     let minslack = MinSlackConfig::default();
     let mut state: Vec<PackServer> = servers.to_vec();
     // Remember where every VM started for the final diff.
@@ -103,9 +82,8 @@ pub fn ipac_plan_stats(
     migration_list.extend_from_slice(new_items);
 
     // Place the overload/new list (no policy: feasibility restoration).
-    let mut stats = IpacStats::default();
     let first = pac_pack(&mut state, &migration_list, constraint, &minslack);
-    stats.add(&first);
+    let mut work = first.work;
 
     // Anything unplaceable returns home (accepting temporary CPU overload)
     // so the data center stays consistent. Care: PAC may have just packed
@@ -120,14 +98,7 @@ pub fn ipac_plan_stats(
         .filter(|it| first.unplaced.contains(&it.vm))
         .copied()
         .collect();
-    let mut efficiency_order: Vec<usize> = (0..state.len()).collect();
-    efficiency_order.sort_by(|&a, &b| {
-        state[b]
-            .power_efficiency()
-            .partial_cmp(&state[a].power_efficiency())
-            .expect("finite efficiency")
-            .then(a.cmp(&b))
-    });
+    let order = efficiency_order(&state);
     let mut guard = 0usize;
     while let Some(item) = queue.pop() {
         guard += 1;
@@ -135,7 +106,7 @@ pub fn ipac_plan_stats(
             break; // anti-cycling safety net; leaves the item unmoved
         }
         // 1. Any server that admits it under the full constraint.
-        let slot_pos = efficiency_order
+        let slot_pos = order
             .iter()
             .copied()
             .find(|&p| constraint.admits(&state[p], std::slice::from_ref(&item)));
@@ -201,7 +172,7 @@ pub fn ipac_plan_stats(
         let mut others = state.clone();
         others.remove(donor_pos);
         let res = pac_pack(&mut others, &drained, constraint, &minslack);
-        stats.add(&res);
+        work.add(res.work);
 
         let mut revert = !res.is_complete();
         let mut round_moves: Vec<Move> = Vec::new();
@@ -243,7 +214,7 @@ pub fn ipac_plan_stats(
     }
 
     // --- Step 3: diff into a plan -------------------------------------------
-    (build_plan(servers, &state, &origin), stats)
+    (build_plan(servers, &state, &origin), work)
 }
 
 /// Diff the packed state against the input snapshot.

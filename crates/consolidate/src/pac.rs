@@ -14,6 +14,28 @@ use crate::item::{PackItem, PackServer};
 use crate::minslack::{minimum_slack, MinSlackConfig};
 use vdc_dcsim::VmId;
 
+/// The Minimum Slack work of one or more searches: the optimizer's
+/// deterministic work counters and the search clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SearchWork {
+    /// Minimum Slack steps (constraint evaluations).
+    pub steps: u64,
+    /// Minimum Slack ε relaxations.
+    pub relaxations: u64,
+    /// Wall time spent inside the searches (ns), without the work between
+    /// them. Timing only — never feeds back into decisions.
+    pub search_ns: u64,
+}
+
+impl SearchWork {
+    /// Add `other`'s work to this record.
+    pub fn add(&mut self, other: SearchWork) {
+        self.steps += other.steps;
+        self.relaxations += other.relaxations;
+        self.search_ns += other.search_ns;
+    }
+}
+
 /// Result of a PAC run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PacResult {
@@ -21,14 +43,8 @@ pub struct PacResult {
     pub assignments: Vec<(VmId, usize)>,
     /// VMs that could not be placed anywhere (feasibility failure).
     pub unplaced: Vec<VmId>,
-    /// Total Minimum Slack steps spent (for overhead accounting).
-    pub total_steps: u64,
-    /// Total Minimum Slack ε relaxations taken.
-    pub total_relaxations: u64,
-    /// Wall time spent inside the Minimum Slack searches (ns), without
-    /// the commit loop between them. Timing only — never feeds back into
-    /// decisions.
-    pub(crate) search_ns: u64,
+    /// The Minimum Slack work of every search the run made.
+    pub work: SearchWork,
 }
 
 impl PacResult {
@@ -38,19 +54,14 @@ impl PacResult {
     }
 }
 
-/// Run PAC: place `items` onto `servers`, mutating each chosen server's
-/// `resident` list in place (so subsequent packing rounds see the result).
+/// Positions of `servers`, most power-efficient first, ties to the lower
+/// position: the order PAC fills servers in (§V). Each efficiency is
+/// computed once, and the comparator is total, so the unstable sort yields
+/// the one order a stable sort would.
 ///
-/// Servers are visited most power-efficient first (ties broken by index
-/// for determinism). Items that fit nowhere are reported in `unplaced`.
-pub fn pac_pack(
-    servers: &mut [PackServer],
-    items: &[PackItem],
-    constraint: &dyn Constraint,
-    cfg: &MinSlackConfig,
-) -> PacResult {
-    // Total comparator (ties break on index): unstable sorting is exact.
-    // Each server's efficiency is computed once, not twice per comparison.
+/// # Panics
+/// Panics if an efficiency is NaN.
+pub fn efficiency_order(servers: &[PackServer]) -> Vec<usize> {
     let efficiency: Vec<f64> = servers.iter().map(PackServer::power_efficiency).collect();
     let mut order: Vec<usize> = (0..servers.len()).collect();
     order.sort_unstable_by(|&a, &b| {
@@ -59,22 +70,33 @@ pub fn pac_pack(
             .expect("finite efficiency")
             .then(a.cmp(&b))
     });
+    order
+}
 
+/// Run PAC: place `items` onto `servers`, mutating each chosen server's
+/// `resident` list in place (so subsequent packing rounds see the result).
+///
+/// Servers are visited in [`efficiency_order`]. Items that fit nowhere are
+/// reported in `unplaced`.
+pub fn pac_pack(
+    servers: &mut [PackServer],
+    items: &[PackItem],
+    constraint: &dyn Constraint,
+    cfg: &MinSlackConfig,
+) -> PacResult {
     let mut remaining: Vec<PackItem> = items.to_vec();
     let mut assignments = Vec::with_capacity(items.len());
-    let mut total_steps = 0;
-    let mut total_relaxations = 0;
-    let mut search_ns = 0u64;
+    let mut work = SearchWork::default();
 
-    for &si in &order {
+    for si in efficiency_order(servers) {
         if remaining.is_empty() {
             break;
         }
         let t = std::time::Instant::now();
         let result = minimum_slack(&servers[si], &remaining, constraint, cfg);
-        search_ns += t.elapsed().as_nanos() as u64;
-        total_steps += result.steps;
-        total_relaxations += u64::from(result.relaxations);
+        work.search_ns += t.elapsed().as_nanos() as u64;
+        work.steps += result.steps;
+        work.relaxations += u64::from(result.relaxations);
         if result.chosen.is_empty() {
             continue;
         }
@@ -91,9 +113,7 @@ pub fn pac_pack(
     PacResult {
         assignments,
         unplaced: remaining.iter().map(|i| i.vm).collect(),
-        total_steps,
-        total_relaxations,
-        search_ns,
+        work,
     }
 }
 
@@ -120,6 +140,26 @@ mod tests {
             .enumerate()
             .map(|(i, &c)| PackItem::new(VmId(i as u64), c, 100.0))
             .collect()
+    }
+
+    #[test]
+    fn efficiency_order_ranks_capacity_per_facility_watt() {
+        let costly_site = PackServer {
+            pue: 1.25,
+            ..server(4, 12.0, 200.0)
+        };
+        let servers = vec![
+            server(9, 4.0, 100.0),  // 0.04 GHz/W
+            server(8, 12.0, 200.0), // 0.06
+            server(5, 4.0, 100.0),  // 0.04: ties with position 0
+            server(7, 12.0, 0.0),   // no watts: efficiency 0
+            costly_site,            // 12 / (200 × 1.25) = 0.048
+        ];
+        // Equal efficiencies keep position order, whatever their `index`;
+        // a higher PUE ranks the same model lower; a zero-watt server
+        // ranks last.
+        assert_eq!(efficiency_order(&servers), [1, 4, 0, 2, 3]);
+        assert!(efficiency_order(&[]).is_empty());
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use crate::constraint::Constraint;
 use crate::ffd::first_fit_decreasing;
 use crate::item::{PackItem, PackServer};
+use crate::pac::efficiency_order;
 use crate::plan::{ConsolidationPlan, Move};
 use std::collections::BTreeMap;
 use vdc_dcsim::VmId;
@@ -45,17 +46,9 @@ pub fn pmapper_plan(
 
     // ---- Phase 1: virtual placement of ALL VMs, FFD over
     // efficiency-sorted servers (no actual migration yet).
-    let mut order: Vec<usize> = (0..servers.len()).collect();
-    order.sort_by(|&a, &b| {
-        servers[b]
-            .power_efficiency()
-            .partial_cmp(&servers[a].power_efficiency())
-            .expect("finite efficiency")
-            .then(a.cmp(&b))
-    });
-    let mut virtual_servers: Vec<PackServer> = order
-        .iter()
-        .map(|&i| PackServer {
+    let mut virtual_servers: Vec<PackServer> = efficiency_order(servers)
+        .into_iter()
+        .map(|i| PackServer {
             resident: Vec::new(),
             ..servers[i].clone()
         })

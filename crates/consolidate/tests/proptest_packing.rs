@@ -453,8 +453,8 @@ mod additive_admission {
             let slow = pac_pack(&mut slow_servers, &c.pool, &reference, &c.cfg);
             prop_assert_eq!(fast.assignments, slow.assignments);
             prop_assert_eq!(fast.unplaced, slow.unplaced);
-            prop_assert_eq!(fast.total_steps, slow.total_steps);
-            prop_assert_eq!(fast.total_relaxations, slow.total_relaxations);
+            prop_assert_eq!(fast.work.steps, slow.work.steps);
+            prop_assert_eq!(fast.work.relaxations, slow.work.relaxations);
             Ok(())
         });
     }

@@ -8,10 +8,10 @@
 use crate::Result;
 use std::collections::BTreeSet;
 use vdc_consolidate::constraint::AndConstraint;
-use vdc_consolidate::ipac::{ipac_plan_stats, IpacStats};
+use vdc_consolidate::ipac::ipac_plan_stats;
 use vdc_consolidate::item::{PackItem, PackServer};
 use vdc_consolidate::minslack::MinSlackConfig;
-use vdc_consolidate::pac::pac_pack;
+use vdc_consolidate::pac::{efficiency_order, pac_pack, SearchWork};
 use vdc_consolidate::plan::{ConsolidationPlan, Move};
 use vdc_consolidate::pmapper::pmapper_plan;
 use vdc_consolidate::policy::AlwaysAllow;
@@ -84,6 +84,20 @@ struct RouteSlot {
     closed: bool,
 }
 
+/// A pod's CPU capacity and resident demand (GHz), each one running sum
+/// over its servers.
+fn pod_load(view: &[PackServer]) -> (f64, f64) {
+    let mut cap = 0.0;
+    let mut dem = 0.0;
+    for s in view {
+        cap += s.cpu_capacity_ghz;
+        for it in &s.resident {
+            dem += it.cpu_ghz;
+        }
+    }
+    (cap, dem)
+}
+
 /// Replay a plan onto a fleet view whose position equals the global server
 /// index (the shape [`snapshot`] produces), so the hierarchical
 /// spill and rebalance passes can reason about the post-plan placement
@@ -125,25 +139,20 @@ pub enum Algorithm {
 pub struct OptimizerConfig {
     /// Consolidation algorithm.
     pub(crate) algorithm: Algorithm,
-    /// Packing feasibility rule (defaults to CPU + memory, the §VII-B
-    /// administrator constraint).
-    pub(crate) constraint: AndConstraint,
 }
 
 impl OptimizerConfig {
-    /// Default IPAC configuration with the standard constraint set.
+    /// The IPAC optimizer.
     pub fn ipac_default() -> OptimizerConfig {
         OptimizerConfig {
             algorithm: Algorithm::Ipac,
-            constraint: AndConstraint::cpu_and_memory(),
         }
     }
 
-    /// Default pMapper configuration with the standard constraint set.
+    /// The pMapper optimizer.
     pub(crate) fn pmapper_default() -> OptimizerConfig {
         OptimizerConfig {
             algorithm: Algorithm::Pmapper,
-            constraint: AndConstraint::cpu_and_memory(),
         }
     }
 }
@@ -151,6 +160,9 @@ impl OptimizerConfig {
 /// The data-center-level power optimizer.
 pub struct PowerOptimizer {
     cfg: OptimizerConfig,
+    /// The packing rule: CPU and memory, the §VII-B administrator
+    /// constraint.
+    constraint: AndConstraint,
     invocations: u64,
     total_migrations: u64,
     telemetry: Telemetry,
@@ -163,6 +175,7 @@ impl PowerOptimizer {
     pub fn new(cfg: OptimizerConfig) -> PowerOptimizer {
         PowerOptimizer {
             cfg,
+            constraint: AndConstraint::cpu_and_memory(),
             invocations: 0,
             total_migrations: 0,
             telemetry: Telemetry::disabled(),
@@ -222,42 +235,43 @@ impl PowerOptimizer {
         let span = self.telemetry.timer("optimizer.snapshot_ns");
         let snap = snapshot(dc);
         span.finish();
-        if let Some(pod_size) = self.pods {
+        let pods = self.pods.map(|pod_size| {
             let sites: Vec<usize> = (0..snap.len())
                 .map(|i| dc.server_site(ServerHandle::from_index(i)))
                 .collect();
-            let pods = pod_partition(&sites, pod_size);
-            if pods.len() > 1 {
-                return self.plan_hierarchical(&snap, new_items, &pods);
+            pod_partition(&sites, pod_size)
+        });
+        let (plan, work) = match pods {
+            Some(pods) if pods.len() > 1 => {
+                let (plan, work) = self.plan_hierarchical(&snap, new_items, &pods);
+                (plan, Some(work))
             }
-            // A single pod is the whole fleet: fall through to the flat
-            // planner so `pod_size >= n_servers` degenerates bitwise.
-        }
-        self.plan_flat(&snap, new_items)
-    }
-
-    /// Flat (whole-fleet) planning: the paper's global PAC/IPAC or pMapper.
-    fn plan_flat(&self, snap: &[PackServer], new_items: &[PackItem]) -> ConsolidationPlan {
-        match self.cfg.algorithm {
-            Algorithm::Ipac => {
-                let (plan, stats) =
-                    ipac_plan_stats(snap, new_items, &self.cfg.constraint, &AlwaysAllow);
+            // Flat (whole-fleet) planning: the paper's global IPAC or
+            // pMapper. A single pod is the whole fleet, so
+            // `pod_size >= n_servers` degenerates bitwise.
+            _ => match self.cfg.algorithm {
+                Algorithm::Ipac => {
+                    let (plan, work) =
+                        ipac_plan_stats(&snap, new_items, &self.constraint, &AlwaysAllow);
+                    (plan, Some(work))
+                }
+                // Flat pMapper runs no Minimum Slack.
+                Algorithm::Pmapper => (pmapper_plan(&snap, new_items, &self.constraint), None),
+            },
+        };
+        // The steps and ε relaxations of every pack the invocation ran.
+        // Unlike the clock they are deterministic, so `results_gate` pins
+        // the search cost exactly.
+        if let Some(work) = work {
+            if self.cfg.algorithm == Algorithm::Ipac {
                 self.telemetry
-                    .record("optimizer.pack_search_ns", stats.search_ns as f64);
-                self.count_search_work(stats.steps, stats.relaxations);
-                plan
+                    .record("optimizer.pack_search_ns", work.search_ns as f64);
             }
-            Algorithm::Pmapper => pmapper_plan(snap, new_items, &self.cfg.constraint),
+            self.telemetry.incr("optimizer.pack_steps", work.steps);
+            self.telemetry
+                .incr("optimizer.pack_relaxations", work.relaxations);
         }
-    }
-
-    /// Count Minimum Slack work: the steps and ε relaxations of every pack
-    /// an invocation runs. Unlike the clocks these are deterministic, so
-    /// `results_gate` pins the search cost exactly.
-    fn count_search_work(&self, steps: u64, relaxations: u64) {
-        self.telemetry.incr("optimizer.pack_steps", steps);
-        self.telemetry
-            .incr("optimizer.pack_relaxations", relaxations);
+        plan
     }
 
     /// Hierarchical planning: pack each pod independently (fanned out over
@@ -269,13 +283,14 @@ impl PowerOptimizer {
     /// The result is deterministic and independent of the shard count:
     /// pods are packed from the same immutable snapshot, merged in pod
     /// index order, and both the spill and rebalance passes run
-    /// sequentially on the merged view.
+    /// sequentially on the merged view. Returns the plan and the Minimum
+    /// Slack work of every pack, the pods' and the fleet-wide passes'.
     fn plan_hierarchical(
         &self,
         snap: &[PackServer],
         new_items: &[PackItem],
         pods: &[std::ops::Range<usize>],
-    ) -> ConsolidationPlan {
+    ) -> (ConsolidationPlan, SearchWork) {
         self.telemetry
             .gauge_set("optimizer.pod_count", pods.len() as f64);
         self.telemetry
@@ -318,14 +333,7 @@ impl PowerOptimizer {
                 }
                 routes.push(route);
             }
-            let mut order: Vec<usize> = (0..snap.len()).collect();
-            order.sort_by(|&a, &b| {
-                snap[b]
-                    .power_efficiency()
-                    .total_cmp(&snap[a].power_efficiency())
-                    .then(a.cmp(&b))
-            });
-            let mut open: Vec<RouteSlot> = order
+            let mut open: Vec<RouteSlot> = efficiency_order(snap)
                 .into_iter()
                 .map(|si| {
                     let s = &snap[si];
@@ -390,7 +398,7 @@ impl PowerOptimizer {
 
         // Pack each pod independently, fanned out over the shard workers.
         let algorithm = self.cfg.algorithm;
-        let constraint = &self.cfg.constraint;
+        let constraint = &self.constraint;
         let pod_items = &pod_items;
         let pod_plans = crate::shard::map_indices(pods.len(), self.shards, |p| {
             let view = &snap[pods[p].clone()];
@@ -398,7 +406,7 @@ impl PowerOptimizer {
                 Algorithm::Ipac => ipac_plan_stats(view, &pod_items[p], constraint, &AlwaysAllow),
                 Algorithm::Pmapper => (
                     pmapper_plan(view, &pod_items[p], constraint),
-                    IpacStats::default(),
+                    SearchWork::default(),
                 ),
             }
         });
@@ -407,20 +415,13 @@ impl PowerOptimizer {
         // Pod plans already speak global server indices (PackServer::index
         // survives slicing).
         let mut plan = ConsolidationPlan::default();
-        let mut pods_work = IpacStats::default();
-        for (pod_plan, stats) in pod_plans {
+        let mut work = SearchWork::default();
+        for (pod_plan, pod_work) in pod_plans {
             plan.moves.extend(pod_plan.moves);
             plan.servers_to_sleep.extend(pod_plan.servers_to_sleep);
             plan.servers_to_wake.extend(pod_plan.servers_to_wake);
-            pods_work.search_ns += stats.search_ns;
-            pods_work.steps += stats.steps;
-            pods_work.relaxations += stats.relaxations;
+            work.add(pod_work);
         }
-        if algorithm == Algorithm::Ipac {
-            self.telemetry
-                .record("optimizer.pack_search_ns", pods_work.search_ns as f64);
-        }
-        self.count_search_work(pods_work.steps, pods_work.relaxations);
 
         // Post-plan fleet view (position == global index) for the global
         // passes below.
@@ -445,7 +446,7 @@ impl PowerOptimizer {
         if !spill.is_empty() {
             let was_active: Vec<bool> = post.iter().map(|s| s.active).collect();
             let res = pac_pack(&mut post, &spill, constraint, &MinSlackConfig::default());
-            self.count_search_work(res.total_steps, res.total_relaxations);
+            work.add(res.work);
             let mut spill_placed = 0u64;
             for &(vm, si) in &res.assignments {
                 let item = spill.iter().find(|it| it.vm == vm).expect("spill item");
@@ -476,14 +477,7 @@ impl PowerOptimizer {
         let mut best = 0usize;
         let (mut worst_fill, mut best_slack) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
         for (p, range) in pods.iter().enumerate() {
-            let mut cap = 0.0;
-            let mut dem = 0.0;
-            for s in &post[range.clone()] {
-                cap += s.cpu_capacity_ghz;
-                for it in &s.resident {
-                    dem += it.cpu_ghz;
-                }
-            }
+            let (cap, dem) = pod_load(&post[range.clone()]);
             let fill = if cap > 0.0 { dem / cap } else { 0.0 };
             let slack = cap - dem;
             if fill > worst_fill {
@@ -501,7 +495,7 @@ impl PowerOptimizer {
             // fits again.
             let mut candidates: Vec<(PackItem, usize)> = Vec::new();
             for s in &post[pods[worst].clone()] {
-                let mut dem: f64 = s.resident.iter().map(|it| it.cpu_ghz).sum();
+                let mut dem = s.resident_cpu();
                 if dem <= s.cpu_capacity_ghz {
                     continue;
                 }
@@ -529,7 +523,7 @@ impl PowerOptimizer {
                 let items: Vec<PackItem> = candidates.iter().map(|(it, _)| *it).collect();
                 let was_active: Vec<bool> = target.iter().map(|s| s.active).collect();
                 let res = pac_pack(&mut target, &items, constraint, &MinSlackConfig::default());
-                self.count_search_work(res.total_steps, res.total_relaxations);
+                work.add(res.work);
                 let mut rebalance_moves = 0u64;
                 for &(vm, si) in &res.assignments {
                     let (item, origin) = candidates
@@ -560,8 +554,8 @@ impl PowerOptimizer {
             }
         }
 
-        self.drain_pass(&mut post, &mut plan, pods);
-        plan
+        work.add(self.drain_pass(&mut post, &mut plan, pods));
+        (plan, work)
     }
 
     /// Fragmentation drain: per-pod packing strands partially-filled
@@ -578,24 +572,14 @@ impl PowerOptimizer {
     /// move's target is rewritten — while residents already migrated by a
     /// pod plan block their server (one move per VM: `apply_plan` detaches
     /// all movers before re-attaching, so a second move would corrupt the
-    /// VM).
+    /// VM). Returns the Minimum Slack work of its packs.
     fn drain_pass(
         &self,
         post: &mut [PackServer],
         plan: &mut ConsolidationPlan,
         pods: &[std::ops::Range<usize>],
-    ) {
-        let pod_load = |view: &[PackServer]| {
-            let mut cap = 0.0;
-            let mut dem = 0.0;
-            for s in view {
-                cap += s.cpu_capacity_ghz;
-                for it in &s.resident {
-                    dem += it.cpu_ghz;
-                }
-            }
-            (cap, dem)
-        };
+    ) -> SearchWork {
+        let mut work = SearchWork::default();
         // Emptiest pod with any demand (ties break toward the lower pod).
         let mut lo: Option<usize> = None;
         let mut lo_fill = f64::INFINITY;
@@ -606,7 +590,7 @@ impl PowerOptimizer {
                 lo = Some(p);
             }
         }
-        let Some(lo) = lo else { return };
+        let Some(lo) = lo else { return work };
         // Best active-headroom pod other than the source.
         let mut hi: Option<usize> = None;
         let mut hi_slack = f64::NEG_INFINITY;
@@ -617,17 +601,14 @@ impl PowerOptimizer {
             let slack: f64 = post[range.clone()]
                 .iter()
                 .filter(|s| s.active)
-                .map(|s| {
-                    let dem: f64 = s.resident.iter().map(|it| it.cpu_ghz).sum();
-                    (s.cpu_capacity_ghz - dem).max(0.0)
-                })
+                .map(|s| (s.cpu_capacity_ghz - s.resident_cpu()).max(0.0))
                 .sum();
             if slack > hi_slack {
                 hi_slack = slack;
                 hi = Some(p);
             }
         }
-        let Some(hi) = hi else { return };
+        let Some(hi) = hi else { return work };
 
         // Residents already *migrated* (from: Some) pin their server;
         // fresh placements (from: None) can be re-routed in place.
@@ -655,10 +636,10 @@ impl PowerOptimizer {
             .clone()
             .filter(|&i| post[i].active && !post[i].resident.is_empty())
             .collect();
-        let server_demand = |s: &PackServer| s.resident.iter().map(|it| it.cpu_ghz).sum::<f64>();
         sources.sort_by(|&a, &b| {
-            server_demand(&post[a])
-                .total_cmp(&server_demand(&post[b]))
+            post[a]
+                .resident_cpu()
+                .total_cmp(&post[b].resident_cpu())
                 .then_with(|| a.cmp(&b))
         });
         let mut drain_moves = 0u64;
@@ -671,10 +652,10 @@ impl PowerOptimizer {
             let res = pac_pack(
                 &mut trial,
                 &items,
-                &self.cfg.constraint,
+                &self.constraint,
                 &MinSlackConfig::default(),
             );
-            self.count_search_work(res.total_steps, res.total_relaxations);
+            work.add(res.work);
             // Two wins, two commit rules. A *full* drain empties the
             // server and sleeps it — the idle-power saving justifies any
             // active target. A *partial* drain keeps the source awake, so
@@ -724,6 +705,7 @@ impl PowerOptimizer {
         }
         self.telemetry
             .incr("optimizer.pod_drain_moves", drain_moves);
+        work
     }
 
     /// One optimizer invocation: snapshot → plan → apply. `new_items` are
