@@ -6,11 +6,13 @@
 //! controller tracking the 90-percentile response time by adjusting the
 //! per-tier CPU allocations every control period.
 
+use crate::tier::TierController;
 use crate::{CoreError, Result};
 use vdc_apptier::monitor::SlaMetric;
 use vdc_apptier::Plant;
 use vdc_control::sysid::{fit_arx, ExperimentData, Prbs};
 use vdc_control::{ArxModel, MpcConfig, MpcController, ReferenceTrajectory};
+use vdc_telemetry::Telemetry;
 
 /// Nominal reference time constant, as a multiple of the control period.
 const REFERENCE_TC_PERIODS: f64 = 3.0;
@@ -176,93 +178,27 @@ impl ResponseTimeController {
         self.metric = metric;
     }
 
-    /// Attach a telemetry sink to the underlying MPC (phase-split timings
-    /// and solver-fallback counters; see [`MpcController::set_telemetry`]).
-    pub(crate) fn set_telemetry(&mut self, telemetry: vdc_telemetry::Telemetry) {
-        self.mpc.set_telemetry(telemetry);
+    fn force_allocation(&mut self, alloc: &[f64]) {
+        // Reset the MPC state at the forced allocation, keeping the model,
+        // config, and cached predictor; histories reset, which is
+        // acceptable after a starvation event (the old dynamics are stale
+        // anyway).
+        let _ = self.mpc.force_allocation(alloc);
     }
 
-    /// Override the per-tier allocation bounds (GHz). The edit happens in
-    /// place: controller state resets as a rebuild would, but the MPC's
-    /// cached step-response matrix survives (it depends only on the model
-    /// and horizons). Invalid bounds (non-finite, inverted, or infeasible
-    /// against the rate limit) are rejected: the error is returned, a
-    /// `control.bad_bounds` telemetry counter ticks, and the previous
-    /// bounds stay in force.
-    pub(crate) fn set_bounds(&mut self, c_min: f64, c_max: f64) -> Result<()> {
-        let n = self.mpc.model().n_inputs();
-        self.mpc
-            .set_allocation_bounds(vec![c_min; n], vec![c_max; n])
-            .map_err(|e| {
-                self.mpc.telemetry().incr("control.bad_bounds", 1);
-                CoreError::Control(e)
-            })
+    /// Mutable access to the wrapped MPC, for the cooling-coupled spec's
+    /// energy weight, without widening the public surface.
+    pub(crate) fn mpc_mut(&mut self) -> &mut MpcController {
+        &mut self.mpc
     }
+}
 
-    /// Control period (seconds).
-    pub(crate) fn period_s(&self) -> f64 {
-        self.period_s
-    }
-
-    /// Change the set point (ms) at run time.
-    pub fn set_setpoint(&mut self, setpoint_ms: f64) {
-        self.mpc.set_setpoint(setpoint_ms);
-    }
-
-    /// Current set point (ms).
-    pub(crate) fn setpoint(&self) -> f64 {
-        self.mpc.config().setpoint
-    }
-
-    /// Currently applied allocation (GHz per tier).
-    pub fn allocation(&self) -> &[f64] {
-        self.mpc.current_allocation()
-    }
-
-    /// Most recent measurement fed to the controller (ms).
-    pub(crate) fn last_measurement_ms(&self) -> Option<f64> {
-        self.last_measurement_ms
-    }
-
-    /// Whether the controller is holding in sensor-dropout safe mode.
-    pub(crate) fn in_safe_mode(&self) -> bool {
-        self.safe_mode
-    }
-
-    /// Run one control period with the response-time sensor *down*: the
-    /// plant advances under the frozen last-good allocation, completions
-    /// drain unseen (the monitor that would time them is the thing that
-    /// failed), and no MPC step runs — stepping on a fabricated number
-    /// would chase noise that isn't there. The first masked period enters
-    /// safe mode: the EWMA filter resets (pre-outage dynamics are stale)
-    /// and the reference band widens so re-entry is gentle. Returns
-    /// `Ok(None)` always — a masked sample is *absent*, never `0.0`.
-    pub(crate) fn control_period_masked<P: Plant + ?Sized>(
-        &mut self,
-        plant: &mut P,
-    ) -> Result<Option<f64>> {
-        plant.set_allocations(self.allocation())?;
-        plant.run_for(self.period_s);
-        let _ = plant.take_completed();
-        if !self.safe_mode {
-            self.safe_mode = true;
-            if let Ok(wide) = ReferenceTrajectory::new(
-                self.period_s,
-                SAFE_MODE_REFERENCE_SCALE * REFERENCE_TC_PERIODS * self.period_s,
-            ) {
-                self.mpc.set_reference(wide);
-            }
-        }
-        self.last_measurement_ms = None;
-        self.filtered_ms = None;
-        Ok(None)
-    }
-
+impl TierController for ResponseTimeController {
     /// Run one control period against the plant: simulate `period_s`
     /// seconds, measure the 90-percentile response time, and compute and
     /// apply the next allocation. Returns the measurement (ms) if any
     /// requests completed.
-    pub fn control_period<P: Plant + ?Sized>(&mut self, plant: &mut P) -> Result<Option<f64>> {
+    fn control_period(&mut self, plant: &mut dyn Plant) -> Result<Option<f64>> {
         plant.set_allocations(self.allocation())?;
         plant.run_for(self.period_s);
         let Some(measured_s) = plant.measure(self.metric) else {
@@ -308,19 +244,83 @@ impl ResponseTimeController {
         Ok(Some(t_ms))
     }
 
-    fn force_allocation(&mut self, alloc: &[f64]) {
-        // Reset the MPC state at the forced allocation, keeping the model,
-        // config, and cached predictor; histories reset, which is
-        // acceptable after a starvation event (the old dynamics are stale
-        // anyway).
-        let _ = self.mpc.force_allocation(alloc);
+    /// Run one control period with the response-time sensor *down*: the
+    /// plant advances under the frozen last-good allocation, completions
+    /// drain unseen (the monitor that would time them is the thing that
+    /// failed), and no MPC step runs — stepping on a fabricated number
+    /// would chase noise that isn't there. The first masked period enters
+    /// safe mode: the EWMA filter resets (pre-outage dynamics are stale)
+    /// and the reference band widens so re-entry is gentle. Returns
+    /// `Ok(None)` always — a masked sample is *absent*, never `0.0`.
+    fn control_period_masked(&mut self, plant: &mut dyn Plant) -> Result<Option<f64>> {
+        plant.set_allocations(self.allocation())?;
+        plant.run_for(self.period_s);
+        let _ = plant.take_completed();
+        if !self.safe_mode {
+            self.safe_mode = true;
+            if let Ok(wide) = ReferenceTrajectory::new(
+                self.period_s,
+                SAFE_MODE_REFERENCE_SCALE * REFERENCE_TC_PERIODS * self.period_s,
+            ) {
+                self.mpc.set_reference(wide);
+            }
+        }
+        self.last_measurement_ms = None;
+        self.filtered_ms = None;
+        Ok(None)
     }
 
-    /// Mutable access to the wrapped MPC, for the cooling-coupled spec
-    /// (its energy weight) and the PUE feed, without widening the public
-    /// surface.
-    pub(crate) fn mpc_mut(&mut self) -> &mut MpcController {
-        &mut self.mpc
+    fn allocation(&self) -> &[f64] {
+        self.mpc.current_allocation()
+    }
+
+    /// The edit happens in place: controller state resets as a rebuild
+    /// would, but the MPC's cached step-response matrix survives (it
+    /// depends only on the model and horizons). Invalid bounds
+    /// (non-finite, inverted, or infeasible against the rate limit) are
+    /// rejected: the error is returned, a `control.bad_bounds` telemetry
+    /// counter ticks, and the previous bounds stay in force.
+    fn set_bounds(&mut self, c_min: f64, c_max: f64) -> Result<()> {
+        let n = self.mpc.model().n_inputs();
+        self.mpc
+            .set_allocation_bounds(vec![c_min; n], vec![c_max; n])
+            .map_err(|e| {
+                self.mpc.telemetry().incr("control.bad_bounds", 1);
+                CoreError::Control(e)
+            })
+    }
+
+    fn set_setpoint(&mut self, setpoint_ms: f64) {
+        self.mpc.set_setpoint(setpoint_ms);
+    }
+
+    fn setpoint(&self) -> f64 {
+        self.mpc.config().setpoint
+    }
+
+    fn period_s(&self) -> f64 {
+        self.period_s
+    }
+
+    fn in_safe_mode(&self) -> bool {
+        self.safe_mode
+    }
+
+    fn last_measurement_ms(&self) -> Option<f64> {
+        self.last_measurement_ms
+    }
+
+    /// Attached to the underlying MPC (phase-split timings and
+    /// solver-fallback counters; see [`MpcController::set_telemetry`]).
+    fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.mpc.set_telemetry(telemetry);
+    }
+
+    /// Recorded by the MPC, which reads it only through a non-zero energy
+    /// weight (`ControllerSpec::CoolingMpc`): at the paper's weight of 0 the
+    /// cooling term appends no rows, so the control law is unchanged.
+    fn observe_pue(&mut self, pue: f64) {
+        self.mpc.set_pue(pue);
     }
 }
 

@@ -8,6 +8,7 @@ use crate::controller::{identify_plant, IdentificationConfig, ResponseTimeContro
 use crate::largescale::{run_large_scale, LargeScaleConfig, LargeScaleResult, OptimizerKind};
 use crate::run::RunOptions;
 use crate::testbed::{Testbed, TestbedConfig};
+use crate::tier::TierController;
 use crate::Result;
 use vdc_apptier::monitor::SlaMetric;
 use vdc_apptier::{AnalyticPlant, AppSim, Plant, WorkloadProfile};

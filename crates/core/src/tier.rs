@@ -20,8 +20,7 @@
 //!   [`TierController::observe_pue`] from the fleet layer's `PueSeries`.
 //!
 //! Selection is data, not code: [`ControllerSpec`] travels on
-//! `CosimConfig`/`RunOptions`/`TestbedConfig` and builds the boxed
-//! controller from the identified model.
+//! `RunOptions` and builds the boxed controller from the identified model.
 //!
 //! ## Trait contract
 //!
@@ -104,55 +103,6 @@ pub trait TierController: Send + std::fmt::Debug {
     /// arbitrators aggregate.
     fn total_demand_ghz(&self) -> f64 {
         self.allocation().iter().sum()
-    }
-}
-
-impl TierController for ResponseTimeController {
-    fn control_period(&mut self, plant: &mut dyn Plant) -> Result<Option<f64>> {
-        ResponseTimeController::control_period(self, plant)
-    }
-
-    fn control_period_masked(&mut self, plant: &mut dyn Plant) -> Result<Option<f64>> {
-        ResponseTimeController::control_period_masked(self, plant)
-    }
-
-    fn allocation(&self) -> &[f64] {
-        ResponseTimeController::allocation(self)
-    }
-
-    fn set_bounds(&mut self, c_min: f64, c_max: f64) -> Result<()> {
-        ResponseTimeController::set_bounds(self, c_min, c_max)
-    }
-
-    fn set_setpoint(&mut self, setpoint_ms: f64) {
-        ResponseTimeController::set_setpoint(self, setpoint_ms);
-    }
-
-    fn setpoint(&self) -> f64 {
-        ResponseTimeController::setpoint(self)
-    }
-
-    fn period_s(&self) -> f64 {
-        ResponseTimeController::period_s(self)
-    }
-
-    fn in_safe_mode(&self) -> bool {
-        ResponseTimeController::in_safe_mode(self)
-    }
-
-    fn last_measurement_ms(&self) -> Option<f64> {
-        ResponseTimeController::last_measurement_ms(self)
-    }
-
-    fn set_telemetry(&mut self, telemetry: Telemetry) {
-        ResponseTimeController::set_telemetry(self, telemetry);
-    }
-
-    /// Recorded by the MPC, which reads it only through a non-zero energy
-    /// weight (`ControllerSpec::CoolingMpc`): at the paper's weight of 0 the
-    /// cooling term appends no rows, so the control law is unchanged.
-    fn observe_pue(&mut self, pue: f64) {
-        self.mpc_mut().set_pue(pue);
     }
 }
 

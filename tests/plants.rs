@@ -4,6 +4,7 @@
 
 use vdcpower::apptier::{AnalyticPlant, AppSim, Plant, WorkloadProfile};
 use vdcpower::core::controller::{identify_plant, IdentificationConfig, ResponseTimeController};
+use vdcpower::core::TierController;
 
 fn ident() -> IdentificationConfig {
     IdentificationConfig {

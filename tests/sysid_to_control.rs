@@ -6,6 +6,7 @@
 use vdcpower::apptier::{AppSim, WorkloadProfile};
 use vdcpower::control::stability::{is_stable, model_poles};
 use vdcpower::core::controller::{identify_plant, IdentificationConfig, ResponseTimeController};
+use vdcpower::core::TierController;
 
 fn ident_cfg() -> IdentificationConfig {
     IdentificationConfig {
