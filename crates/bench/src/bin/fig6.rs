@@ -19,6 +19,7 @@
 use vdc_apptier::rng::SimRng;
 use vdc_bench::{figure_header, rule};
 use vdc_core::experiments::{fig6, Fig6Config};
+use vdc_core::RunOptions;
 use vdc_dcsim::FleetSpec;
 use vdc_telemetry::{arg_num, arg_present, exit_with};
 use vdc_trace::{generate_trace, TraceConfig};
@@ -110,12 +111,12 @@ fn main() {
         None
     };
     let fig6_cfg = Fig6Config {
-        shards,
         fleet_spec,
         ..Fig6Config::new(sizes)
     };
+    let opts = RunOptions::default().with_shards(shards);
     let points =
-        fig6(&trace, &fig6_cfg).unwrap_or_else(|e| exit_with(&format!("fig6 failed: {e}")));
+        fig6(&trace, &fig6_cfg, &opts).unwrap_or_else(|e| exit_with(&format!("fig6 failed: {e}")));
 
     rule(104);
     println!(

@@ -341,8 +341,6 @@ impl Fig6Point {
 pub struct Fig6Config {
     /// Data-center sizes to sweep (number of VMs per point).
     pub sizes: Vec<usize>,
-    /// Shard count for the across-sizes fan-out (`0` = host parallelism).
-    pub shards: usize,
     /// Heterogeneous multi-site fleet shared by every swept size. `None`
     /// keeps the legacy homogeneous-catalog fleet, sized by the paper
     /// ratio (3,000 servers for 5,415 VMs) for the largest swept size.
@@ -350,31 +348,35 @@ pub struct Fig6Config {
 }
 
 impl Fig6Config {
-    /// Sweep the given sizes with the paper-ratio fleet at host parallelism.
+    /// Sweep the given sizes with the paper-ratio fleet.
     pub fn new(sizes: impl Into<Vec<usize>>) -> Fig6Config {
         Fig6Config {
             sizes: sizes.into(),
-            shards: 0,
             fleet_spec: None,
         }
     }
 }
 
 /// Fig. 6: energy per VM for IPAC vs pMapper across data-center sizes,
-/// parallelized across sizes on the crate's `shard` substrate. Each swept
-/// size is one shard-map element; results come back in sweep order, so the
-/// output is identical for every shard count.
+/// fanned out across sizes over `opts`' shard workers. Each swept size is
+/// one shard-map element; results come back in sweep order, so the output
+/// is identical for every shard count. The shard count is the only option
+/// read: every size replays with [`RunOptions::default`].
 ///
 /// Every size runs against the **same fixed server fleet** (the paper uses
 /// one pool of 3,000 simulated servers for all 54 data centers): small data
 /// centers occupy only the most power-efficient machines, large ones are
 /// forced onto less efficient types — which is what makes energy-per-VM
 /// rise with the VM count in Fig. 6.
-pub fn fig6(trace: &UtilizationTrace, cfg: &Fig6Config) -> Result<Vec<Fig6Point>> {
+pub fn fig6(
+    trace: &UtilizationTrace,
+    cfg: &Fig6Config,
+    opts: &RunOptions,
+) -> Result<Vec<Fig6Point>> {
     // Paper ratio: 3,000 servers for 5,415 VMs.
     let max_size = cfg.sizes.iter().copied().max().unwrap_or(1);
     let fleet = ((max_size as f64 * 3000.0 / 5415.0).ceil() as usize).max(8);
-    crate::shard::map_indices(cfg.sizes.len(), cfg.shards, |i| {
+    crate::shard::map_indices(cfg.sizes.len(), opts.shards(), |i| {
         let n_vms = cfg.sizes[i];
         let mut ipac_cfg = LargeScaleConfig::new(n_vms, OptimizerKind::Ipac);
         ipac_cfg.n_servers = Some(fleet);
@@ -452,7 +454,8 @@ mod tests {
             interval_s: 900.0,
             seed: 5,
         });
-        let points = fig6(&trace, &Fig6Config::new([20, 40, 60])).unwrap();
+        let opts = RunOptions::default().with_shards(0);
+        let points = fig6(&trace, &Fig6Config::new([20, 40, 60]), &opts).unwrap();
         assert_eq!(points.len(), 3);
         for p in &points {
             assert!(p.ipac.energy_per_vm_wh > 0.0);
@@ -474,24 +477,10 @@ mod tests {
             interval_s: 900.0,
             seed: 7,
         });
-        let sizes = vec![10usize, 25, 40];
-        let single = fig6(
-            &trace,
-            &Fig6Config {
-                shards: 1,
-                ..Fig6Config::new(sizes.clone())
-            },
-        )
-        .unwrap();
+        let cfg = Fig6Config::new([10, 25, 40]);
+        let single = fig6(&trace, &cfg, &RunOptions::default()).unwrap();
         for shards in [2usize, 8] {
-            let sharded = fig6(
-                &trace,
-                &Fig6Config {
-                    shards,
-                    ..Fig6Config::new(sizes.clone())
-                },
-            )
-            .unwrap();
+            let sharded = fig6(&trace, &cfg, &RunOptions::default().with_shards(shards)).unwrap();
             assert_eq!(sharded.len(), single.len());
             for (a, b) in sharded.iter().zip(&single) {
                 assert_eq!(a.n_vms, b.n_vms);

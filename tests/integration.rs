@@ -87,7 +87,8 @@ fn large_scale_shapes_match_the_paper() {
         interval_s: 900.0,
         seed: 1234,
     });
-    let points = fig6(&trace, &Fig6Config::new([40, 80])).expect("fig6 runs");
+    let points =
+        fig6(&trace, &Fig6Config::new([40, 80]), &RunOptions::default()).expect("fig6 runs");
     assert_eq!(points.len(), 2);
     for p in &points {
         // The headline claim: IPAC consumes less energy per VM.
