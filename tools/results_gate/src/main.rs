@@ -22,7 +22,7 @@
 //! others stay byte-identical.
 //!
 //! ```text
-//! results_gate --baseline results --fresh target/results-gate/results [--bless]
+//! results_gate --baseline results --fresh target/results-gate/results [--tol REL] [--bless]
 //! ```
 
 use std::process::ExitCode;
@@ -620,34 +620,69 @@ fn bless(
     Ok(blessed)
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "usage: results_gate --fresh <dir> [--baseline <dir>] [--tol <rel>] [--bless]";
+
+/// The gate's command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    baseline: String,
+    fresh: String,
+    tol: f64,
+    bless: bool,
+}
+
+/// Parse the arguments after the program name: `--fresh DIR`, and
+/// optionally `--baseline DIR` (default `results`), `--tol REL` and
+/// `--bless`. Any other argument, or a flag without its value, is an
+/// error, so a misspelled flag cannot run the gate with a default.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let (mut baseline, mut fresh, mut tol, mut bless) =
+        ("results".to_string(), None, DEFAULT_TOL, false);
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        if flag == "--bless" {
+            bless = true;
+            continue;
+        }
+        if !matches!(flag.as_str(), "--baseline" | "--fresh" | "--tol") {
+            return Err(format!("unknown argument {flag:?}"));
+        }
+        let Some(value) = args.next().filter(|v| !v.starts_with("--")) else {
+            return Err(format!("{flag} needs a value"));
+        };
+        match flag.as_str() {
+            "--baseline" => baseline = value.clone(),
+            "--fresh" => fresh = Some(value.clone()),
+            _ => {
+                tol = value
+                    .parse()
+                    .map_err(|_| format!("--tol {value:?} is not a number"))?
+            }
+        }
+    }
+    let fresh = fresh.ok_or("--fresh is required")?;
+    Ok(Args {
+        baseline,
+        fresh,
+        tol,
+        bless,
+    })
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let baseline = arg_value(&args, "--baseline").unwrap_or_else(|| "results".to_string());
-    let Some(fresh) = arg_value(&args, "--fresh") else {
-        eprintln!("usage: results_gate --fresh <dir> [--baseline <dir>] [--tol <rel>] [--bless]");
-        return ExitCode::FAILURE;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("results_gate: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
-    let tol: f64 = match arg_value(&args, "--tol") {
-        None => DEFAULT_TOL,
-        Some(t) => match t.parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("--tol {t:?} is not a number");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let baseline_dir = std::path::Path::new(&baseline);
-    let fresh_dir = std::path::Path::new(&fresh);
+    let baseline_dir = std::path::Path::new(&args.baseline);
+    let fresh_dir = std::path::Path::new(&args.fresh);
 
-    if args.iter().any(|a| a == "--bless") {
-        return match bless(baseline_dir, fresh_dir, tol) {
+    if args.bless {
+        return match bless(baseline_dir, fresh_dir, args.tol) {
             Ok(blessed) => {
                 for name in &blessed.rewritten {
                     println!("blessed {name}");
@@ -666,7 +701,7 @@ fn main() -> ExitCode {
         };
     }
 
-    match run_gate(baseline_dir, fresh_dir, tol) {
+    match run_gate(baseline_dir, fresh_dir, args.tol) {
         Ok(report) if report.problems.is_empty() => {
             println!(
                 "results_gate: OK — {} result files match the committed baselines",
@@ -825,6 +860,37 @@ mod tests {
         .unwrap();
         let problems = compare_bench("f", &base, &renamed);
         assert!(problems.iter().any(|p| p.contains("benchmark set moved")));
+    }
+
+    #[test]
+    fn only_the_four_flags_are_accepted() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_args(&args)
+        };
+        let args = |baseline: &str, tol, bless| Args {
+            baseline: baseline.to_string(),
+            fresh: "f".to_string(),
+            tol,
+            bless,
+        };
+        assert_eq!(parse("--fresh f"), Ok(args("results", DEFAULT_TOL, false)));
+        assert_eq!(
+            parse("--bless --tol 0.5 --fresh f --baseline b"),
+            Ok(args("b", 0.5, true))
+        );
+        for bad in [
+            "--fresh f --blesss",
+            "--fresh f --tol",
+            "--fresh f --tol --bless",
+            "--fresh f --tol x",
+            "--basline b --fresh f",
+            "--fresh --bless",
+            "--fresh f stray",
+            "--baseline b",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
