@@ -29,11 +29,13 @@
 //!
 //! 1. the lowest-index root whose descent hit the ε early exit, if any
 //!    (later roots are never explored);
-//! 2. otherwise the root with the best fill (ties to the lowest index).
+//! 2. otherwise the best fill: the greedy fill below, unless a root
+//!    strictly beats it (ties to the lowest index).
 //!
 //! Every root's descent is seeded with the **greedy first fill** (walk the
 //! largest-first order once, take whatever is admitted) as its incumbent
-//! best. The seed is what makes the partitioned search affordable: a root
+//! best, and so is the sweep's winner: a greedy fill of items that need no
+//! CPU is kept though no root's fill exceeds its 0 GHz. The seed is what makes the partitioned search affordable: a root
 //! whose subtree cannot beat the greedy fill is cut by the suffix-sum
 //! bound after a single constraint evaluation. If the greedy fill already
 //! sits within ε the sweep never starts at all. Nor does it when the greedy
@@ -461,19 +463,20 @@ pub fn minimum_slack(
     };
 
     // Roots in index order: the first that qualifies wins and ends the
-    // sweep; without one, the best fill wins (ties to the lowest index).
-    // Every root up to the winner is counted. A new winner's subset is
-    // swapped out of the incumbent buffer, which the next root clears.
+    // sweep; without one, the best fill wins, the greedy fill unless a
+    // root strictly beats it (ties to the lowest index). Every root up to
+    // the winner is counted. A new winner's subset is swapped out of the
+    // incumbent buffer, which the next root clears.
     let mut steps = greedy_steps;
     let mut relaxations = 0;
-    let mut chosen = Vec::new();
-    let mut chosen_cpu: Option<f64> = None;
+    let mut chosen = greedy_idx.clone();
+    let mut chosen_cpu = greedy_cpu;
     for root in 0..roots {
         search.search(root);
         steps += search.steps;
         relaxations += search.relaxations;
-        if search.qualified || chosen_cpu.is_none_or(|cpu| search.best_cpu > cpu) {
-            chosen_cpu = Some(search.best_cpu);
+        if search.qualified || search.best_cpu > chosen_cpu {
+            chosen_cpu = search.best_cpu;
             std::mem::swap(&mut chosen, &mut search.best);
         }
         if search.qualified {
@@ -482,7 +485,7 @@ pub fn minimum_slack(
     }
     MinSlackResult {
         chosen,
-        slack_ghz: target - chosen_cpu.expect("a non-empty pool has a root"),
+        slack_ghz: target - chosen_cpu,
         steps,
         relaxations,
     }
@@ -778,6 +781,26 @@ mod tests {
         // The 4.0 item gives slack 0 and triggers early exit; the zero-CPU
         // item contributes nothing to slack so either way slack == 0.
         assert!(r.slack_ghz.abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_item_of_no_cpu_that_fits_alone_is_chosen() {
+        // The 6 GHz VM fits no 4 GHz server; the idle VM fits alone, and
+        // it is the greedy fill. No root beats that fill, so the search
+        // must return it, not the empty fill of the refused first root.
+        let s = server(4.0, 8192.0);
+        let q = vec![
+            PackItem::new(VmId(0), 6.0, 100.0),
+            PackItem::new(VmId(1), 0.0, 1000.0),
+        ];
+        let r = minimum_slack(
+            &s,
+            &q,
+            &AndConstraint::cpu_and_memory(),
+            &MinSlackConfig::default(),
+        );
+        assert_eq!(r.chosen, vec![1]);
+        assert_eq!(r.slack_ghz, 4.0);
     }
 
     #[test]

@@ -715,11 +715,10 @@ mod tests {
     #[test]
     fn a_batch_with_an_item_of_no_cpu_is_not_class_capped() {
         // Two models of one efficiency, 4 GHz at 180 W and 8 GHz at 360 W,
-        // asleep in the order small, small, big, small. While the 6 GHz VM
-        // is in PAC's list, Minimum Slack leaves the idle VM off an empty
-        // small server, though it fits there alone; the big server takes
-        // the 6 GHz VM, and the third small server then takes the idle
-        // one, past a cap of two small servers.
+        // asleep in the order small, small, big, small. The idle VM fits
+        // an empty small server alone, so the first one takes it while the
+        // 6 GHz VM is still in PAC's list; the big server takes the 6 GHz
+        // VM.
         let small = ServerSpec::type_dual_2ghz();
         let mut big = ServerSpec::type_quad_3ghz();
         big.max_freq_ghz = 2.0;
@@ -736,7 +735,7 @@ mod tests {
         ];
         let want = pack_onto_snapshot(&dc, &items, true);
         let on = |i| ServerHandle::from_index(i);
-        assert_eq!(want.woken, [(VmId(2), on(2)), (VmId(1), on(3))]);
+        assert_eq!(want.woken, [(VmId(1), on(0)), (VmId(2), on(2))]);
         assert_eq!(pack_onto_fleet(&dc, &items, true).woken, want.woken);
     }
 
