@@ -48,14 +48,11 @@ pub fn snapshot(dc: &DataCenter) -> Vec<PackServer> {
 /// are offered, the first in index order. PAC visits equally efficient
 /// servers in index order, and every class member that chooses something
 /// places a VM. A member with no residents chooses nothing only when its
-/// capacity is within ε or no remaining item fits it alone, which stays
-/// true for every later member as PAC's list shrinks. So the members that
-/// take VMs are the first ones, at most one per item. That middle step
-/// needs every item to ask for some CPU: when every item that fits alone
-/// has none, Minimum Slack can choose nothing on one member and take an
-/// item on a later one once the list has changed, so a batch with an item
-/// of zero CPU is not capped. Only the step counts of the searches on the
-/// members left out differ.
+/// capacity is within ε or no remaining item fits it alone (Minimum Slack
+/// keeps a nonempty greedy fill, of zero CPU too), which stays true for
+/// every later member as PAC's list shrinks. So the members that take VMs
+/// are the first ones, at most one per item. Only the step counts of the
+/// searches on the members left out differ.
 ///
 /// Failed hosts are never active, and advertise zero capacity; the
 /// sleeping side leaves out every server without capacity, as packing the
@@ -66,7 +63,6 @@ pub fn candidates(
     items: &[PackItem],
     constraint: &dyn Constraint,
 ) -> Vec<PackServer> {
-    let capped = items.iter().all(|x| x.cpu_ghz > 0.0);
     // Members of each class offered so far.
     let mut offered: BTreeMap<[u64; 8], usize> = BTreeMap::new();
     let mut out = Vec::new();
@@ -84,7 +80,7 @@ pub fn candidates(
         resident.extend(hosted_items(dc, server));
         let takes_one = match constraint.ceilings(&bin) {
             Some(c) => {
-                if capped && resident.is_empty() {
+                if resident.is_empty() {
                     let seen = offered.entry(class(&bin, c)).or_insert(0);
                     if *seen == items.len() {
                         continue;
@@ -447,13 +443,13 @@ mod tests {
         // A server of that model with a resident is still offered.
         assert_eq!(indices(&candidates(&dc, true, &batch, &rule)), [9, 10, 12]);
         assert_eq!(indices(&candidates(&dc, true, &batch[..1], &rule)), [9, 12]);
-        // A rule without ceilings caps nothing, and neither does a batch
-        // with an item that needs no CPU.
+        // A rule without ceilings caps nothing; a batch with an item that
+        // needs no CPU is capped like any other.
         let open = FnConstraint(|_: &PackServer, _: &[PackItem]| true);
         let asleep: Vec<usize> = (0..9).collect();
         assert_eq!(indices(&candidates(&dc, false, &batch, &open)), asleep);
         let idle = [batch[0], PackItem::new(VmId(7), 0.0, 512.0)];
-        assert_eq!(indices(&candidates(&dc, false, &idle, &rule)), asleep);
+        assert_eq!(indices(&candidates(&dc, false, &idle, &rule)), [0, 1, 6, 7]);
     }
 
     #[test]

@@ -713,12 +713,13 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_with_an_item_of_no_cpu_is_not_class_capped() {
+    fn a_batch_with_an_item_of_no_cpu_is_class_capped() {
         // Two models of one efficiency, 4 GHz at 180 W and 8 GHz at 360 W,
-        // asleep in the order small, small, big, small. The idle VM fits
-        // an empty small server alone, so the first one takes it while the
+        // asleep in the order small, small, big, small. The two-VM batch
+        // is offered the first two small servers. The idle VM fits an
+        // empty small server alone, so the first one takes it while the
         // 6 GHz VM is still in PAC's list; the big server takes the 6 GHz
-        // VM.
+        // VM, as when packing the whole side.
         let small = ServerSpec::type_dual_2ghz();
         let mut big = ServerSpec::type_quad_3ghz();
         big.max_freq_ghz = 2.0;
@@ -733,6 +734,9 @@ mod tests {
             PackItem::new(VmId(1), 0.0, 1000.0),
             PackItem::new(VmId(2), 6.0, 100.0),
         ];
+        let offered = candidates(&dc, false, &items, &AndConstraint::cpu_and_memory());
+        let indices: Vec<usize> = offered.iter().map(|s| s.index).collect();
+        assert_eq!(indices, [0, 1, 2]);
         let want = pack_onto_snapshot(&dc, &items, true);
         let on = |i| ServerHandle::from_index(i);
         assert_eq!(want.woken, [(VmId(1), on(0)), (VmId(2), on(2))]);
