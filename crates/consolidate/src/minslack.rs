@@ -35,13 +35,14 @@
 //! Every root's descent is seeded with the **greedy first fill** (walk the
 //! largest-first order once, take whatever is admitted) as its incumbent
 //! best, and so is the sweep's winner: a greedy fill of items that need no
-//! CPU is kept though no root's fill exceeds its 0 GHz. The seed is what makes the partitioned search affordable: a root
-//! whose subtree cannot beat the greedy fill is cut by the suffix-sum
-//! bound after a single constraint evaluation. If the greedy fill already
-//! sits within ε the sweep never starts at all. Nor does it when the greedy
-//! fill chose nothing: every root would be refused at once, by the same
-//! test the greedy pass made, so the sweep's outcome and step count are
-//! charged in closed form.
+//! CPU is kept though no root's fill exceeds its 0 GHz. The seed is what
+//! makes the partitioned search affordable: a root whose subtree cannot
+//! beat the greedy fill is cut by the suffix-sum bound after a single
+//! constraint evaluation. If the greedy fill already sits within ε the
+//! sweep never starts at all. Nor does it when the greedy fill chose
+//! nothing: every root would be refused at once, by the same test the
+//! greedy pass made, so the sweep's outcome and step count are charged in
+//! closed form.
 //!
 //! The partition stays, on one thread, because the pinned outputs encode
 //! it: the per-root budgets and the index-order winner decide every
