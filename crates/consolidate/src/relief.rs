@@ -38,14 +38,15 @@ impl Default for ReliefConfig {
     }
 }
 
-/// Plan overload relief for the given snapshot, which the pass consumes
-/// as its working state.
+/// Plan overload relief for the given snapshot, which the pass uses as
+/// its working state: it leaves each server with the residents the plan
+/// gives it.
 ///
 /// Returns a (possibly empty) plan containing only the moves needed to
 /// clear constraint violations. Servers that cannot be relieved (no
 /// feasible destination anywhere) are left overloaded.
 pub fn relieve_overloads(
-    state: Vec<PackServer>,
+    state: &mut [PackServer],
     constraint: &dyn Constraint,
     cfg: &ReliefConfig,
 ) -> ConsolidationPlan {
@@ -124,7 +125,7 @@ pub fn relieve_overloads(
 
 /// The pass's working state: the servers, and per server its [`Sums`].
 struct Fleet<'a> {
-    servers: Vec<PackServer>,
+    servers: &'a mut [PackServer],
     sums: Vec<Sums>,
     constraint: &'a dyn Constraint,
 }
@@ -150,7 +151,7 @@ impl Sums {
 }
 
 impl<'a> Fleet<'a> {
-    fn new(servers: Vec<PackServer>, constraint: &'a dyn Constraint) -> Fleet<'a> {
+    fn new(servers: &'a mut [PackServer], constraint: &'a dyn Constraint) -> Fleet<'a> {
         let sums = servers.iter().map(|s| Sums::of(s, constraint)).collect();
         Fleet {
             servers,
@@ -250,22 +251,30 @@ mod tests {
 
     #[test]
     fn no_overload_no_moves() {
-        let servers = vec![
+        let mut servers = vec![
             server(0, 4.0, &[(1, 2.0)], true),
             server(1, 4.0, &[(2, 3.0)], true),
         ];
-        let out = relieve_overloads(servers, &CpuConstraint::default(), &ReliefConfig::default());
+        let out = relieve_overloads(
+            &mut servers,
+            &CpuConstraint::default(),
+            &ReliefConfig::default(),
+        );
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_eviction_clears_overload() {
         // Server 0 has 5 GHz on 4: evicting the 1 GHz VM clears it.
-        let servers = vec![
+        let mut servers = vec![
             server(0, 4.0, &[(1, 4.0), (2, 1.0)], true),
             server(1, 4.0, &[], true),
         ];
-        let out = relieve_overloads(servers, &CpuConstraint::default(), &ReliefConfig::default());
+        let out = relieve_overloads(
+            &mut servers,
+            &CpuConstraint::default(),
+            &ReliefConfig::default(),
+        );
         assert_eq!(out.moves.len(), 1);
         assert_eq!(out.moves[0].vm, VmId(2));
         assert_eq!(out.moves[0].to, 1);
@@ -275,23 +284,31 @@ mod tests {
     fn prefers_smallest_sufficient_victim() {
         // 3.9 capacity holding 0.5 + 2.0 + 2.0: removing the 0.5 VM still
         // leaves 4.0 > 3.9, so the smallest *sufficient* victim is a 2.0.
-        let servers = vec![
+        let mut servers = vec![
             server(0, 3.9, &[(1, 0.5), (2, 2.0), (3, 2.0)], true),
             server(1, 8.0, &[], true),
         ];
-        let out = relieve_overloads(servers, &CpuConstraint::default(), &ReliefConfig::default());
+        let out = relieve_overloads(
+            &mut servers,
+            &CpuConstraint::default(),
+            &ReliefConfig::default(),
+        );
         assert_eq!(out.moves.len(), 1);
         assert!(out.moves[0].cpu_ghz == 2.0, "{:?}", out.moves);
     }
 
     #[test]
     fn wakes_sleeping_server_as_last_resort() {
-        let servers = vec![
+        let mut servers = vec![
             server(0, 2.0, &[(1, 1.5), (2, 1.5)], true),
             server(1, 2.0, &[(3, 1.8)], true), // active but too full
             server(2, 4.0, &[], false),        // sleeping
         ];
-        let out = relieve_overloads(servers, &CpuConstraint::default(), &ReliefConfig::default());
+        let out = relieve_overloads(
+            &mut servers,
+            &CpuConstraint::default(),
+            &ReliefConfig::default(),
+        );
         assert_eq!(out.moves.len(), 1);
         assert_eq!(out.moves[0].to, 2);
         assert_eq!(out.servers_to_wake, vec![2]);
@@ -299,30 +316,38 @@ mod tests {
 
     #[test]
     fn prefers_active_over_sleeping() {
-        let servers = vec![
+        let mut servers = vec![
             server(0, 2.0, &[(1, 1.5), (2, 1.5)], true),
             server(1, 4.0, &[(3, 0.5)], true), // active with room
             server(2, 12.0, &[], false),       // sleeping with more room
         ];
-        let out = relieve_overloads(servers, &CpuConstraint::default(), &ReliefConfig::default());
+        let out = relieve_overloads(
+            &mut servers,
+            &CpuConstraint::default(),
+            &ReliefConfig::default(),
+        );
         assert_eq!(out.moves[0].to, 1, "active server must win");
         assert!(out.servers_to_wake.is_empty());
     }
 
     #[test]
     fn plans_nothing_when_no_destination() {
-        let servers = vec![
+        let mut servers = vec![
             server(0, 2.0, &[(1, 3.0)], true), // one huge VM, can't fit anywhere
             server(1, 2.0, &[(2, 1.9)], true),
         ];
-        let out = relieve_overloads(servers, &CpuConstraint::default(), &ReliefConfig::default());
+        let out = relieve_overloads(
+            &mut servers,
+            &CpuConstraint::default(),
+            &ReliefConfig::default(),
+        );
         assert!(out.moves.is_empty());
     }
 
     #[test]
     fn respects_move_budget() {
         // Three overloaded servers but budget 1: only one move planned.
-        let servers = vec![
+        let mut servers = vec![
             server(0, 2.0, &[(1, 1.5), (2, 1.0)], true),
             server(1, 2.0, &[(3, 1.5), (4, 1.0)], true),
             server(2, 2.0, &[(5, 1.5), (6, 1.0)], true),
@@ -332,18 +357,22 @@ mod tests {
             max_moves: 1,
             ..Default::default()
         };
-        let out = relieve_overloads(servers, &CpuConstraint::default(), &cfg);
+        let out = relieve_overloads(&mut servers, &CpuConstraint::default(), &cfg);
         assert_eq!(out.moves.len(), 1);
     }
 
     #[test]
     fn multiple_evictions_from_one_server() {
         // 6 GHz of demand on 2 GHz capacity: needs several evictions.
-        let servers = vec![
+        let mut servers = vec![
             server(0, 2.0, &[(1, 1.5), (2, 1.5), (3, 1.5), (4, 1.5)], true),
             server(1, 12.0, &[], true),
         ];
-        let out = relieve_overloads(servers, &CpuConstraint::default(), &ReliefConfig::default());
+        let out = relieve_overloads(
+            &mut servers,
+            &CpuConstraint::default(),
+            &ReliefConfig::default(),
+        );
         assert!(out.moves.len() >= 3, "{:?}", out.moves.len());
     }
 
@@ -351,7 +380,7 @@ mod tests {
     fn headroom_hysteresis_respected() {
         // Destination with exactly zero spare after the move is rejected
         // under a positive headroom requirement.
-        let servers = vec![
+        let mut servers = vec![
             server(0, 2.0, &[(1, 1.0), (2, 1.5)], true),
             server(1, 2.0, &[(3, 1.0)], true), // spare after +1.0 = 0.0
             server(2, 4.0, &[], true),
@@ -360,7 +389,7 @@ mod tests {
             headroom_ghz: 0.5,
             ..Default::default()
         };
-        let out = relieve_overloads(servers, &CpuConstraint::default(), &cfg);
+        let out = relieve_overloads(&mut servers, &CpuConstraint::default(), &cfg);
         assert_eq!(out.moves[0].to, 2, "must skip the headroom-less server");
     }
 
@@ -388,15 +417,15 @@ mod tests {
         // goes first. [0.1, 0.2] then sums to 0.30000000000000004, still
         // over, while subtracting 0.4 from the total would claim
         // 0.29999999999999993 and stop after one move.
-        let servers = vec![
+        let mut servers = vec![
             server(0, 0.3, &[(1, 0.1), (2, 0.4), (3, 0.2)], true),
             server(1, 12.0, &[], true),
         ];
         let cfg = ReliefConfig::default();
-        let fast = relieve_overloads(servers.clone(), &ExactCpu, &cfg);
+        let fast = relieve_overloads(&mut servers.clone(), &ExactCpu, &cfg);
         let moved: Vec<f64> = fast.moves.iter().map(|m| m.cpu_ghz).collect();
         assert_eq!(moved, vec![0.4, 0.1]);
         let reference = FnConstraint(|s: &PackServer, q: &[PackItem]| ExactCpu.admits(s, q));
-        assert_eq!(fast, relieve_overloads(servers, &reference, &cfg));
+        assert_eq!(fast, relieve_overloads(&mut servers, &reference, &cfg));
     }
 }

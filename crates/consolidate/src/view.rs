@@ -1,123 +1,300 @@
 //! Bridging between [`vdc_dcsim::DataCenter`] state and the packing layer.
 //!
 //! The consolidation algorithms work on [`PackServer`] snapshots; this
-//! module builds those snapshots from live data-center state and executes
-//! the resulting [`ConsolidationPlan`] (wake → migrate/place → sleep, in
-//! dependency order). Plans speak the external vocabulary —
+//! module builds those snapshots from live data-center state, keeps the
+//! [`FleetView`] that churn admission and crash evacuation pack from, and
+//! executes the resulting [`ConsolidationPlan`] (wake → migrate/place →
+//! sleep, in dependency order). Plans speak the external vocabulary —
 //! [`vdc_dcsim::VmId`] labels and server indices — so this module is also
 //! where labels are translated to arena handles.
 
-use crate::constraint::{Ceilings, Constraint};
+use crate::constraint::{AndConstraint, Ceilings, Constraint};
 use crate::item::{PackItem, PackServer};
+use crate::minslack::MinSlackConfig;
+use crate::pac::pac_pack;
 use crate::plan::ConsolidationPlan;
-use std::collections::BTreeMap;
-use vdc_dcsim::{DataCenter, DcError, ServerHandle, ServerState, VmId};
+use vdc_dcsim::{DataCenter, DcError, ServerHandle, ServerState, VmHandle, VmId};
 
 /// Snapshot every server of the data center as a [`PackServer`], with its
 /// currently hosted VMs as residents.
 pub fn snapshot(dc: &DataCenter) -> Vec<PackServer> {
     (0..dc.n_servers())
-        .map(|i| {
-            let server = ServerHandle::from_index(i);
-            PackServer {
-                resident: hosted_items(dc, server).collect(),
-                ..bare_server(dc, server)
-            }
-        })
+        .map(|i| server_of(dc, ServerHandle::from_index(i)))
         .collect()
 }
 
-/// The servers of one side of the fleet, the active ones or the sleeping
-/// ones, that [`pac_pack`](crate::pac::pac_pack) can place `items` on:
-/// those that `constraint` lets take at least one of them on its own, with
-/// at most `items.len()` of each class of identical servers without
-/// residents (the class cap, below). Each comes with its hosted VMs as
-/// residents, as in [`snapshot`], and they keep index order.
-///
-/// Under an additive rule ([`Constraint::ceilings`]) a server whose
-/// ceilings refuse every item alone refuses every subset too (demands are
-/// non-negative), so Minimum Slack chooses nothing there, and packing onto
-/// the candidates places every item where packing onto the whole side
-/// would. The resident sums are the folds [`PackServer::resident_cpu`] and
-/// [`PackServer::resident_mem`] take. A rule without ceilings keeps every
-/// server of the side.
-///
-/// The class cap. Under an additive rule, servers without residents that
-/// agree in the bits of every [`PackServer`] field but `index`, and in
-/// their ceilings, form a class, and at most `items.len()` of each class
-/// are offered, the first in index order. PAC visits equally efficient
-/// servers in index order, and every class member that chooses something
-/// places a VM. A member with no residents chooses nothing only when its
-/// capacity is within ε or no remaining item fits it alone (Minimum Slack
-/// keeps a nonempty greedy fill, of zero CPU too), which stays true for
-/// every later member as PAC's list shrinks. So the members that take VMs
-/// are the first ones, at most one per item. Only the step counts of the
-/// searches on the members left out differ.
-///
-/// Failed hosts are never active, and advertise zero capacity; the
-/// sleeping side leaves out every server without capacity, as packing the
-/// whole side did.
-pub fn candidates(
-    dc: &DataCenter,
-    active: bool,
-    items: &[PackItem],
-    constraint: &dyn Constraint,
-) -> Vec<PackServer> {
-    // Members of each class offered so far.
-    let mut offered: BTreeMap<[u64; 8], usize> = BTreeMap::new();
-    let mut out = Vec::new();
-    let mut resident = Vec::new();
-    for i in 0..dc.n_servers() {
-        let server = ServerHandle::from_index(i);
-        if dc.server(server).expect("index in range").is_active() != active {
-            continue;
-        }
-        let bin = bare_server(dc, server);
-        if !(active || bin.cpu_capacity_ghz > 0.0) {
-            continue;
-        }
-        resident.clear();
-        resident.extend(hosted_items(dc, server));
-        let takes_one = match constraint.ceilings(&bin) {
-            Some(c) => {
-                if resident.is_empty() {
-                    let seen = offered.entry(class(&bin, c)).or_insert(0);
-                    if *seen == items.len() {
-                        continue;
-                    }
-                    *seen += 1;
-                }
-                let cpu: f64 = resident.iter().map(|r| r.cpu_ghz).sum();
-                let mem: f64 = resident.iter().map(|r| r.mem_mib).sum();
-                items
-                    .iter()
-                    .any(|x| cpu + x.cpu_ghz <= c.cpu_ghz && mem + x.mem_mib <= c.mem_mib)
-            }
-            None => true,
-        };
-        if takes_one {
-            out.push(PackServer {
-                resident: resident.clone(),
-                ..bin
-            });
-        }
+/// One server as [`snapshot`] takes it.
+fn server_of(dc: &DataCenter, server: ServerHandle) -> PackServer {
+    PackServer {
+        resident: hosted_items(dc, server).collect(),
+        ..bare_server(dc, server)
     }
-    out
 }
 
-/// The class of a server without residents under [`candidates`]' cap: the
-/// bits of every [`PackServer`] field but `index` and `resident`, and of
-/// its ceilings.
-fn class(bin: &PackServer, c: Ceilings) -> [u64; 8] {
+/// The packing view that churn admission and crash evacuation pack from:
+/// [`snapshot`]'s servers, plus what [`FleetView::candidates`] reads of
+/// each instead of the data center: its resident CPU and memory sums (the
+/// folds [`PackServer::resident_cpu`] and [`PackServer::resident_mem`]
+/// take, extended by `+=` on each placement), and its class under the
+/// class cap, with the class's ceilings under
+/// [`AndConstraint::cpu_and_memory`].
+///
+/// The view is kept current by its owner: after each placement onto the
+/// data center it calls [`FleetView::place`], and after each crash or
+/// recovery [`FleetView::reread`]. [`FleetView::is_current`] checks it
+/// against the data center.
+pub struct FleetView {
+    servers: Vec<PackServer>,
+    /// Per server: its resident sums and its class.
+    cache: Vec<Cache>,
+    /// The classes seen so far, in order of first sight.
+    classes: Vec<Class>,
+    rule: AndConstraint,
+}
+
+/// What [`FleetView`] keeps per server besides its [`PackServer`]: all
+/// that [`FleetView::candidates`] reads of a server it does not offer.
+#[derive(Debug, Clone, Copy)]
+struct Cache {
+    /// Resident CPU (GHz), as [`PackServer::resident_cpu`] folds it.
+    cpu: f64,
+    /// Resident memory (MiB), as [`PackServer::resident_mem`] folds it.
+    mem: f64,
+    /// The server's class, an index into [`FleetView`]'s classes.
+    class: u32,
+    /// Whether the server has no residents.
+    empty: bool,
+}
+
+/// Servers that agree in the bits of every [`PackServer`] field but
+/// `index` and `resident`. The rule's ceilings read only those fields
+/// (its capacities), so the class's members share them.
+#[derive(Debug, Clone, Copy)]
+struct Class {
+    key: [u64; 6],
+    ceilings: Ceilings,
+    /// The side of the fleet that offers its members: `Some(true)` for
+    /// active servers, `Some(false)` for sleeping ones with capacity, and
+    /// `None` for the rest, failed hosts, which neither side offers.
+    side: Option<bool>,
+}
+
+impl FleetView {
+    /// The view of every server of `dc`, as [`snapshot`] takes it.
+    pub fn new(dc: &DataCenter) -> FleetView {
+        let mut view = FleetView {
+            servers: Vec::with_capacity(dc.n_servers()),
+            cache: Vec::with_capacity(dc.n_servers()),
+            classes: Vec::new(),
+            rule: AndConstraint::cpu_and_memory(),
+        };
+        view.refresh(dc);
+        view
+    }
+
+    /// Re-read every server of `dc`, as [`FleetView::new`] would, into the
+    /// view's own buffers: each resident list is refilled in place, so a
+    /// view kept from an earlier sample allocates only for a list that
+    /// outgrows its capacity.
+    pub fn refresh(&mut self, dc: &DataCenter) {
+        self.servers.truncate(dc.n_servers());
+        self.cache.clear();
+        self.classes.clear();
+        for i in 0..dc.n_servers() {
+            let server = ServerHandle::from_index(i);
+            let bare = bare_server(dc, server);
+            match self.servers.get_mut(i) {
+                Some(s) => {
+                    let resident = std::mem::take(&mut s.resident);
+                    *s = PackServer { resident, ..bare };
+                }
+                None => self.servers.push(bare),
+            }
+            let resident = &mut self.servers[i].resident;
+            resident.clear();
+            resident.extend(hosted_items(dc, server));
+            let cache = self.cache_of(i);
+            self.cache.push(cache);
+        }
+    }
+
+    /// The servers, lent to a pass that plans over them as its working
+    /// state, such as overload relief. The view is stale afterwards, until
+    /// [`FleetView::refresh`].
+    pub fn servers_mut(&mut self) -> &mut [PackServer] {
+        &mut self.servers
+    }
+
+    /// Record a placement made on `dc`: `vm`, the last VM its server
+    /// hosts, with the demand `dc` now holds for it. A placement onto a
+    /// sleeping server woke it, so that server is re-read whole.
+    pub fn place(&mut self, dc: &DataCenter, vm: VmHandle) {
+        let server = dc.placement_of(vm).expect("a placed VM");
+        debug_assert_eq!(dc.hosted_vms(server).ok().and_then(|h| h.last()), Some(&vm));
+        let i = server.index();
+        if !self.servers[i].active {
+            self.reread(dc, server);
+            return;
+        }
+        let item = hosted_item(dc, vm);
+        self.servers[i].resident.push(item);
+        let cache = &mut self.cache[i];
+        cache.cpu += item.cpu_ghz;
+        cache.mem += item.mem_mib;
+        cache.empty = false;
+    }
+
+    /// Re-read `server` from `dc` whole, after a change other than a
+    /// placement: a crash or a recovery.
+    pub fn reread(&mut self, dc: &DataCenter, server: ServerHandle) {
+        let i = server.index();
+        self.servers[i] = server_of(dc, server);
+        self.cache[i] = self.cache_of(i);
+    }
+
+    /// Whether the view equals what a fresh one of `dc` would hold: the
+    /// servers equal [`snapshot`], and every cache equals its server's,
+    /// the sums bit for bit. Debug builds check it at every pack.
+    pub fn is_current(&self, dc: &DataCenter) -> bool {
+        self.servers == snapshot(dc)
+            && self.servers.iter().zip(&self.cache).all(|(s, c)| {
+                let class = self.classes[c.class as usize];
+                c.cpu.to_bits() == s.resident_cpu().to_bits()
+                    && c.mem.to_bits() == s.resident_mem().to_bits()
+                    && c.empty == s.resident.is_empty()
+                    && class.key == class_key(s)
+                    && Some(class.ceilings) == self.rule.ceilings(s)
+            })
+    }
+
+    /// The servers of one side of the fleet, the active ones or the
+    /// sleeping ones, that [`pac_pack`] can place `items` on under
+    /// [`AndConstraint::cpu_and_memory`], by index: those whose ceilings
+    /// let them take at least one of the items on its own, with at most
+    /// `items.len()` of each class of identical servers without residents
+    /// (the class cap, below), in index order.
+    ///
+    /// The rule is additive ([`Constraint::ceilings`]), so a server whose
+    /// ceilings refuse every item alone refuses every subset too (demands
+    /// are non-negative): Minimum Slack chooses nothing there, and packing
+    /// onto the candidates places every item where packing onto the whole
+    /// side would.
+    ///
+    /// The class cap. Servers without residents that agree in the bits of
+    /// every [`PackServer`] field but `index` form a class (so they agree
+    /// in their ceilings too), and at most `items.len()` of each class are
+    /// offered, the first in index order. PAC visits equally efficient
+    /// servers in index order, and every class member that chooses
+    /// something places a VM. A member with no residents chooses nothing
+    /// only when its capacity is within ε or no remaining item fits it
+    /// alone (Minimum Slack keeps a nonempty greedy fill, of zero CPU too),
+    /// which stays true for every later member as PAC's list shrinks. So
+    /// the members that take VMs are the first ones, at most one per item.
+    /// Only the step counts of the searches on the members left out differ.
+    ///
+    /// Failed hosts are never active, and advertise zero capacity; the
+    /// sleeping side leaves out every server without capacity, as packing
+    /// the whole side did.
+    pub fn candidates(&self, active: bool, items: &[PackItem]) -> Vec<usize> {
+        // Members of each class offered so far.
+        let mut offered = vec![0; self.classes.len()];
+        let mut out = Vec::new();
+        for (i, c) in self.cache.iter().enumerate() {
+            let class = &self.classes[c.class as usize];
+            if class.side != Some(active) {
+                continue;
+            }
+            if c.empty {
+                let seen = &mut offered[c.class as usize];
+                if *seen == items.len() {
+                    continue;
+                }
+                *seen += 1;
+            }
+            let ceilings = class.ceilings;
+            let fits = |x: &PackItem| {
+                c.cpu + x.cpu_ghz <= ceilings.cpu_ghz && c.mem + x.mem_mib <= ceilings.mem_mib
+            };
+            if items.iter().any(fits) {
+                out.push(i);
+            }
+        }
+        out
+    }
+
+    /// Pack `items` with [`pac_pack`] and Minimum Slack's defaults onto
+    /// one side's [`FleetView::candidates`], under
+    /// [`AndConstraint::cpu_and_memory`]: each placed VM with its server,
+    /// and the VMs placed nowhere. PAC packs onto the candidates' own
+    /// resident lists, lent for the pack and truncated back to their
+    /// lengths afterwards; PAC only pushes residents, so that leaves the
+    /// view as it was.
+    pub fn pack(
+        &mut self,
+        active: bool,
+        items: &[PackItem],
+    ) -> (Vec<(VmId, ServerHandle)>, Vec<VmId>) {
+        let lent = self.candidates(active, items);
+        let mut servers: Vec<PackServer> = lent
+            .iter()
+            .map(|&i| {
+                let s = &mut self.servers[i];
+                PackServer {
+                    resident: std::mem::take(&mut s.resident),
+                    ..*s
+                }
+            })
+            .collect();
+        let lengths: Vec<usize> = servers.iter().map(|s| s.resident.len()).collect();
+        let result = pac_pack(&mut servers, items, &self.rule, &MinSlackConfig::default());
+        for ((&i, mut s), len) in lent.iter().zip(servers).zip(lengths) {
+            s.resident.truncate(len);
+            self.servers[i].resident = s.resident;
+        }
+        let placed = result
+            .assignments
+            .into_iter()
+            .map(|(id, si)| (id, ServerHandle::from_index(lent[si])))
+            .collect();
+        (placed, result.unplaced)
+    }
+
+    /// The cache of server `i` as it stands. A class seen for the first
+    /// time gets its ceilings from the rule.
+    fn cache_of(&mut self, i: usize) -> Cache {
+        let s = &self.servers[i];
+        let key = class_key(s);
+        let same = |c: &Class| c.key.iter().zip(&key).all(|(a, b)| a == b);
+        let class = match self.classes.iter().position(same) {
+            Some(class) => class,
+            None => {
+                self.classes.push(Class {
+                    key,
+                    ceilings: self.rule.ceilings(s).expect("an additive rule"),
+                    side: (s.active || s.cpu_capacity_ghz > 0.0).then_some(s.active),
+                });
+                self.classes.len() - 1
+            }
+        };
+        Cache {
+            cpu: s.resident_cpu(),
+            mem: s.resident_mem(),
+            class: class as u32,
+            empty: s.resident.is_empty(),
+        }
+    }
+}
+
+/// The class key of a server: the bits of every [`PackServer`] field but
+/// `index` and `resident`.
+fn class_key(s: &PackServer) -> [u64; 6] {
     [
-        bin.cpu_capacity_ghz.to_bits(),
-        bin.mem_capacity_mib.to_bits(),
-        bin.max_watts.to_bits(),
-        bin.idle_watts.to_bits(),
-        u64::from(bin.active),
-        bin.pue.to_bits(),
-        c.cpu_ghz.to_bits(),
-        c.mem_mib.to_bits(),
+        s.cpu_capacity_ghz.to_bits(),
+        s.mem_capacity_mib.to_bits(),
+        s.max_watts.to_bits(),
+        s.idle_watts.to_bits(),
+        u64::from(s.active),
+        s.pue.to_bits(),
     ]
 }
 
@@ -126,11 +303,14 @@ fn hosted_items(dc: &DataCenter, server: ServerHandle) -> impl Iterator<Item = P
     dc.hosted_vms(server)
         .expect("index in range")
         .iter()
-        .map(|&vm| {
-            let spec = dc.vm(vm).expect("hosted VM is registered");
-            let demand = dc.vm_demand(vm).expect("hosted VM is registered");
-            PackItem::new(spec.id, demand, spec.memory_mib)
-        })
+        .map(|&vm| hosted_item(dc, vm))
+}
+
+/// A hosted VM as a packing item, with its live demand.
+fn hosted_item(dc: &DataCenter, vm: VmHandle) -> PackItem {
+    let spec = dc.vm(vm).expect("hosted VM is registered");
+    let demand = dc.vm_demand(vm).expect("hosted VM is registered");
+    PackItem::new(spec.id, demand, spec.memory_mib)
 }
 
 /// The [`PackServer`] for one server, without its residents.
@@ -292,7 +472,7 @@ pub fn apply_plan_fallible(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::{AndConstraint, FnConstraint};
+    use crate::constraint::AndConstraint;
     use crate::ipac::ipac_plan;
     use crate::policy::AlwaysAllow;
     use vdc_dcsim::{Server, ServerSpec, VmId, VmSpec};
@@ -388,29 +568,27 @@ mod tests {
         // Server 1 (4 GHz) runs full; server 0 (12 GHz) has room.
         let full = dc.add_vm(VmSpec::new(1, 4.0, 1024.0)).unwrap();
         dc.place_vm(full, srv(1)).unwrap();
-        let rule = AndConstraint::cpu_and_memory();
-        let indices = |side: &[PackServer]| side.iter().map(|s| s.index).collect::<Vec<_>>();
+        let mut view = FleetView::new(&dc);
         let small = PackItem::new(VmId(8), 1.0, 512.0);
         let idle = PackItem::new(VmId(9), 0.0, 512.0);
-        assert_eq!(indices(&candidates(&dc, true, &[small], &rule)), [0]);
+        assert_eq!(view.candidates(true, &[small]), [0]);
         // Any one item suffices, and candidates keep index order.
-        let both = candidates(&dc, true, &[small, idle], &rule);
-        assert_eq!(indices(&both), [0, 1]);
-        assert_eq!(both[1], snapshot(&dc)[1], "residents as in the snapshot");
+        assert_eq!(view.candidates(true, &[small, idle]), [0, 1]);
         // No active server holds 20 GiB; both sleeping servers take 1 GHz.
         let huge = PackItem::new(VmId(7), 1.0, 20_480.0);
-        assert!(candidates(&dc, true, &[huge], &rule).is_empty());
-        assert_eq!(indices(&candidates(&dc, false, &[small], &rule)), [2, 3]);
+        assert!(view.candidates(true, &[huge]).is_empty());
+        assert_eq!(view.candidates(false, &[small]), [2, 3]);
         // A failed host is never offered, not even a zero-demand item.
         dc.fail_server(srv(2)).unwrap();
+        view.reread(&dc, srv(2));
+        assert!(view.is_current(&dc));
         let zero = PackItem::new(VmId(6), 0.0, 0.0);
-        assert_eq!(indices(&candidates(&dc, false, &[zero], &rule)), [3]);
-        // A rule without ceilings keeps every server of the side.
-        let refuse_all = FnConstraint(|_: &PackServer, _: &[PackItem]| false);
-        assert_eq!(
-            indices(&candidates(&dc, true, &[huge], &refuse_all)),
-            [0, 1]
-        );
+        assert_eq!(view.candidates(false, &[zero]), [3]);
+        // A pack lends the candidates' residents and takes them back.
+        let (placed, unplaced) = view.pack(true, &[small, huge]);
+        assert_eq!(placed, [(VmId(8), srv(0))]);
+        assert_eq!(unplaced, [VmId(7)]);
+        assert!(view.is_current(&dc), "packing leaves the view as it was");
     }
 
     #[test]
@@ -428,28 +606,28 @@ mod tests {
         }
         let vm = dc.add_vm(VmSpec::new(1, 1.0, 1024.0)).unwrap();
         dc.place_vm(vm, srv(12)).unwrap();
-        let rule = AndConstraint::cpu_and_memory();
-        let indices = |side: &[PackServer]| side.iter().map(|s| s.index).collect::<Vec<_>>();
+        let mut view = FleetView::new(&dc);
         let batch = [
             PackItem::new(VmId(8), 1.0, 512.0),
             PackItem::new(VmId(9), 2.0, 512.0),
         ];
         // Six identical sleeping servers and a two-item batch offer the
         // first two; the same model at another PUE is a class of its own.
-        assert_eq!(
-            indices(&candidates(&dc, false, &batch, &rule)),
-            [0, 1, 6, 7]
-        );
+        assert_eq!(view.candidates(false, &batch), [0, 1, 6, 7]);
         // A server of that model with a resident is still offered.
-        assert_eq!(indices(&candidates(&dc, true, &batch, &rule)), [9, 10, 12]);
-        assert_eq!(indices(&candidates(&dc, true, &batch[..1], &rule)), [9, 12]);
-        // A rule without ceilings caps nothing; a batch with an item that
-        // needs no CPU is capped like any other.
-        let open = FnConstraint(|_: &PackServer, _: &[PackItem]| true);
-        let asleep: Vec<usize> = (0..9).collect();
-        assert_eq!(indices(&candidates(&dc, false, &batch, &open)), asleep);
+        assert_eq!(view.candidates(true, &batch), [9, 10, 12]);
+        assert_eq!(view.candidates(true, &batch[..1]), [9, 12]);
+        // A batch with an item that needs no CPU is capped like any other.
         let idle = [batch[0], PackItem::new(VmId(7), 0.0, 512.0)];
-        assert_eq!(indices(&candidates(&dc, false, &idle, &rule)), [0, 1, 6, 7]);
+        assert_eq!(view.candidates(false, &idle), [0, 1, 6, 7]);
+        // A placement that wakes a sleeping server moves it to the active
+        // side, out of its sleeping class.
+        let woken = dc.add_vm(VmSpec::new(2, 1.0, 1024.0)).unwrap();
+        dc.place_vm(woken, srv(0)).unwrap();
+        view.place(&dc, woken);
+        assert!(view.is_current(&dc));
+        assert_eq!(view.candidates(false, &batch), [1, 2, 6, 7]);
+        assert_eq!(view.candidates(true, &batch), [0, 9, 10, 12]);
     }
 
     #[test]

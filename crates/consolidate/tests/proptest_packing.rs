@@ -280,7 +280,8 @@ mod overloaded_starts {
             prop_assume!(mem_feasible(&start));
             let before = vm_multiset(&start);
             // Relief first (the between-invocations pass)…
-            let relief = relieve_overloads(start.clone(), &constraint, &ReliefConfig::default());
+            let relief =
+                relieve_overloads(&mut start.clone(), &constraint, &ReliefConfig::default());
             let mid = apply(&start, &relief);
             prop_assert!(mem_feasible(&mid));
             // …then a full IPAC invocation.
@@ -470,8 +471,8 @@ mod additive_admission {
             let rule = c.rule.build();
             let reference = FnConstraint(|s: &PackServer, q: &[PackItem]| rule.admits(s, q));
             let cfg = ReliefConfig::default();
-            let fast = relieve_overloads(c.servers.clone(), rule.as_ref(), &cfg);
-            let slow = relieve_overloads(c.servers.clone(), &reference, &cfg);
+            let fast = relieve_overloads(&mut c.servers.clone(), rule.as_ref(), &cfg);
+            let slow = relieve_overloads(&mut c.servers.clone(), &reference, &cfg);
             moved.set(moved.get() + usize::from(!fast.moves.is_empty()));
             let twice = fast
                 .moves

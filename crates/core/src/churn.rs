@@ -25,9 +25,12 @@
 //!   lands in the `churn.wake_wait_ns` histogram — and a miss falls back
 //!   to rejection.
 //!
-//! Every decision is sequential, and each packing pass reads, straight
-//! from the live data center and in index order, the servers of its side
-//! that can take at least one VM of the batch on its own. So churn runs
+//! Every decision is sequential. Each packing pass takes, in index order,
+//! the servers of its side that can take at least one VM of the batch on
+//! its own, from the sample's packing view
+//! ([`vdc_consolidate::view::FleetView`]): admission builds it from the
+//! live data center after the departures, tells it of each placement with
+//! the demand set, and crash evacuation packs from it next. So churn runs
 //! stay bit-identical at every shard count; a workload with zero events
 //! leaves the run loop byte-identical to [`crate::run_large_scale`].
 
@@ -38,6 +41,7 @@ use crate::{CoreError, Result};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use vdc_churn::{AdmissionPolicy, ChurnWorkload, EventKind};
 use vdc_consolidate::item::PackItem;
+use vdc_consolidate::view::FleetView;
 use vdc_dcsim::{DataCenter, ServerHandle, VmHandle, VmId, VmSpec};
 use vdc_trace::UtilizationTrace;
 
@@ -281,14 +285,15 @@ impl<'a> ChurnCtx<'a> {
         batch: Vec<(usize, usize)>,
         t: usize,
     ) -> Result<()> {
-        let (dc, telemetry) = (&mut sim.dc, &sim.telemetry);
-        let placement_span = telemetry.timer("churn.placement_ns");
+        let placement_span = sim.telemetry.timer("churn.placement_ns");
         let items: Vec<PackItem> = batch.iter().map(|&(k, _)| self.item(k, t)).collect();
         // The active fleet takes the Minimum Slack first pass; the sleeping
         // pool is what the wake-and-retry fallback taps.
         let wake = self.policy == AdmissionPolicy::WakeAndRetry;
-        let mut packed = pack_onto_fleet(dc, &items, wake);
-        self.place_assignments(dc, &packed.active, t, t)?;
+        let view = sim.views.current(&sim.dc);
+        let mut packed = pack_onto_fleet(view, &sim.dc, &items, wake);
+        let (dc, telemetry) = (&mut sim.dc, &sim.telemetry);
+        self.place_assignments(dc, view, &packed.active, t, t)?;
         self.admitted += packed.active.len() as u64;
         telemetry.incr("churn.admitted", packed.active.len() as u64);
         if self.policy == AdmissionPolicy::Queue {
@@ -326,7 +331,7 @@ impl<'a> ChurnCtx<'a> {
                 telemetry.record("churn.wake_wait_ns", wake_latency_s * 1e9);
                 committed.push((id, server));
             }
-            self.place_assignments(dc, &committed, t, t + 1)?;
+            self.place_assignments(dc, view, &committed, t, t + 1)?;
             self.wake_retries += committed.len() as u64;
             telemetry.incr("churn.wake_retries", committed.len() as u64);
             self.admitted += committed.len() as u64;
@@ -355,10 +360,12 @@ impl<'a> ChurnCtx<'a> {
     }
 
     /// Place each packed VM on its chosen server (waking it if asleep)
-    /// with its demand visible from `active_from` on.
+    /// with its demand visible from `active_from` on, and tell the packing
+    /// view of each placement with the demand set.
     fn place_assignments(
         &mut self,
         dc: &mut DataCenter,
+        view: &mut FleetView,
         placements: &[(VmId, ServerHandle)],
         t: usize,
         active_from: usize,
@@ -373,6 +380,7 @@ impl<'a> ChurnCtx<'a> {
                 0.0
             };
             dc.set_vm_demand(h, demand)?;
+            view.place(dc, h);
             self.owner[h.index() - self.base_vms] = Some((k, active_from));
         }
         Ok(())

@@ -26,10 +26,8 @@ use crate::run::RunOptions;
 use crate::Result;
 use vdc_consolidate::constraint::AndConstraint;
 use vdc_consolidate::item::{PackItem, PackServer};
-use vdc_consolidate::minslack::MinSlackConfig;
-use vdc_consolidate::pac::pac_pack;
 use vdc_consolidate::relief::{relieve_overloads, ReliefConfig};
-use vdc_consolidate::view::{candidates, snapshot, ApplyStats};
+use vdc_consolidate::view::{snapshot, ApplyStats, FleetView};
 use vdc_dcsim::{DataCenter, ServerHandle, VmHandle, VmId};
 use vdc_faults::{FaultSession, HostFaultKind};
 use vdc_telemetry::{SpanTimer, Telemetry};
@@ -107,6 +105,8 @@ pub(crate) struct SimState<'a> {
     pub(crate) telemetry: Telemetry,
     /// How the runner drives the stages.
     pub(crate) stages: Stages,
+    /// The packing views of churn admission and crash evacuation.
+    pub(crate) views: Views,
     optimizer: PowerOptimizer,
     violation_streak: usize,
     samples: usize,
@@ -145,6 +145,7 @@ impl<'a> SimState<'a> {
             optimizer,
             telemetry,
             stages,
+            views: Views::default(),
             violation_streak: 0,
             samples: 0,
             active_sum: 0,
@@ -203,10 +204,15 @@ impl<'a> SimState<'a> {
                     let evacuees = self.dc.fail_server(server)?;
                     f.crashes += 1;
                     self.telemetry.incr("fault.crashes", 1);
-                    evacuate(&mut self.dc, &evacuees, f, &self.telemetry)?;
+                    self.views.reread(&self.dc, server);
+                    if !evacuees.is_empty() {
+                        let view = self.views.current(&self.dc);
+                        evacuate(&mut self.dc, view, &evacuees, f, &self.telemetry)?;
+                    }
                 }
                 HostFaultKind::Recover => {
                     self.dc.recover_server(server)?;
+                    self.views.reread(&self.dc, server);
                     f.recoveries += 1;
                     self.telemetry.incr("fault.recoveries", 1);
                 }
@@ -218,15 +224,35 @@ impl<'a> SimState<'a> {
 
     /// Stage 2: invoke the optimizer on its long period; between
     /// invocations, run the on-demand overload-relief pass (§III) when the
-    /// runner enables it.
+    /// runner enables it. The stage uses up the sample's packing view:
+    /// relief plans over its servers instead of a fresh snapshot, and
+    /// keeps it as the spare for the next sample's view. An optimizer
+    /// sample drops both views before the invocation, which snapshots on
+    /// its own.
     pub(crate) fn consolidate_or_relieve(&mut self, t: usize) -> Result<()> {
+        let view = self.views.current.take();
         if t > 0 && t.is_multiple_of(self.stages.optimizer_period) {
+            drop(view);
+            self.views.spare = None;
             self.optimize(&[])?;
+            return Ok(());
+        }
+        if let Some(mut view) = view {
+            if self.stages.relief {
+                debug_assert!(view.is_current(&self.dc), "the relief hand-off");
+                // The hand-off keeps the snapshot span, so that it counts
+                // every relief pass.
+                let span = self.timer("relief_snapshot_ns");
+                let servers = view.servers_mut();
+                span.finish();
+                self.relieve(servers)?;
+            }
+            self.views.spare = Some(view);
         } else if self.stages.relief {
             let span = self.timer("relief_snapshot_ns");
-            let snap = snapshot(&self.dc);
+            let mut snap = snapshot(&self.dc);
             span.finish();
-            self.relieve(snap)?;
+            self.relieve(&mut snap)?;
         }
         Ok(())
     }
@@ -235,7 +261,7 @@ impl<'a> SimState<'a> {
     /// planner takes as its working state, drawing per-attempt migration
     /// failures from the fault session when one is active
     /// ([`apply_with_faults`]).
-    fn relieve(&mut self, snap: Vec<PackServer>) -> Result<()> {
+    fn relieve(&mut self, snap: &mut [PackServer]) -> Result<()> {
         let constraint = AndConstraint::cpu_and_memory();
         let span = self.timer("relief_plan_ns");
         let plan = relieve_overloads(snap, &constraint, &ReliefConfig::default());
@@ -345,8 +371,8 @@ impl<'a> SimState<'a> {
         self.violation_streak = 0;
         f.watchdog_reliefs += 1;
         self.telemetry.incr("fault.watchdog_reliefs", 1);
-        let snap = snapshot(&self.dc);
-        self.relieve(snap)
+        let mut snap = snapshot(&self.dc);
+        self.relieve(&mut snap)
     }
 
     /// Roll the run up: wake energy, the fault session's apply-path
@@ -427,28 +453,57 @@ pub(crate) struct Packed {
     pub(crate) unplaced: Vec<VmId>,
 }
 
+/// The packing views of a run's churn admission and crash evacuation.
+#[derive(Default)]
+pub(crate) struct Views {
+    /// This sample's view: built from the data center at the sample's
+    /// first pack ([`Views::current`]), told of every change admission and
+    /// evacuation make to the data center, and used up by stage 2.
+    current: Option<FleetView>,
+    /// An earlier sample's view, kept so that the next view refills its
+    /// buffers instead of allocating them.
+    spare: Option<FleetView>,
+}
+
+impl Views {
+    /// This sample's view; at the sample's first pack, the spare refreshed
+    /// from `dc`, or a new view of `dc`.
+    pub(crate) fn current(&mut self, dc: &DataCenter) -> &mut FleetView {
+        let spare = &mut self.spare;
+        self.current.get_or_insert_with(|| match spare.take() {
+            Some(mut view) => {
+                view.refresh(dc);
+                view
+            }
+            None => FleetView::new(dc),
+        })
+    }
+
+    /// Re-read `server` into this sample's view, if the sample has one.
+    fn reread(&mut self, dc: &DataCenter, server: ServerHandle) {
+        if let Some(view) = &mut self.current {
+            view.reread(dc, server);
+        }
+    }
+}
+
 /// Pack registered, unplaced VMs the way evacuation and admission both
 /// do: PAC with Minimum Slack onto the active servers, then, with `spill`,
 /// what fit nowhere active onto the sleeping pool. Each pass packs only
-/// its side's [`candidates`], the servers that can take at least one of
-/// its VMs alone, with no more of each class of identical empty servers
-/// than it has VMs, so a small batch does not walk the whole fleet; the
-/// placements are the ones packing the whole side would make. The spill
-/// pass builds its side only when it runs, and never offers a failed
-/// host. `dc` itself is not touched.
-pub(crate) fn pack_onto_fleet(dc: &DataCenter, items: &[PackItem], spill: bool) -> Packed {
-    let constraint = AndConstraint::cpu_and_memory();
-    let pack = |active: bool, items: &[PackItem]| {
-        let mut servers = candidates(dc, active, items, &constraint);
-        let result = pac_pack(&mut servers, items, &constraint, &MinSlackConfig::default());
-        let placed = result
-            .assignments
-            .into_iter()
-            .map(|(id, si)| (id, ServerHandle::from_index(servers[si].index)))
-            .collect();
-        (placed, result.unplaced)
-    };
-    let (active, mut unplaced) = pack(true, items);
+/// its side's [`FleetView::candidates`], the servers that can take at
+/// least one of its VMs alone, with no more of each class of identical
+/// empty servers than it has VMs, so a small batch packs onto a handful of
+/// servers; the placements are the ones packing the whole side would
+/// make. `view` must be current with `dc` (debug builds check it); the pack
+/// leaves both as they were, so the caller applies the placements to both.
+pub(crate) fn pack_onto_fleet(
+    view: &mut FleetView,
+    dc: &DataCenter,
+    items: &[PackItem],
+    spill: bool,
+) -> Packed {
+    debug_assert!(view.is_current(dc), "the packing view lags the data center");
+    let (active, mut unplaced) = view.pack(true, items);
     let mut woken = Vec::new();
     if spill && !unplaced.is_empty() {
         let rest: Vec<PackItem> = items
@@ -456,7 +511,7 @@ pub(crate) fn pack_onto_fleet(dc: &DataCenter, items: &[PackItem], spill: bool) 
             .filter(|i| unplaced.contains(&i.vm))
             .cloned()
             .collect();
-        (woken, unplaced) = pack(false, &rest);
+        (woken, unplaced) = view.pack(false, &rest);
     }
     Packed {
         active,
@@ -467,29 +522,29 @@ pub(crate) fn pack_onto_fleet(dc: &DataCenter, items: &[PackItem], spill: bool) 
 
 /// Re-place the VMs evacuated from a crashed host: onto the active fleet
 /// first, spilling onto the sleeping pool (waking hosts), and count
-/// whatever fits nowhere as stranded. Stranding only happens when capacity
-/// is genuinely exhausted (not even waking every sleeping host fits the
-/// VM). A stranded VM stays registered but unplaced — removing it would
-/// recycle its arena slot and corrupt any external owner bookkeeping keyed
-/// by slot — and simply runs no work for the rest of the horizon.
+/// whatever fits nowhere as stranded. The pack reads `view`, and each
+/// placement goes to `dc` and then to `view`. Stranding only happens when
+/// capacity is genuinely exhausted (not even waking every sleeping host
+/// fits the VM). A stranded VM stays registered but unplaced — removing it
+/// would recycle its arena slot and corrupt any external owner bookkeeping
+/// keyed by slot — and simply runs no work for the rest of the horizon.
 fn evacuate(
     dc: &mut DataCenter,
+    view: &mut FleetView,
     evacuees: &[VmHandle],
     faults: &mut FaultSession<'_>,
     telemetry: &Telemetry,
 ) -> Result<()> {
-    if evacuees.is_empty() {
-        return Ok(());
-    }
     let mut items = Vec::with_capacity(evacuees.len());
     for &h in evacuees {
         let spec = dc.vm(h)?;
         items.push(PackItem::new(spec.id, dc.vm_demand(h)?, spec.memory_mib));
     }
-    let packed = pack_onto_fleet(dc, &items, true);
+    let packed = pack_onto_fleet(view, dc, &items, true);
     for &(id, server) in packed.active.iter().chain(&packed.woken) {
         let vm = dc.lookup(id).expect("an evacuee stays registered");
         dc.place_vm(vm, server)?;
+        view.place(dc, vm);
     }
     let evacuated = packed.active.len() + packed.woken.len();
     telemetry.incr("fault.evacuated_vms", evacuated as u64);
@@ -501,9 +556,13 @@ fn evacuate(
 mod tests {
     use super::*;
     use std::cell::Cell;
-    use vdc_check::{check, from_fn, prop_assert_eq, TestRng};
+    use vdc_check::{check, from_fn, prop_assert, prop_assert_eq, TestRng};
     use vdc_consolidate::constraint::Constraint;
+    use vdc_consolidate::minslack::MinSlackConfig;
+    use vdc_consolidate::pac::pac_pack;
+    use vdc_consolidate::view::apply_plan;
     use vdc_dcsim::{Server, ServerSpec, VmSpec};
+    use vdc_faults::FaultPlan;
 
     /// [`pack_onto_fleet`] as it packed before candidates: a snapshot of
     /// the whole fleet, partitioned into its active and its sleeping
@@ -712,6 +771,145 @@ mod tests {
         dc
     }
 
+    /// One step of a sample's admission and evacuation stages.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Admit a batch of `(CPU GHz, memory MiB)` VMs, spilling onto the
+        /// sleeping pool with `spill`; with `delayed`, a VM that woke its
+        /// host is set to zero demand, as a wake-delayed admission is.
+        Admit {
+            batch: Vec<(f64, f64)>,
+            spill: bool,
+            delayed: bool,
+        },
+        /// Crash a host and evacuate its VMs.
+        Crash(usize),
+        /// Recover a host.
+        Recover(usize),
+        /// End the sample: relief plans over the view's servers and the
+        /// plan applies, then the view is refreshed, as the next sample's
+        /// first pack refreshes the spare.
+        Relieve,
+    }
+
+    /// One to 24 steps on a fleet of `hosts` hosts.
+    fn steps(rng: &mut TestRng, hosts: usize) -> Vec<Step> {
+        (0..rng.usize_in(1, 25))
+            .map(|_| match rng.usize_in(0, 5) {
+                0 | 1 => Step::Admit {
+                    batch: (0..rng.usize_in(1, 7))
+                        .map(|_| (cpu(rng, 6.0), memory(rng, 8192.0)))
+                        .collect(),
+                    spill: rng.bool(),
+                    delayed: rng.bool(),
+                },
+                2 => Step::Crash(rng.usize_in(0, hosts)),
+                3 => Step::Recover(rng.usize_in(0, hosts)),
+                _ => Step::Relieve,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_view_stays_current_through_every_change_of_a_sample() {
+        let woke = Cell::new(0u32);
+        let idle = Cell::new(0u32);
+        let evacuated = Cell::new(0u32);
+        let recovered = Cell::new(0u32);
+        let relieved = Cell::new(0u32);
+        let scripts = from_fn(|rng: &mut TestRng| {
+            let case = case(rng);
+            let steps = steps(rng, case.hosts.len());
+            (case, steps)
+        });
+        let plan = FaultPlan::empty();
+        let telemetry = Telemetry::disabled();
+        check(128, &scripts, |(case, steps)| {
+            let mut dc = build(case);
+            let mut view = FleetView::new(&dc);
+            let mut faults = FaultSession::new(&plan);
+            let mut next_id = 10_000;
+            for (n, step) in steps.iter().enumerate() {
+                match step {
+                    Step::Admit {
+                        batch,
+                        spill,
+                        delayed,
+                    } => {
+                        let mut items = Vec::new();
+                        for &(cpu, mem) in batch {
+                            dc.add_vm(VmSpec::new(next_id, cpu, mem)).unwrap();
+                            items.push(PackItem::new(VmId(next_id), cpu, mem));
+                            next_id += 1;
+                        }
+                        let packed = pack_onto_fleet(&mut view, &dc, &items, *spill);
+                        let placements = packed.active.iter().map(|p| (p, false));
+                        for (&(id, server), woken) in
+                            placements.chain(packed.woken.iter().map(|p| (p, true)))
+                        {
+                            let vm = dc.lookup(id).unwrap();
+                            dc.place_vm(vm, server).unwrap();
+                            if woken && *delayed {
+                                dc.set_vm_demand(vm, 0.0).unwrap();
+                            }
+                            if dc.vm_demand(vm).unwrap() == 0.0 {
+                                idle.set(idle.get() + 1);
+                            }
+                            view.place(&dc, vm);
+                        }
+                        for id in packed.unplaced {
+                            dc.remove_vm(dc.lookup(id).unwrap()).unwrap();
+                        }
+                    }
+                    Step::Crash(host) => {
+                        let server = ServerHandle::from_index(*host);
+                        let evacuees = dc.fail_server(server).unwrap();
+                        view.reread(&dc, server);
+                        if !evacuees.is_empty() {
+                            evacuate(&mut dc, &mut view, &evacuees, &mut faults, &telemetry)
+                                .unwrap();
+                            if evacuees.iter().any(|&h| dc.placement_of(h).is_some()) {
+                                evacuated.set(evacuated.get() + 1);
+                            }
+                        }
+                    }
+                    Step::Recover(host) => {
+                        let server = ServerHandle::from_index(*host);
+                        if dc.is_failed(server).unwrap() {
+                            recovered.set(recovered.get() + 1);
+                        }
+                        dc.recover_server(server).unwrap();
+                        view.reread(&dc, server);
+                    }
+                    Step::Relieve => {
+                        let rule = AndConstraint::cpu_and_memory();
+                        let relief = ReliefConfig::default();
+                        let plan = relieve_overloads(view.servers_mut(), &rule, &relief);
+                        if !plan.is_empty() {
+                            relieved.set(relieved.get() + 1);
+                        }
+                        apply_plan(&mut dc, &plan).unwrap();
+                        view.refresh(&dc);
+                    }
+                }
+                prop_assert!(view.is_current(&dc), "step {n}: {step:?}");
+            }
+            if dc.wake_count() > 0 {
+                woke.set(woke.get() + 1);
+            }
+            Ok(())
+        });
+        for (name, count) in [
+            ("a placement woke a sleeping host", &woke),
+            ("a VM of zero demand was placed", &idle),
+            ("a crash evacuated a VM onto another host", &evacuated),
+            ("a failed host recovered", &recovered),
+            ("relief moved a VM before a refresh", &relieved),
+        ] {
+            assert!(count.get() > 0, "no case covered: {name}");
+        }
+    }
+
     #[test]
     fn a_batch_with_an_item_of_no_cpu_is_class_capped() {
         // Two models of one efficiency, 4 GHz at 180 W and 8 GHz at 360 W,
@@ -734,13 +932,15 @@ mod tests {
             PackItem::new(VmId(1), 0.0, 1000.0),
             PackItem::new(VmId(2), 6.0, 100.0),
         ];
-        let offered = candidates(&dc, false, &items, &AndConstraint::cpu_and_memory());
-        let indices: Vec<usize> = offered.iter().map(|s| s.index).collect();
-        assert_eq!(indices, [0, 1, 2]);
+        let mut view = FleetView::new(&dc);
+        assert_eq!(view.candidates(false, &items), [0, 1, 2]);
         let want = pack_onto_snapshot(&dc, &items, true);
         let on = |i| ServerHandle::from_index(i);
         assert_eq!(want.woken, [(VmId(1), on(0)), (VmId(2), on(2))]);
-        assert_eq!(pack_onto_fleet(&dc, &items, true).woken, want.woken);
+        assert_eq!(
+            pack_onto_fleet(&mut view, &dc, &items, true).woken,
+            want.woken
+        );
     }
 
     #[test]
@@ -752,12 +952,13 @@ mod tests {
         let capped = Cell::new(0u32);
         check(256, &from_fn(case), |case| {
             let dc = build(case);
+            let mut view = FleetView::new(&dc);
             let items: Vec<PackItem> = (0..)
                 .zip(&case.batch)
                 .map(|(j, &(cpu, mem))| PackItem::new(VmId(10_000 + j), cpu, mem))
                 .collect();
             for spill in [false, true] {
-                let got = pack_onto_fleet(&dc, &items, spill);
+                let got = pack_onto_fleet(&mut view, &dc, &items, spill);
                 let want = pack_onto_snapshot(&dc, &items, spill);
                 prop_assert_eq!(&got.active, &want.active, "active, spill {spill}");
                 prop_assert_eq!(&got.woken, &want.woken, "woken, spill {spill}");
@@ -790,10 +991,7 @@ mod tests {
             } else {
                 order.len()
             };
-            let kept: Vec<usize> = candidates(&dc, true, &items, &constraint)
-                .iter()
-                .map(|s| s.index)
-                .collect();
+            let kept = view.candidates(true, &items);
             if order[..visited].iter().any(|s| !kept.contains(&s.index)) {
                 dropped_visited.set(dropped_visited.get() + 1);
             }
@@ -819,7 +1017,7 @@ mod tests {
                             .any(|x| constraint.admits(s, std::slice::from_ref(x)))
                     })
                     .count();
-                if candidates(&dc, active, &items, &constraint).len() < takes_one {
+                if view.candidates(active, &items).len() < takes_one {
                     capped.set(capped.get() + 1);
                 }
             }
