@@ -648,9 +648,10 @@ impl PowerOptimizer {
                 continue;
             }
             let items = post[si].resident.clone();
-            let mut trial = target.clone();
+            // Pack onto the target in place; an assignment the commit rule
+            // below drops is taken back off its server.
             let res = pac_pack(
-                &mut trial,
+                &mut target,
                 &items,
                 &self.constraint,
                 &MinSlackConfig::default(),
@@ -665,6 +666,12 @@ impl PowerOptimizer {
             let src_eff = post[si].power_efficiency();
             for &(vm, ti) in &res.assignments {
                 if !full && target[ti].power_efficiency() <= src_eff {
+                    // `pac_pack` only pushes residents, so an
+                    // order-preserving removal leaves the kept ones in the
+                    // order committing them one by one would.
+                    let resident = &mut target[ti].resident;
+                    let pos = resident.iter().rposition(|it| it.vm == vm);
+                    resident.remove(pos.expect("packed onto this server"));
                     continue;
                 }
                 let item = *items.iter().find(|it| it.vm == vm).expect("drain item");
@@ -681,9 +688,8 @@ impl PowerOptimizer {
                         mem_mib: item.mem_mib,
                     }),
                 }
-                // Dropping an assignment only sheds load, so committing
-                // this subset onto the real target view stays feasible.
-                target[ti].resident.push(item);
+                // Dropping an assignment only sheds load, so the subset
+                // left on the target stays feasible.
                 post[to].resident.push(item);
                 if let Some(pos) = post[si].resident.iter().position(|it| it.vm == vm) {
                     post[si].resident.remove(pos);
