@@ -12,11 +12,19 @@
 
 use vdc_bench::{figure_header, rule};
 use vdc_core::experiments::ablation_dvfs;
-use vdc_telemetry::{arg_count, arg_num, arg_present, exit_with};
+use vdc_telemetry::{arg_count, arg_num, arg_present, check_flags, exit_with, Flag};
 use vdc_trace::{generate_trace, TraceConfig};
+
+/// The flags this bin reads; any other ends it with exit status 1.
+const FLAGS: &[Flag] = &[
+    Flag::value("--seed"),
+    Flag::switch("--quick"),
+    Flag::value("--vms"),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, FLAGS);
     let seed = arg_num(&args, "--seed", 5415u64);
     let quick = arg_present(&args, "--quick");
     let n_vms = arg_count(&args, "--vms", if quick { 200 } else { 1030 });

@@ -23,7 +23,7 @@ use vdc_core::churn::{run_churn, ChurnResult};
 use vdc_core::largescale::{LargeScaleConfig, OptimizerKind};
 use vdc_core::RunOptions;
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{arg_count, arg_num, exit_with, Reporter, Telemetry};
+use vdc_telemetry::{arg_count, arg_num, check_flags, exit_with, Flag, Reporter, Telemetry};
 use vdc_trace::{generate_trace, TraceConfig, UtilizationTrace};
 
 fn scenario_row(name: &str, policy: &str, r: &ChurnResult) {
@@ -53,8 +53,18 @@ fn run_scenario(
         .unwrap_or_else(|e| exit_with(&format!("churn run failed: {e}")))
 }
 
+/// The flags this bin reads; any other ends it with exit status 1.
+const FLAGS: &[Flag] = &[
+    Flag::value("--vms"),
+    Flag::value("--samples"),
+    Flag::value("--seed"),
+    Flag::QUIET,
+    Flag::VERBOSE,
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, FLAGS);
     let reporter = Reporter::from_args(&args);
     let n_vms = arg_count(&args, "--vms", 120);
     let n_samples = arg_count(&args, "--samples", 96);

@@ -23,11 +23,25 @@ use vdc_bench::{figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig};
 use vdc_core::RunOptions;
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{arg_count, arg_num, arg_present, exit_with, Reporter, Telemetry};
+use vdc_telemetry::{
+    arg_count, arg_num, arg_present, check_flags, exit_with, Flag, Reporter, Telemetry,
+};
 use vdc_trace::{generate_trace, TraceConfig};
+
+/// The flags this bin reads; any other ends it with exit status 1.
+const FLAGS: &[Flag] = &[
+    Flag::switch("--quick"),
+    Flag::value("--apps"),
+    Flag::value("--days"),
+    Flag::value("--seed"),
+    Flag::value("--shards"),
+    Flag::QUIET,
+    Flag::VERBOSE,
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, FLAGS);
     let reporter = Reporter::from_args(&args);
     let quick = arg_present(&args, "--quick");
     let n_apps = arg_count(&args, "--apps", if quick { 30 } else { 100 });

@@ -23,7 +23,7 @@ use vdc_bench::{figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig, CosimResult};
 use vdc_core::{FaultConfig, FaultPlan, RunOptions};
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{arg_count, arg_num, exit_with, Reporter, Telemetry};
+use vdc_telemetry::{arg_count, arg_num, check_flags, exit_with, Flag, Reporter, Telemetry};
 use vdc_trace::{generate_trace, TraceConfig, UtilizationTrace};
 
 fn counter(telemetry: &Telemetry, name: &str) -> u64 {
@@ -68,8 +68,19 @@ fn scenario_row(name: &str, r: &CosimResult, t: &Telemetry) {
     );
 }
 
+/// The flags this bin reads; any other ends it with exit status 1.
+const FLAGS: &[Flag] = &[
+    Flag::value("--apps"),
+    Flag::value("--samples"),
+    Flag::value("--seed"),
+    Flag::value("--shards"),
+    Flag::QUIET,
+    Flag::VERBOSE,
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, FLAGS);
     let reporter = Reporter::from_args(&args);
     let n_apps = arg_count(&args, "--apps", 24);
     let n_samples = arg_count(&args, "--samples", 96);

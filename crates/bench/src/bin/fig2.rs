@@ -9,10 +9,21 @@
 use vdc_bench::{figure_header, rule};
 use vdc_core::experiments::fig2;
 use vdc_core::testbed::TestbedConfig;
-use vdc_telemetry::{arg_count, arg_num, exit_with};
+use vdc_telemetry::{arg_count, arg_num, check_flags, exit_with, Flag};
+
+/// The flags this bin reads; any other ends it with exit status 1.
+const FLAGS: &[Flag] = &[
+    Flag::value("--apps"),
+    Flag::value("--concurrency"),
+    Flag::value("--setpoint"),
+    Flag::value("--seed"),
+    Flag::value("--warmup"),
+    Flag::value("--measure"),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, FLAGS);
     let cfg = TestbedConfig {
         n_apps: arg_count(&args, "--apps", 8),
         concurrency: arg_num(&args, "--concurrency", 40usize),

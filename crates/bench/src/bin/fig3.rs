@@ -10,10 +10,26 @@
 use vdc_bench::{figure_header, rule};
 use vdc_core::experiments::{fig3, fig3_static_baseline};
 use vdc_core::testbed::TestbedConfig;
-use vdc_telemetry::{arg_count, arg_num, exit_with, Reporter};
+use vdc_telemetry::{arg_count, arg_num, check_flags, exit_with, Flag, Reporter};
+
+/// The flags this bin reads; any other ends it with exit status 1.
+const FLAGS: &[Flag] = &[
+    Flag::value("--apps"),
+    Flag::value("--concurrency"),
+    Flag::value("--setpoint"),
+    Flag::value("--seed"),
+    Flag::value("--total"),
+    Flag::value("--surge-start"),
+    Flag::value("--surge-end"),
+    Flag::value("--surge-concurrency"),
+    Flag::value("--app"),
+    Flag::QUIET,
+    Flag::VERBOSE,
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, FLAGS);
     let reporter = Reporter::from_args(&args);
     let cfg = TestbedConfig {
         n_apps: arg_count(&args, "--apps", 8),

@@ -10,10 +10,20 @@
 use vdc_bench::{figure_header, rule};
 use vdc_core::controller::IdentificationConfig;
 use vdc_core::experiments::{fig4, PlantKind};
-use vdc_telemetry::{arg_num, arg_present, exit_with};
+use vdc_telemetry::{arg_num, arg_present, check_flags, exit_with, Flag};
+
+/// The flags this bin reads; any other ends it with exit status 1.
+const FLAGS: &[Flag] = &[
+    Flag::value("--setpoint"),
+    Flag::value("--warmup"),
+    Flag::value("--measure"),
+    Flag::value("--seed"),
+    Flag::switch("--fast"),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, FLAGS);
     let setpoint = arg_num(&args, "--setpoint", 1000.0f64);
     let warmup = arg_num(&args, "--warmup", 40usize);
     let measure = arg_num(&args, "--measure", 150usize);

@@ -21,11 +21,21 @@ use vdc_bench::{figure_header, rule};
 use vdc_core::experiments::{fig6, Fig6Config};
 use vdc_core::RunOptions;
 use vdc_dcsim::FleetSpec;
-use vdc_telemetry::{arg_num, arg_present, exit_with};
+use vdc_telemetry::{arg_num, arg_present, check_flags, exit_with, Flag};
 use vdc_trace::{generate_trace, TraceConfig};
+
+/// The flags this bin reads; any other ends it with exit status 1.
+const FLAGS: &[Flag] = &[
+    Flag::value("--seed"),
+    Flag::switch("--quick"),
+    Flag::switch("--full"),
+    Flag::value("--shards"),
+    Flag::switch("--mixed-fleet"),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, FLAGS);
     let seed = arg_num(&args, "--seed", 5415u64);
     let quick = arg_present(&args, "--quick");
     let full = arg_present(&args, "--full");

@@ -37,7 +37,9 @@ use vdc_core::{run_large_scale_streaming, RunOptions};
 use vdc_dcsim::json::{array, JsonObject};
 use vdc_dcsim::FleetSpec;
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{arg_count, arg_num, arg_value, exit_with, Reporter, Telemetry};
+use vdc_telemetry::{
+    arg_count, arg_num, arg_value, check_flags, exit_with, Flag, Reporter, Telemetry,
+};
 use vdc_trace::{StreamingTrace, TraceConfig};
 
 /// Peak resident-set size of this process in KiB (`VmHWM` from
@@ -55,8 +57,24 @@ fn peak_rss_kib() -> u64 {
         .unwrap_or(0)
 }
 
+/// The flags this bin reads; any other ends it with exit status 1.
+const FLAGS: &[Flag] = &[
+    Flag::value("--servers"),
+    Flag::value("--vms"),
+    Flag::value("--samples"),
+    Flag::value("--pod-size"),
+    Flag::value("--seed"),
+    Flag::value("--shards"),
+    Flag::value("--max-rss-mib"),
+    Flag::value("--out"),
+    Flag::value("--fleet"),
+    Flag::QUIET,
+    Flag::VERBOSE,
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, FLAGS);
     let reporter = Reporter::from_args(&args);
     let servers = arg_count(&args, "--servers", 8000);
     let n_vms = arg_count(&args, "--vms", 20_000);

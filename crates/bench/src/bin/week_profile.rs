@@ -16,11 +16,23 @@ use vdc_bench::{figure_header, rule};
 use vdc_core::largescale::{run_large_scale, LargeScaleConfig, OptimizerKind};
 use vdc_core::RunOptions;
 use vdc_telemetry::export::write_metrics;
-use vdc_telemetry::{arg_count, arg_num, arg_present, exit_with, Reporter, Telemetry};
+use vdc_telemetry::{
+    arg_count, arg_num, arg_present, check_flags, exit_with, Flag, Reporter, Telemetry,
+};
 use vdc_trace::{generate_trace, TraceConfig};
+
+/// The flags this bin reads; any other ends it with exit status 1.
+const FLAGS: &[Flag] = &[
+    Flag::switch("--quick"),
+    Flag::value("--vms"),
+    Flag::value("--seed"),
+    Flag::QUIET,
+    Flag::VERBOSE,
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_flags(&args, FLAGS);
     let reporter = Reporter::from_args(&args);
     let quick = arg_present(&args, "--quick");
     let n_vms = arg_count(&args, "--vms", if quick { 200 } else { 1030 });

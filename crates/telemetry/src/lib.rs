@@ -53,7 +53,9 @@ pub mod slo;
 pub mod span;
 
 pub use registry::{Counter, Gauge, Histogram, HistogramSummary, MetricRegistry};
-pub use report::{arg_count, arg_num, arg_present, arg_value, exit_with, Level, Reporter};
+pub use report::{
+    arg_count, arg_num, arg_present, arg_value, check_flags, exit_with, Flag, Level, Reporter,
+};
 pub use slo::{SloAccountant, SloEntry};
 pub use span::SpanTimer;
 

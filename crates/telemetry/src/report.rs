@@ -8,9 +8,11 @@
 //! detail; warnings always print.
 //!
 //! The same module holds the one command-line flag parser that `vdcpower`
-//! and the experiment binaries share ([`arg_num`], [`arg_count`],
-//! [`arg_value`], [`arg_present`]): a flag given without a value, a value
-//! that does not parse, or 0 for a count ends the run through
+//! and the experiment binaries share. Each entry point lists the flags it
+//! reads in one table of [`Flag`]s, and [`check_flags`] rejects any other
+//! flag before the run starts. [`arg_num`], [`arg_count`], [`arg_value`]
+//! and [`arg_present`] then read the flags: a flag given without a value,
+//! a value that does not parse, or 0 for a count ends the run through
 //! [`exit_with`] with one line naming the flag.
 
 use std::io::Write;
@@ -83,6 +85,90 @@ impl Reporter {
     /// Warning; always emitted, at every level.
     pub fn warn(&self, msg: &str) {
         self.emit("warning: ", msg);
+    }
+}
+
+/// A flag an entry point reads, as its flag table lists it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flag {
+    name: &'static str,
+    /// A second spelling, such as `-q` for `--quiet`.
+    short: Option<&'static str>,
+    /// Whether the next argument is the flag's value.
+    takes_value: bool,
+}
+
+impl Flag {
+    /// A flag followed by its value, such as `--vms 40`.
+    pub const fn value(name: &'static str) -> Flag {
+        Flag {
+            name,
+            short: None,
+            takes_value: true,
+        }
+    }
+
+    /// A flag that stands alone, such as `--quick`.
+    pub const fn switch(name: &'static str) -> Flag {
+        Flag {
+            name,
+            short: None,
+            takes_value: false,
+        }
+    }
+
+    /// `--quiet`, or `-q`, which [`Reporter::from_args`] reads.
+    pub const QUIET: Flag = Flag {
+        name: "--quiet",
+        short: Some("-q"),
+        takes_value: false,
+    };
+
+    /// `--verbose`, or `-v`, which [`Reporter::from_args`] reads.
+    pub const VERBOSE: Flag = Flag {
+        name: "--verbose",
+        short: Some("-v"),
+        takes_value: false,
+    };
+
+    fn is(&self, arg: &str) -> bool {
+        arg == self.name || self.short == Some(arg)
+    }
+}
+
+/// The first argument of `args` that looks like a flag (it starts with
+/// `-`) but is none of `flags`. The argument after a flag that takes a
+/// value is that value, and is never taken for a flag.
+fn unknown_flag<'a>(args: &'a [String], flags: &[Flag]) -> Option<&'a str> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match flags.iter().find(|f| f.is(arg)) {
+            Some(flag) if flag.takes_value => {
+                rest.next();
+            }
+            Some(_) => {}
+            None if arg.starts_with('-') => return Some(arg),
+            None => {}
+        }
+    }
+    None
+}
+
+/// Check `args` against `flags`, the table of flags an entry point reads:
+/// any other flag ends the run through [`exit_with`], with one line that
+/// names it and lists the table. Arguments that do not start with `-` (a
+/// command name, the program path) pass.
+pub fn check_flags(args: &[String], flags: &[Flag]) {
+    if let Some(arg) = unknown_flag(args, flags) {
+        let known: Vec<String> = flags
+            .iter()
+            .map(|f| match (f.short, f.takes_value) {
+                (Some(short), _) => format!("{}|{short}", f.name),
+                (None, true) => format!("{} <value>", f.name),
+                (None, false) => f.name.to_string(),
+            })
+            .collect();
+        exit_with(&format!("unknown flag {arg} (flags: {})", known.join(", ")));
     }
 }
 
@@ -238,6 +324,24 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    #[test]
+    fn only_the_flags_of_the_table_pass() {
+        const TABLE: &[Flag] = &[Flag::value("--vms"), Flag::switch("--quick"), Flag::QUIET];
+        let unknown = |list: &[&str]| unknown_flag(&args(list), TABLE).map(str::to_string);
+        assert_eq!(unknown(&["run", "--vms", "5", "--quick", "-q"]), None);
+        assert_eq!(unknown(&["--quiet", "path/to/bin"]), None);
+        // A value that looks like a flag is the flag's value.
+        assert_eq!(unknown(&["--vms", "-3"]), None);
+        assert_eq!(
+            unknown(&["--vms", "5", "--sampels", "4"]),
+            Some("--sampels".into())
+        );
+        assert_eq!(unknown(&["--quick", "7", "-x"]), Some("-x".into()));
+        // A switch takes no value, so what follows it is checked.
+        assert_eq!(unknown(&["--quick", "--vmz"]), Some("--vmz".into()));
+        assert_eq!(unknown(&["--verbose"]), Some("--verbose".into()));
     }
 
     #[test]

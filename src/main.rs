@@ -16,7 +16,8 @@
 //!
 //! Every command accepts `--quiet`/`-q` (warnings only) and
 //! `--verbose`/`-v` (debug narration). Narration goes to stderr; stdout
-//! carries only results.
+//! carries only results. Each command lists the flags it reads in one
+//! table; any other flag ends the run with exit status 1.
 
 use std::fs::File;
 use std::io::{BufReader, Write};
@@ -32,7 +33,7 @@ use vdcpower::core::testbed::{Testbed, TestbedConfig};
 use vdcpower::core::RunOptions;
 use vdcpower::dcsim::FleetSpec;
 use vdcpower::telemetry::export::write_metrics;
-use vdcpower::telemetry::{arg_count, arg_num, arg_value, Reporter, Telemetry};
+use vdcpower::telemetry::{arg_count, arg_num, arg_value, check_flags, Flag, Reporter, Telemetry};
 use vdcpower::trace::{generate_trace, trace_stats, TraceConfig, UtilizationTrace};
 
 fn usage() -> ExitCode {
@@ -64,7 +65,16 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags `vdcpower identify` reads.
+const IDENTIFY_FLAGS: &[Flag] = &[
+    Flag::value("--concurrency"),
+    Flag::value("--seed"),
+    Flag::QUIET,
+    Flag::VERBOSE,
+];
+
 fn cmd_identify(args: &[String], reporter: &Reporter) -> ExitCode {
+    check_flags(args, IDENTIFY_FLAGS);
     let concurrency = arg_num(args, "--concurrency", 40usize);
     let seed = arg_num(args, "--seed", 42u64);
     reporter.info(&format!(
@@ -132,7 +142,19 @@ fn cmd_identify(args: &[String], reporter: &Reporter) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The flags `vdcpower testbed` reads.
+const TESTBED_FLAGS: &[Flag] = &[
+    Flag::value("--apps"),
+    Flag::value("--concurrency"),
+    Flag::value("--setpoint"),
+    Flag::value("--seed"),
+    Flag::value("--periods"),
+    Flag::QUIET,
+    Flag::VERBOSE,
+];
+
 fn cmd_testbed(args: &[String], reporter: &Reporter) -> ExitCode {
+    check_flags(args, TESTBED_FLAGS);
     let cfg = TestbedConfig {
         n_apps: arg_count(args, "--apps", 8),
         concurrency: arg_num(args, "--concurrency", 40usize),
@@ -177,7 +199,19 @@ fn cmd_testbed(args: &[String], reporter: &Reporter) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The flags `vdcpower largescale` reads.
+const LARGESCALE_FLAGS: &[Flag] = &[
+    Flag::value("--vms"),
+    Flag::value("--samples"),
+    Flag::value("--seed"),
+    Flag::value("--optimizer"),
+    Flag::value("--fleet"),
+    Flag::QUIET,
+    Flag::VERBOSE,
+];
+
 fn cmd_largescale(args: &[String], reporter: &Reporter) -> ExitCode {
+    check_flags(args, LARGESCALE_FLAGS);
     let n_vms = arg_count(args, "--vms", 500);
     let samples = arg_count(args, "--samples", 672);
     let seed = arg_num(args, "--seed", 5415u64);
@@ -251,7 +285,18 @@ fn cmd_largescale(args: &[String], reporter: &Reporter) -> ExitCode {
     }
 }
 
+/// The flags `vdcpower trace-gen` reads.
+const TRACE_GEN_FLAGS: &[Flag] = &[
+    Flag::value("--vms"),
+    Flag::value("--samples"),
+    Flag::value("--seed"),
+    Flag::value("--out"),
+    Flag::QUIET,
+    Flag::VERBOSE,
+];
+
 fn cmd_trace_gen(args: &[String], reporter: &Reporter) -> ExitCode {
+    check_flags(args, TRACE_GEN_FLAGS);
     let n_vms = arg_count(args, "--vms", 100);
     let samples = arg_count(args, "--samples", 672);
     let seed = arg_num(args, "--seed", 1u64);
@@ -288,7 +333,11 @@ fn cmd_trace_gen(args: &[String], reporter: &Reporter) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The flags `vdcpower trace-info` reads.
+const TRACE_INFO_FLAGS: &[Flag] = &[Flag::value("--in"), Flag::QUIET, Flag::VERBOSE];
+
 fn cmd_trace_info(args: &[String]) -> ExitCode {
+    check_flags(args, TRACE_INFO_FLAGS);
     let Some(input) = arg_value(args, "--in") else {
         eprintln!("trace-info requires --in <file.csv>");
         return ExitCode::FAILURE;

@@ -1,7 +1,7 @@
-//! Degenerate `vdcpower` flags and malformed trace files end the run with
-//! exit status 1 and a one-line message that names the flag or the parse
-//! failure, never with a panic (status 101) or a silent fallback to the
-//! default.
+//! Degenerate `vdcpower` flags, flags a command does not read, and
+//! malformed trace files end the run with exit status 1 and a one-line
+//! message that names the flag or the parse failure, never with a panic
+//! (status 101) or a silent fallback to the default.
 
 use std::process::Command;
 
@@ -91,4 +91,30 @@ fn trace_info_rejects_a_sample_or_interval_that_is_not_finite() {
             "parse failed",
         );
     }
+}
+
+#[test]
+fn largescale_rejects_a_misspelled_flag() {
+    let args = ["largescale", "--vms", "5", "--sampels", "4", "-q"];
+    assert_rejected(&args, "--sampels");
+}
+
+#[test]
+fn identify_rejects_a_flag_it_does_not_read() {
+    assert_rejected(&["identify", "--seed", "1", "--vms", "5"], "--vms");
+}
+
+#[test]
+fn testbed_rejects_a_flag_it_does_not_read() {
+    assert_rejected(&["testbed", "--apps", "1", "--shards", "2"], "--shards");
+}
+
+#[test]
+fn trace_gen_rejects_a_flag_it_does_not_read() {
+    assert_rejected(&["trace-gen", "--out", "t.csv", "--in", "t.csv"], "--in");
+}
+
+#[test]
+fn trace_info_rejects_a_flag_it_does_not_read() {
+    assert_rejected(&["trace-info", "--in", "t.csv", "--seed", "3"], "--seed");
 }
