@@ -13,6 +13,14 @@
 //! the fewest/smallest VMs needed to clear each overload and parks them on
 //! the emptiest feasible server (waking one only as a last resort), leaving
 //! global re-optimization to the next IPAC invocation.
+//!
+//! The runners plan relief with [`FleetView::relieve`], over the sample's
+//! packing view, whose per-server resident sums and class ceilings seed
+//! the pass. [`relieve_overloads`] plans over any snapshot under any rule,
+//! seeding the same sums from the residents and the rule; it is the
+//! reference path, and both run the one planner.
+//!
+//! [`FleetView::relieve`]: crate::view::FleetView::relieve
 
 use crate::constraint::{Ceilings, Constraint};
 use crate::item::{PackItem, PackServer};
@@ -50,7 +58,24 @@ pub fn relieve_overloads(
     constraint: &dyn Constraint,
     cfg: &ReliefConfig,
 ) -> ConsolidationPlan {
-    let mut fleet = Fleet::new(state, constraint);
+    let sums = state.iter().map(|s| Sums::of(s, constraint)).collect();
+    plan_relief(state, sums, constraint, cfg)
+}
+
+/// The relief planner over `servers`, its working state, starting from
+/// each server's [`Sums`] under `constraint`: bit for bit the ones
+/// [`Sums::of`] gives, however the caller came by them.
+pub(crate) fn plan_relief(
+    servers: &mut [PackServer],
+    sums: Vec<Sums>,
+    constraint: &dyn Constraint,
+    cfg: &ReliefConfig,
+) -> ConsolidationPlan {
+    let mut fleet = Fleet {
+        servers,
+        sums,
+        constraint,
+    };
     let mut plan = ConsolidationPlan::default();
     let mut moves_left = cfg.max_moves;
 
@@ -134,10 +159,10 @@ struct Fleet<'a> {
 /// [`PackServer::resident_cpu`] and [`PackServer::resident_mem`] return,
 /// and the rule's [`Ceilings`] on it when the rule is additive.
 #[derive(Clone, Copy)]
-struct Sums {
-    cpu: f64,
-    mem: f64,
-    ceilings: Option<Ceilings>,
+pub(crate) struct Sums {
+    pub(crate) cpu: f64,
+    pub(crate) mem: f64,
+    pub(crate) ceilings: Option<Ceilings>,
 }
 
 impl Sums {
@@ -150,16 +175,7 @@ impl Sums {
     }
 }
 
-impl<'a> Fleet<'a> {
-    fn new(servers: &'a mut [PackServer], constraint: &'a dyn Constraint) -> Fleet<'a> {
-        let sums = servers.iter().map(|s| Sums::of(s, constraint)).collect();
-        Fleet {
-            servers,
-            sums,
-            constraint,
-        }
-    }
-
+impl Fleet<'_> {
     /// Re-derive server `i`'s [`Sums`] after a move touched it. The sums
     /// are re-summed, not adjusted: `swap_remove` reorders the residents,
     /// and subtracting a victim is not the fold of what is left.

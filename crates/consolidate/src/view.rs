@@ -2,17 +2,19 @@
 //!
 //! The consolidation algorithms work on [`PackServer`] snapshots; this
 //! module builds those snapshots from live data-center state, keeps the
-//! [`FleetView`] that churn admission and crash evacuation pack from, and
-//! executes the resulting [`ConsolidationPlan`] (wake → migrate/place →
-//! sleep, in dependency order). Plans speak the external vocabulary —
-//! [`vdc_dcsim::VmId`] labels and server indices — so this module is also
-//! where labels are translated to arena handles.
+//! [`FleetView`] that churn admission and crash evacuation pack from and
+//! overload relief plans over, and executes the resulting
+//! [`ConsolidationPlan`] (wake → migrate/place → sleep, in dependency
+//! order). Plans speak the external vocabulary — [`vdc_dcsim::VmId`]
+//! labels and server indices — so this module is also where labels are
+//! translated to arena handles.
 
 use crate::constraint::{AndConstraint, Ceilings, Constraint};
 use crate::item::{PackItem, PackServer};
 use crate::minslack::MinSlackConfig;
 use crate::pac::pac_pack;
 use crate::plan::ConsolidationPlan;
+use crate::relief::{plan_relief, ReliefConfig, Sums};
 use vdc_dcsim::{DataCenter, DcError, ServerHandle, ServerState, VmHandle, VmId};
 
 /// Snapshot every server of the data center as a [`PackServer`], with its
@@ -31,9 +33,10 @@ fn server_of(dc: &DataCenter, server: ServerHandle) -> PackServer {
     }
 }
 
-/// The packing view that churn admission and crash evacuation pack from:
-/// [`snapshot`]'s servers, plus what [`FleetView::candidates`] reads of
-/// each instead of the data center: its resident CPU and memory sums (the
+/// The packing view that churn admission and crash evacuation pack from,
+/// and that overload relief plans over: [`snapshot`]'s servers, plus what
+/// [`FleetView::candidates`] and [`FleetView::relieve`] read of each
+/// instead of the data center: its resident CPU and memory sums (the
 /// folds [`PackServer::resident_cpu`] and [`PackServer::resident_mem`]
 /// take, extended by `+=` on each placement), and its class under the
 /// class cap, with the class's ceilings under
@@ -118,11 +121,24 @@ impl FleetView {
         }
     }
 
-    /// The servers, lent to a pass that plans over them as its working
-    /// state, such as overload relief. The view is stale afterwards, until
-    /// [`FleetView::refresh`].
-    pub fn servers_mut(&mut self) -> &mut [PackServer] {
-        &mut self.servers
+    /// Plan overload relief over the view's servers under
+    /// [`AndConstraint::cpu_and_memory`]: the plan
+    /// [`relieve_overloads`](crate::relief::relieve_overloads) makes over
+    /// [`snapshot`] under that rule, with each server's resident sums and
+    /// ceilings taken from the view instead of folded and asked of the
+    /// rule again. The pass plans over the servers as its working state,
+    /// so the view is stale afterwards, until [`FleetView::refresh`].
+    pub fn relieve(&mut self, cfg: &ReliefConfig) -> ConsolidationPlan {
+        let sums = self
+            .cache
+            .iter()
+            .map(|c| Sums {
+                cpu: c.cpu,
+                mem: c.mem,
+                ceilings: Some(self.classes[c.class as usize].ceilings),
+            })
+            .collect();
+        plan_relief(&mut self.servers, sums, &self.rule, cfg)
     }
 
     /// Record a placement made on `dc`: `vm`, the last VM its server
@@ -154,7 +170,8 @@ impl FleetView {
 
     /// Whether the view equals what a fresh one of `dc` would hold: the
     /// servers equal [`snapshot`], and every cache equals its server's,
-    /// the sums bit for bit. Debug builds check it at every pack.
+    /// the sums bit for bit. Debug builds check it at every pack and at
+    /// every relief hand-off.
     pub fn is_current(&self, dc: &DataCenter) -> bool {
         self.servers == snapshot(dc)
             && self.servers.iter().zip(&self.cache).all(|(s, c)| {
@@ -298,12 +315,12 @@ fn class_key(s: &PackServer) -> [u64; 6] {
     ]
 }
 
-/// The VMs `server` hosts, as packing items in hosted order.
+/// The VMs `server` hosts, as packing items in hosted order, each with
+/// its live demand.
 fn hosted_items(dc: &DataCenter, server: ServerHandle) -> impl Iterator<Item = PackItem> + '_ {
-    dc.hosted_vms(server)
+    dc.hosted_loads(server)
         .expect("index in range")
-        .iter()
-        .map(|&vm| hosted_item(dc, vm))
+        .map(|(id, cpu, mem)| PackItem::new(id, cpu, mem))
 }
 
 /// A hosted VM as a packing item, with its live demand.

@@ -13,6 +13,11 @@
 //! 4. [`SimState::account`]: the one power charge;
 //! 5. [`SimState::watchdog`]: the SLO watchdog of faulted runs.
 //!
+//! Admission, evacuation and relief work from one packing view per sample
+//! ([`Views`]), built or refreshed by the first of them. A relief pass,
+//! stage 2's or the watchdog's, plans over it and uses it up, so the
+//! watchdog's pass refreshes it again first.
+//!
 //! The testbed ([`crate::testbed`]) runs only stages 3 and 4 after its
 //! demand stage, and throttles oversubscribed servers between them.
 //!
@@ -24,10 +29,9 @@
 use crate::optimizer::{apply_with_faults, OptimizerConfig, PowerOptimizer};
 use crate::run::RunOptions;
 use crate::Result;
-use vdc_consolidate::constraint::AndConstraint;
-use vdc_consolidate::item::{PackItem, PackServer};
-use vdc_consolidate::relief::{relieve_overloads, ReliefConfig};
-use vdc_consolidate::view::{snapshot, ApplyStats, FleetView};
+use vdc_consolidate::item::PackItem;
+use vdc_consolidate::relief::ReliefConfig;
+use vdc_consolidate::view::{ApplyStats, FleetView};
 use vdc_dcsim::{DataCenter, ServerHandle, VmHandle, VmId};
 use vdc_faults::{FaultSession, HostFaultKind};
 use vdc_telemetry::{SpanTimer, Telemetry};
@@ -225,46 +229,36 @@ impl<'a> SimState<'a> {
     /// Stage 2: invoke the optimizer on its long period; between
     /// invocations, run the on-demand overload-relief pass (§III) when the
     /// runner enables it. The stage uses up the sample's packing view:
-    /// relief plans over its servers instead of a fresh snapshot, and
-    /// keeps it as the spare for the next sample's view. An optimizer
-    /// sample drops both views before the invocation, which snapshots on
-    /// its own.
+    /// relief plans over it (the view admission or evacuation built, else
+    /// the spare refreshed, else a new one), and it then becomes the spare
+    /// for the next sample's view. An optimizer sample drops both views
+    /// before the invocation, which snapshots on its own.
     pub(crate) fn consolidate_or_relieve(&mut self, t: usize) -> Result<()> {
-        let view = self.views.current.take();
         if t > 0 && t.is_multiple_of(self.stages.optimizer_period) {
-            drop(view);
-            self.views.spare = None;
+            self.views = Views::default();
             self.optimize(&[])?;
             return Ok(());
         }
-        if let Some(mut view) = view {
-            if self.stages.relief {
-                debug_assert!(view.is_current(&self.dc), "the relief hand-off");
-                // The hand-off keeps the snapshot span, so that it counts
-                // every relief pass.
-                let span = self.timer("relief_snapshot_ns");
-                let servers = view.servers_mut();
-                span.finish();
-                self.relieve(servers)?;
-            }
-            self.views.spare = Some(view);
-        } else if self.stages.relief {
+        if self.stages.relief {
             let span = self.timer("relief_snapshot_ns");
-            let mut snap = snapshot(&self.dc);
+            let mut view = self.views.take(&self.dc);
             span.finish();
-            self.relieve(&mut snap)?;
+            self.relieve(&mut view)?;
+            self.views.spare = Some(view);
+        } else if let Some(view) = self.views.current.take() {
+            self.views.spare = Some(view);
         }
         Ok(())
     }
 
-    /// Plan and apply one overload-relief pass over `snap`, which the
+    /// Plan and apply one overload-relief pass over `view`, which the
     /// planner takes as its working state, drawing per-attempt migration
     /// failures from the fault session when one is active
-    /// ([`apply_with_faults`]).
-    fn relieve(&mut self, snap: &mut [PackServer]) -> Result<()> {
-        let constraint = AndConstraint::cpu_and_memory();
+    /// ([`apply_with_faults`]). The view is stale afterwards.
+    fn relieve(&mut self, view: &mut FleetView) -> Result<()> {
+        debug_assert!(view.is_current(&self.dc), "the relief hand-off");
         let span = self.timer("relief_plan_ns");
-        let plan = relieve_overloads(snap, &constraint, &ReliefConfig::default());
+        let plan = view.relieve(&ReliefConfig::default());
         span.finish();
         if plan.is_empty() {
             return Ok(());
@@ -371,8 +365,12 @@ impl<'a> SimState<'a> {
         self.violation_streak = 0;
         f.watchdog_reliefs += 1;
         self.telemetry.incr("fault.watchdog_reliefs", 1);
-        let mut snap = snapshot(&self.dc);
-        self.relieve(&mut snap)
+        // Stage 2 used the sample's view up, so this is the spare
+        // refreshed, or a new view after an optimizer sample.
+        let mut view = self.views.take(&self.dc);
+        self.relieve(&mut view)?;
+        self.views.spare = Some(view);
+        Ok(())
     }
 
     /// Roll the run up: wake energy, the fault session's apply-path
@@ -453,15 +451,17 @@ pub(crate) struct Packed {
     pub(crate) unplaced: Vec<VmId>,
 }
 
-/// The packing views of a run's churn admission and crash evacuation.
+/// The packing views of a run's churn admission, crash evacuation and
+/// overload relief.
 #[derive(Default)]
 pub(crate) struct Views {
     /// This sample's view: built from the data center at the sample's
     /// first pack ([`Views::current`]), told of every change admission and
     /// evacuation make to the data center, and used up by stage 2.
     current: Option<FleetView>,
-    /// An earlier sample's view, kept so that the next view refills its
-    /// buffers instead of allocating them.
+    /// An earlier sample's view, or the one a relief pass used up, kept
+    /// so that the next view refills its buffers instead of allocating
+    /// them.
     spare: Option<FleetView>,
 }
 
@@ -469,8 +469,16 @@ impl Views {
     /// This sample's view; at the sample's first pack, the spare refreshed
     /// from `dc`, or a new view of `dc`.
     pub(crate) fn current(&mut self, dc: &DataCenter) -> &mut FleetView {
+        let view = self.take(dc);
+        self.current.insert(view)
+    }
+
+    /// This sample's view, taken out: the one the sample's packs built,
+    /// else the spare refreshed from `dc`, else a new view of `dc`. A
+    /// relief pass takes it and uses it up.
+    fn take(&mut self, dc: &DataCenter) -> FleetView {
         let spare = &mut self.spare;
-        self.current.get_or_insert_with(|| match spare.take() {
+        self.current.take().unwrap_or_else(|| match spare.take() {
             Some(mut view) => {
                 view.refresh(dc);
                 view
@@ -557,10 +565,12 @@ mod tests {
     use super::*;
     use std::cell::Cell;
     use vdc_check::{check, from_fn, prop_assert, prop_assert_eq, TestRng};
-    use vdc_consolidate::constraint::Constraint;
+    use vdc_consolidate::constraint::{AndConstraint, Constraint};
+    use vdc_consolidate::item::PackServer;
     use vdc_consolidate::minslack::MinSlackConfig;
     use vdc_consolidate::pac::pac_pack;
-    use vdc_consolidate::view::apply_plan;
+    use vdc_consolidate::relief::relieve_overloads;
+    use vdc_consolidate::view::{apply_plan, snapshot};
     use vdc_dcsim::{Server, ServerSpec, VmSpec};
     use vdc_faults::FaultPlan;
 
@@ -786,9 +796,10 @@ mod tests {
         Crash(usize),
         /// Recover a host.
         Recover(usize),
-        /// End the sample: relief plans over the view's servers and the
-        /// plan applies, then the view is refreshed, as the next sample's
-        /// first pack refreshes the spare.
+        /// End the sample: relief plans over the view, the plan that
+        /// [`relieve_overloads`] makes over a snapshot, and the plan
+        /// applies; then the view is refreshed, as the next sample's first
+        /// pack refreshes the spare.
         Relieve,
     }
 
@@ -817,6 +828,7 @@ mod tests {
         let evacuated = Cell::new(0u32);
         let recovered = Cell::new(0u32);
         let relieved = Cell::new(0u32);
+        let relief_woke = Cell::new(0u32);
         let scripts = from_fn(|rng: &mut TestRng| {
             let case = case(rng);
             let steps = steps(rng, case.hosts.len());
@@ -884,9 +896,14 @@ mod tests {
                     Step::Relieve => {
                         let rule = AndConstraint::cpu_and_memory();
                         let relief = ReliefConfig::default();
-                        let plan = relieve_overloads(view.servers_mut(), &rule, &relief);
+                        let want = relieve_overloads(&mut snapshot(&dc), &rule, &relief);
+                        let plan = view.relieve(&relief);
+                        prop_assert_eq!(&plan, &want, "step {n}: the view's relief plan");
                         if !plan.is_empty() {
                             relieved.set(relieved.get() + 1);
+                        }
+                        if !plan.servers_to_wake.is_empty() {
+                            relief_woke.set(relief_woke.get() + 1);
                         }
                         apply_plan(&mut dc, &plan).unwrap();
                         view.refresh(&dc);
@@ -905,6 +922,7 @@ mod tests {
             ("a crash evacuated a VM onto another host", &evacuated),
             ("a failed host recovered", &recovered),
             ("relief moved a VM before a refresh", &relieved),
+            ("a relief plan woke a sleeping server", &relief_woke),
         ] {
             assert!(count.get() > 0, "no case covered: {name}");
         }

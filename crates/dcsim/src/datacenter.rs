@@ -311,6 +311,24 @@ impl DataCenter {
         Ok(self.hosted[s].as_slice())
     }
 
+    /// Each VM hosted on a server, in placement order, as its label, its
+    /// live CPU demand (GHz) and its memory (MiB): what
+    /// [`DataCenter::hosted_vms`] read through [`DataCenter::vm`] and
+    /// [`DataCenter::vm_demand`] gives, read by slot index without their
+    /// generation checks, since hosted lists hold only occupied slots.
+    pub fn hosted_loads(
+        &self,
+        server: ServerHandle,
+    ) -> Result<impl Iterator<Item = (VmId, f64, f64)> + '_> {
+        let s = self.server_slot(server)?;
+        Ok(self.hosted[s].iter().map(|h| {
+            let spec = self.vms[h.index()]
+                .as_ref()
+                .expect("hosted lists hold only occupied slots");
+            (spec.id, self.demand[h.index()], spec.memory_mib)
+        }))
+    }
+
     // ---- demand / capacity ----------------------------------------------
 
     /// Update a VM's CPU demand (GHz, floored at 0).
@@ -345,16 +363,7 @@ impl DataCenter {
 
     /// Aggregate memory hosted on a server (MiB).
     pub(crate) fn server_memory_mib(&self, server: ServerHandle) -> Result<f64> {
-        Ok(self
-            .hosted_vms(server)?
-            .iter()
-            .map(|h| {
-                self.vms[h.index()]
-                    .as_ref()
-                    .expect("hosted lists hold only occupied slots")
-                    .memory_mib
-            })
-            .sum())
+        Ok(self.hosted_loads(server)?.map(|(_, _, mem)| mem).sum())
     }
 
     // ---- placement & migration ------------------------------------------
@@ -648,6 +657,9 @@ mod tests {
         dc.set_vm_demand(a, 11.0).unwrap();
         assert_eq!(dc.vm_demand(a).unwrap(), 11.0);
         assert_eq!(dc.server_demand_ghz(srv(0)).unwrap(), 13.0);
+        let loads: Vec<_> = dc.hosted_loads(srv(0)).unwrap().collect();
+        assert_eq!(loads, [(VmId(1), 11.0, 1024.0), (VmId(2), 2.0, 2048.0)]);
+        assert!(dc.hosted_loads(srv(1)).is_err());
         // Double placement rejected.
         assert!(dc.place_vm(a, srv(0)).is_err());
     }

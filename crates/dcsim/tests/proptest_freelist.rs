@@ -10,10 +10,43 @@
 //!
 //! Failures replay with `VDC_CHECK_SEED`.
 
-use vdc_check::{check, from_fn, prop_assert, prop_assert_eq, Gen, TestRng};
+use std::cell::Cell;
+use vdc_check::{check, from_fn, prop_assert, prop_assert_eq, CaseResult, Gen, TestRng};
 use vdc_dcsim::{DataCenter, DcError, Server, ServerHandle, ServerSpec, VmId, VmSpec};
 
 const CASES: u32 = 48;
+
+/// A live demand for `VmId(label)` that differs from its registration
+/// demand and from every other label's, so a read of the wrong slot or of
+/// the spec shows.
+fn live_demand(label: u64) -> f64 {
+    1.0 + 0.25 * label as f64
+}
+
+/// Every server's `hosted_loads` equals its `hosted_vms` read through the
+/// checked accessors `vm()` and `vm_demand()`. Counts into `recycled` the
+/// hosted VMs whose slot an earlier tenant held.
+fn hosted_loads_match(
+    dc: &DataCenter,
+    servers: &[ServerHandle],
+    recycled: &Cell<u32>,
+) -> CaseResult {
+    for &srv in servers {
+        let hosted = dc.hosted_vms(srv).expect("valid server");
+        let mut want = Vec::with_capacity(hosted.len());
+        for &h in hosted {
+            let spec = dc.vm(h).expect("hosted handle is live");
+            let demand = dc.vm_demand(h).expect("hosted handle is live");
+            want.push((spec.id, demand, spec.memory_mib));
+            if h.generation() > 0 {
+                recycled.set(recycled.get() + 1);
+            }
+        }
+        let got: Vec<(VmId, f64, f64)> = dc.hosted_loads(srv).expect("valid server").collect();
+        prop_assert_eq!(got, want, "hosted_loads of server {}", srv.index());
+    }
+    Ok(())
+}
 
 /// One lifecycle script: positive label = register `VmId(label)`, negative
 /// = remove a pseudo-randomly chosen live VM (the value picks which).
@@ -164,9 +197,12 @@ fn mix_script() -> impl Gen<Value = MixScript> {
 ///    rebalance move can never drag the new occupant anywhere;
 /// 3. the hosted lists stay exact: every placed VM appears on exactly one
 ///    host, unplaced and removed VMs on none, and the arena never grows
-///    past its high-water live population.
+///    past its high-water live population;
+/// 4. each server's `hosted_loads` reads what its `hosted_vms` read
+///    through the checked accessors give, in recycled slots too.
 #[test]
 fn rebalance_migrations_interleaved_with_recycling_stay_consistent() {
+    let recycled = Cell::new(0u32);
     check(CASES, &mix_script(), |s| {
         let mut dc = DataCenter::new();
         // Small hosts (4096 MiB) and 1024 MiB VMs: four tenants fill a
@@ -186,6 +222,8 @@ fn rebalance_migrations_interleaved_with_recycling_stay_consistent() {
                 MixOp::Add(label) => {
                     let id = VmId(label);
                     if let Ok(handle) = dc.add_vm(VmSpec::new(id.0, 0.5, 1024.0)) {
+                        dc.set_vm_demand(handle, live_demand(label))
+                            .expect("live handle");
                         for dead in dead_handles.iter().filter(|h| h.index() == handle.index()) {
                             prop_assert!(
                                 handle.generation() > dead.generation(),
@@ -290,6 +328,7 @@ fn rebalance_migrations_interleaved_with_recycling_stay_consistent() {
                 );
             }
             prop_assert_eq!(hosted_seen.len(), placed_on.values().flatten().count());
+            hosted_loads_match(&dc, &servers, &recycled)?;
             for dead in &dead_handles {
                 prop_assert_eq!(
                     dc.vm(*dead).unwrap_err(),
@@ -302,6 +341,7 @@ fn rebalance_migrations_interleaved_with_recycling_stay_consistent() {
         }
         Ok(())
     });
+    assert!(recycled.get() > 0, "no case hosted a VM in a recycled slot");
 }
 
 /// One fault-script op over a small placed fleet.
@@ -349,9 +389,12 @@ fn fault_script() -> impl Gen<Value = FaultScript> {
 /// 2. failed hosts reject placements with `DcError::ServerFailed` until
 ///    repaired, and repairing makes them placeable again;
 /// 3. no stale handle is ever resurrected, and label-index iteration stays
-///    strictly ascending, exactly as in the churn-only property above.
+///    strictly ascending, exactly as in the churn-only property above;
+/// 4. each server's `hosted_loads` reads what its `hosted_vms` read
+///    through the checked accessors give, through crashes and recoveries.
 #[test]
 fn crash_recover_scripts_never_lose_or_duplicate_vms() {
+    let recycled = Cell::new(0u32);
     check(CASES, &fault_script(), |s| {
         let mut dc = DataCenter::new();
         let servers: Vec<ServerHandle> = (0..N_SERVERS)
@@ -389,6 +432,8 @@ fn crash_recover_scripts_never_lose_or_duplicate_vms() {
                 FaultOp::Add(label) => {
                     let id = VmId(label);
                     if let Ok(handle) = dc.add_vm(VmSpec::new(id.0, 0.5, 1024.0)) {
+                        dc.set_vm_demand(handle, live_demand(label))
+                            .expect("live handle");
                         let host = replace(&mut dc, &servers, &failed, handle);
                         live.insert(id, handle);
                         placed_on.insert(id, host);
@@ -488,7 +533,9 @@ fn crash_recover_scripts_never_lose_or_duplicate_vms() {
             let reference: Vec<VmId> = live.keys().copied().collect();
             prop_assert_eq!(&order, &reference, "live set diverged");
             prop_assert_eq!(dc.n_vms(), live.len());
+            hosted_loads_match(&dc, &servers, &recycled)?;
         }
         Ok(())
     });
+    assert!(recycled.get() > 0, "no case hosted a VM in a recycled slot");
 }
